@@ -7,7 +7,6 @@ a linear scan (DESIGN.md §5, ablation 1).
 
 from __future__ import annotations
 
-import pathlib
 import random
 
 import pytest
@@ -71,17 +70,6 @@ def test_classify_indexed(benchmark, lists, url_corpus):
     assert hits > 0
 
 
-def test_match_combined_regex(benchmark, lists, url_corpus):
-    """The combined-alternation backend (historic blocker design)."""
-    from repro.filterlist.combined import CombinedRegexEngine
-
-    engine = CombinedRegexEngine()
-    for name, lst in lists.items():
-        engine.add_filters(lst.filters, list_name=name)
-    hits = benchmark(_run_matches, engine, url_corpus)
-    assert hits > 0
-
-
 def test_engine_build(benchmark, lists):
     def build():
         engine = FilterEngine()
@@ -125,118 +113,6 @@ def test_snapshot_load(benchmark, lists, tmp_path_factory):
     write_snapshot(path, engine)
     loaded = benchmark(load_snapshot, path)
     assert loaded.engine.fingerprint == engine.fingerprint
-
-
-def test_matcher_head_to_head_rbn2(rbn2, lists, results_dir):
-    """Uncached decision path, all matchers, on the RBN-2 corpus.
-
-    Not a pytest-benchmark: the engines are timed interleaved
-    (best-of-6 alternating rounds) so thermal / allocator drift hits
-    every backend equally, and decision identity is asserted on the
-    same corpus — a fast wrong matcher must not win.  The corpus is
-    the *pipeline's* decision stream (normalized URLs, attributed page
-    URLs, precomputed request hosts), i.e. exactly what `repro
-    classify --no-decision-cache` pays per record.  Writes
-    ``results/engine_matchers.txt``; acceptance floor is a >=3x actrie
-    speedup over the bucketed engine.
-    """
-    import time
-
-    from conftest import write_result
-    from repro.filterlist.actrie import ACTrieEngine
-    from repro.filterlist.combined import CombinedRegexEngine
-    from repro.filterlist.snapshot import load_snapshot, write_snapshot
-    from repro.http.url import split_url
-
-    _, _, entries = rbn2
-    corpus = []
-    index = 0
-    while len(corpus) < 100_000:
-        entry = entries[index % len(entries)]
-        index += 1
-        corpus.append((
-            entry.normalized_url,
-            RequestContext(entry.content_type, entry.page_url),
-            split_url(entry.normalized_url).host,
-        ))
-
-    engines = {}
-    build_times = {}
-    for name, cls in (
-        ("buckets", FilterEngine),
-        ("actrie", ACTrieEngine),
-        ("combined", CombinedRegexEngine),
-    ):
-        started = time.perf_counter()
-        engine = cls()
-        for list_name, lst in lists.items():
-            engine.add_filters(lst.filters, list_name=list_name)
-        build_times[name] = time.perf_counter() - started
-        engines[name] = engine
-
-    def decide(engine):
-        classify = engine.classify
-        started = time.perf_counter()
-        for url, context, request_host in corpus:
-            classify(url, context, request_host=request_host)
-        return time.perf_counter() - started
-
-    for engine in engines.values():  # warm-up round
-        decide(engine)
-    best = {name: float("inf") for name in engines}
-    for _ in range(6):  # interleaved best-of-6
-        for name, engine in engines.items():
-            best[name] = min(best[name], decide(engine))
-
-    def signature(engine):
-        return [
-            (c.blacklist_name, c.whitelist_name)
-            for url, context, request_host in corpus[:20_000]
-            for c in (engine.classify(url, context, request_host=request_host),)
-        ]
-
-    reference = signature(engines["buckets"])
-    assert signature(engines["actrie"]) == reference
-    assert signature(engines["combined"]) == reference
-
-    import tempfile
-    with tempfile.TemporaryDirectory() as tmp:
-        path = f"{tmp}/engine.snap"
-        started = time.perf_counter()
-        write_snapshot(path, engines["buckets"])
-        compile_s = time.perf_counter() - started
-        load_s = float("inf")
-        for _ in range(5):
-            started = time.perf_counter()
-            load_snapshot(path)
-            load_s = min(load_s, time.perf_counter() - started)
-        size_kib = pathlib.Path(path).stat().st_size / 1024
-
-    speedup = best["buckets"] / best["actrie"]
-    n_filters = engines["buckets"].filter_count
-    lines = [
-        "Engine matcher head-to-head (uncached classify path)",
-        f"corpus: {len(corpus)} RBN-2 requests, {n_filters} filters",
-        "",
-        f"{'matcher':<10} {'build_s':>8} {'classify_s':>10} {'us/req':>7} {'vs buckets':>10}",
-    ]
-    for name in ("buckets", "actrie", "combined"):
-        lines.append(
-            f"{name:<10} {build_times[name]:>8.3f} {best[name]:>10.3f} "
-            f"{best[name] / len(corpus) * 1e6:>7.2f} "
-            f"{best['buckets'] / best[name]:>9.2f}x"
-        )
-    lines += [
-        "",
-        "snapshot (compile once, restore per process):",
-        f"  compile+write: {compile_s * 1e3:.1f} ms   "
-        f"load: {load_s * 1e3:.1f} ms   size: {size_kib:.0f} KiB",
-        "",
-        f"actrie speedup on the uncached decision path: {speedup:.2f}x "
-        "(acceptance floor: 3x)",
-    ]
-    write_result(results_dir, "engine_matchers.txt", "\n".join(lines) + "\n")
-    assert speedup >= 3.0, f"actrie speedup regressed: {speedup:.2f}x < 3x"
 
 
 def test_url_split_cache_sweep(rbn2, results_dir):

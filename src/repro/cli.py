@@ -48,10 +48,16 @@ if TYPE_CHECKING:
 
 from repro.analysis.report import render_table
 from repro.core import AdClassificationPipeline
-from repro.exitcodes import EXIT_SNAPSHOT_INVALID
+from repro.exitcodes import (
+    EXIT_INTERRUPTED,
+    EXIT_MANIFEST_MISMATCH,
+    EXIT_MISSING_INPUT,
+    EXIT_SNAPSHOT_INVALID,
+    EXIT_STRICT_ABORT,
+    EXIT_WORKER_FAILURE,
+)
 from repro.filterlist import build_lists
 from repro.filterlist.snapshot import (
-    MATCHERS,
     SnapshotError,
     SnapshotFingerprintMismatch,
     load_snapshot,
@@ -63,11 +69,6 @@ from repro.http.log import SeekableLogReader, write_log
 from repro.http.url import split_url
 from repro.parallel.supervision import RunInterrupted, WorkerFailure
 from repro.robustness import (
-    EXIT_INTERRUPTED,
-    EXIT_MANIFEST_MISMATCH,
-    EXIT_MISSING_INPUT,
-    EXIT_STRICT_ABORT,
-    EXIT_WORKER_FAILURE,
     CrashInjector,
     ErrorPolicy,
     LogParseError,
@@ -173,12 +174,7 @@ def _add_parallel_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--chaos", metavar="SPEC", help=argparse.SUPPRESS)
 
 
-def _add_matcher_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--matcher", choices=MATCHERS, default="buckets",
-                        help="matcher backend (DESIGN.md §15): keyword/host "
-                             "buckets, Aho–Corasick token prefilter, or "
-                             "combined-alternation prefilter; all three are "
-                             "decision-identical (default buckets)")
+def _add_snapshot_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--engine-snapshot", metavar="FILE",
                         help="restore the engine from a `repro compile-lists` "
                              "snapshot instead of re-parsing lists; on durable "
@@ -207,18 +203,11 @@ def _resolve_pipeline(
     """
     from repro.core.pipeline import PipelineConfig
 
-    config = PipelineConfig(
-        use_decision_cache=not args.no_decision_cache,
-        matcher=getattr(args, "matcher", "buckets"),
-    )
+    config = PipelineConfig(use_decision_cache=not args.no_decision_cache)
     snapshot_path = getattr(args, "engine_snapshot", None)
     if snapshot_path:
         try:
-            loaded = load_snapshot(
-                snapshot_path,
-                matcher=config.matcher,
-                expected_fingerprint=expected_fingerprint,
-            )
+            loaded = load_snapshot(snapshot_path, expected_fingerprint=expected_fingerprint)
         except FileNotFoundError:
             if args.snapshot_policy == "refuse":
                 raise  # main() maps this to EXIT_MISSING_INPUT
@@ -285,7 +274,6 @@ def _pipeline_factory(args: argparse.Namespace):
         args.publishers,
         args.eco_seed,
         not args.no_decision_cache,
-        getattr(args, "matcher", "buckets"),
         getattr(args, "engine_snapshot", None),
         getattr(args, "snapshot_policy", "refuse"),
     )
@@ -544,10 +532,8 @@ def _classify_params(args: argparse.Namespace) -> dict:
         # Pinned for hygiene even though cached and uncached runs are
         # byte-identical: a resumed run should be the run you started.
         "decision_cache": not args.no_decision_cache,
-        # Matcher backends are decision-identical (the differential
-        # harness proves it), but pinned anyway: a resumed run should
-        # be the run you started, snapshot fast path included.
-        "matcher": args.matcher,
+        # Pinned like the cache: the snapshot fast path is part of the
+        # run you started.
         "engine_snapshot": bool(args.engine_snapshot),
     }
 
@@ -940,7 +926,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         eco_seed=args.eco_seed,
         lint=args.lint,
         snapshot_path=args.engine_snapshot,
-        matcher=args.matcher,
     )
     try:
         engine = source.build()
@@ -1093,7 +1078,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_checkpoint_flags(p_classify)
     _add_parallel_flags(p_classify)
     _add_cache_flags(p_classify)
-    _add_matcher_flags(p_classify)
+    _add_snapshot_flags(p_classify)
     p_classify.add_argument("--trace", required=True)
     p_classify.add_argument("--out", help="write per-request classification TSV")
     p_classify.add_argument("--max-users", type=int,
@@ -1107,7 +1092,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_robustness_flags(p_usage)
     _add_checkpoint_flags(p_usage)
     _add_cache_flags(p_usage)
-    _add_matcher_flags(p_usage)
+    _add_snapshot_flags(p_usage)
     p_usage.add_argument("--trace", required=True)
     p_usage.add_argument("--tls", required=True)
     p_usage.add_argument("--threshold", type=float, default=0.05)
@@ -1160,7 +1145,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_checkpoint_flags(p_report)
     _add_parallel_flags(p_report)
     _add_cache_flags(p_report)
-    _add_matcher_flags(p_report)
+    _add_snapshot_flags(p_report)
     p_report.add_argument("--trace", required=True)
     p_report.set_defaults(func=_cmd_report)
 
@@ -1193,9 +1178,6 @@ def build_parser() -> argparse.ArgumentParser:
                          default="refuse",
                          help="filter-list lint gate applied on load and on every "
                               "reload (default refuse; DESIGN.md §9.4)")
-    p_serve.add_argument("--matcher", choices=MATCHERS, default="buckets",
-                         help="matcher backend (DESIGN.md §15); all three are "
-                              "decision-identical (default buckets)")
     p_serve.add_argument("--engine-snapshot", metavar="FILE",
                          help="serve a `repro compile-lists` snapshot; SIGHUP / "
                               "POST /-/reload re-reads the file, so swapping the "

@@ -28,8 +28,7 @@ from repro.core.content_type import infer_content_type, type_from_mime
 from repro.core.normalize import ProtectedValues, collect_protected_values, normalize_url
 from repro.core.referrer_map import ReferrerMap
 from repro.filterlist.actrie import ACTrieEngine
-from repro.filterlist.cache import DEFAULT_CACHE_SIZE, CacheStats, CachingEngine, DecisionEngine
-from repro.filterlist.combined import CombinedRegexEngine
+from repro.filterlist.cache import DEFAULT_CACHE_SIZE, CacheStats, CachingEngine
 from repro.filterlist.engine import Classification, FilterEngine, RequestContext
 from repro.filterlist.lists import FilterList
 from repro.filterlist.options import ContentType
@@ -59,11 +58,11 @@ class PipelineConfig:
     redirect_type_fixup: bool = True
     extension_first: bool = True
     use_keyword_index: bool = True
-    # Matcher backend (DESIGN.md §15): "buckets" (keyword/host index),
-    # "actrie" (Aho–Corasick token prefilter) or "combined" (chunked
-    # alternation).  Decision-identical by the differential harness;
-    # the knob trades build time against uncached decision throughput.
-    matcher: str = "buckets"
+    # Which engine class a list-built pipeline constructs (DESIGN.md
+    # §15): "actrie" is the production engine; "buckets" is the plain
+    # FilterEngine, kept as the oracle tests and benchmarks/perf compare
+    # against.  Programmatic only — no CLI flag selects it.
+    matcher: str = "actrie"
     # Memoized decision layer (DESIGN.md §11).  Pure memoization: results
     # are byte-identical either way; the switch exists for benchmarking
     # and as an escape hatch (`repro classify --no-decision-cache`).
@@ -468,15 +467,7 @@ class StreamingClassifier:
         self._max_ts = max(self._max_ts, reorder["max_ts"])
 
 
-def _matcher_engine(config: PipelineConfig) -> DecisionEngine:
-    """Construct the configured matcher backend, empty."""
-    if config.matcher == "buckets":
-        return FilterEngine(use_keyword_index=config.use_keyword_index)
-    if config.matcher == "actrie":
-        return ACTrieEngine(use_keyword_index=config.use_keyword_index)
-    if config.matcher == "combined":
-        return CombinedRegexEngine()
-    raise ValueError(f"unknown matcher {config.matcher!r}")
+_ENGINES: dict[str, type[FilterEngine]] = {"actrie": ACTrieEngine, "buckets": FilterEngine}
 
 
 class AdClassificationPipeline:
@@ -491,7 +482,12 @@ class AdClassificationPipeline:
     def __init__(self, lists: dict[str, FilterList], config: PipelineConfig | None = None):
         self.config = config or PipelineConfig()
         self.lists = lists
-        engine: DecisionEngine = _matcher_engine(self.config)
+        engine_class = _ENGINES.get(self.config.matcher)
+        if engine_class is None:
+            raise ValueError(f"unknown matcher {self.config.matcher!r}")
+        engine: FilterEngine | CachingEngine = engine_class(
+            use_keyword_index=self.config.use_keyword_index
+        )
         all_filters = []
         for name, filter_list in lists.items():
             engine.add_filters(filter_list.filters, list_name=name)
@@ -503,7 +499,7 @@ class AdClassificationPipeline:
 
     @classmethod
     def from_engine(
-        cls, engine: DecisionEngine, config: PipelineConfig | None = None
+        cls, engine: FilterEngine, config: PipelineConfig | None = None
     ) -> "AdClassificationPipeline":
         """Build a pipeline around an already-built engine.
 
@@ -518,7 +514,7 @@ class AdClassificationPipeline:
         pipeline.config = config or PipelineConfig()
         pipeline.lists = {}
         all_filters = engine.iter_filters()
-        wrapped: DecisionEngine = engine
+        wrapped: FilterEngine | CachingEngine = engine
         if pipeline.config.use_decision_cache:
             wrapped = CachingEngine(engine, maxsize=pipeline.config.decision_cache_size)
         pipeline._engine = wrapped
@@ -526,7 +522,7 @@ class AdClassificationPipeline:
         return pipeline
 
     @property
-    def engine(self) -> DecisionEngine | CachingEngine:
+    def engine(self) -> FilterEngine | CachingEngine:
         return self._engine
 
     @property

@@ -22,7 +22,6 @@ from repro.filterlist.cache import (
     CacheStats,
     CachingEngine,
     DecisionCache,
-    DecisionEngine,
     EngineFingerprintMismatch,
 )
 from repro.filterlist.engine import (
@@ -43,12 +42,10 @@ from repro.filterlist.lists import (
     SubscriptionSet,
 )
 from repro.filterlist.options import ContentType, FilterOptions, OptionParseError, parse_options
-from repro.filterlist.combined import CombinedRegexEngine
 from repro.filterlist.evolution import ChurnRates, evolve, staleness_series
 from repro.filterlist.stats import ListStats, compare_lists, list_stats
 from repro.filterlist.parser import ParsedList, parse_expires, parse_list_text
 from repro.filterlist.snapshot import (
-    MATCHERS,
     LoadedSnapshot,
     SnapshotCorrupt,
     SnapshotError,
@@ -66,9 +63,7 @@ __all__ = [
     "CacheStats",
     "CachingEngine",
     "DecisionCache",
-    "DecisionEngine",
     "EngineFingerprintMismatch",
-    "MATCHERS",
     "LoadedSnapshot",
     "SnapshotCorrupt",
     "SnapshotError",
@@ -78,7 +73,6 @@ __all__ = [
     "inspect_snapshot",
     "load_snapshot",
     "write_snapshot",
-    "CombinedRegexEngine",
     "ChurnRates",
     "evolve",
     "staleness_series",

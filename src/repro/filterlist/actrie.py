@@ -9,21 +9,25 @@ the *semantics* of the bucket engine bit-for-bit (the differential
 harness in ``tests/test_engine_differential.py`` holds it to that)
 while replacing the discovery machinery:
 
-1. **Keyword discovery** runs one Aho–Corasick automaton over the URL
-   instead of tokenizing and probing the bucket dict per token.  The
-   automaton is built from every indexed keyword and executed through a
-   trie-structured regex (:meth:`AhoCorasick.to_regex`), so the scan
-   happens at C speed inside :mod:`re`; the pure-Python automaton walk
-   (:meth:`AhoCorasick.iter_matches`) stays as the reference
-   implementation the property tests compare against.
+1. **Keyword discovery** runs one multi-pattern scan over the URL
+   instead of tokenizing and probing the bucket dict per token.  Every
+   indexed keyword goes into one trie-structured regex
+   (:func:`trie_regex`), so the scan happens at C speed inside
+   :mod:`re`; the pure-Python Aho–Corasick walk
+   (:meth:`AhoCorasick.iter_matches`) is the reference implementation
+   ``tests/test_actrie.py`` holds that regex to, and production never
+   builds it.
 2. **Candidate confirmation** uses flattened per-filter records
    ``(type_mask_int, third_party, domain_opts, regex_search, list_name,
    filter)`` so the hot loop does plain-``int`` mask tests and a bound
    ``regex.search`` instead of attribute chases through ``Filter`` and
-   ``FilterOptions``.
+   ``FilterOptions``.  A bucket is flattened the first time a URL
+   reaches it (:class:`_Records`): flattening all of a list-scale
+   engine up front costs the daemon 8 % of its peak resident size
+   (DESIGN.md §15), and most buckets are never consulted.
 3. **Keywordless tail** filters are guarded by one "any required
-   literal present?" automaton pass; the per-filter containment loop
-   only runs on the rare URLs that pass it.
+   literal present?" scan (the same trie regex, unanchored); the
+   per-filter containment loop only runs on the rare URLs that pass it.
 4. **Document exceptions** are bucketed by registrable domain exactly
    like the host-anchored blocking filters, eliminating the per-request
    linear scan for the common ``@@||host^$document`` shape.
@@ -40,7 +44,7 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.filterlist.engine import (
     Classification,
@@ -48,25 +52,22 @@ from repro.filterlist.engine import (
     FilterEngine,
     MatchResult,
     RequestContext,
+    _FilterIndex,
     _host_bucket_key,
 )
 from repro.filterlist.filter import Filter
 from repro.http.url import is_third_party, registrable_domain, split_url
 
-__all__ = ["AhoCorasick", "ACTrieEngine"]
+__all__ = ["AhoCorasick", "ACTrieEngine", "trie_regex"]
 
 
 class AhoCorasick:
     """A classic Aho–Corasick automaton over a set of literal words.
 
-    Two execution modes share one trie:
-
-    * :meth:`iter_matches` walks goto/fail links in pure Python — the
-      reference implementation, easy to verify against a naive scan;
-    * :meth:`to_regex` serializes the trie into a regex alternation so
-      the same automaton runs inside :mod:`re`'s C loop.  Shared
-      prefixes collapse into one branch, which is what makes a large
-      keyword alternation tractable.
+    The reference implementation: :meth:`iter_matches` walks goto/fail
+    links in pure Python, easy to verify against a naive scan.  The
+    engine runs the same word set through :func:`trie_regex` instead
+    and never builds this automaton.
     """
 
     def __init__(self, words: "list[str] | tuple[str, ...]" = ()) -> None:
@@ -135,46 +136,56 @@ class AhoCorasick:
             for word in self._output[node]:
                 yield index - len(word) + 1, word
 
-    def words(self) -> list[str]:
-        """Every word added, sorted."""
-        return sorted(self._words)
 
-    def _trie(self) -> dict:
-        """Nested-dict view of the word set (``None`` key = word end)."""
-        root: dict = {}
-        for word in self.words():
-            cursor = root
-            for char in word:
-                cursor = cursor.setdefault(char, {})
-            cursor[None] = {}
-        return root
+def trie_regex(words: Iterable[str]) -> str:
+    """Trie-structured regex source matching exactly ``words``.
 
-    def to_regex(self) -> str:
-        """Trie-structured regex source matching exactly the added words.
+    Shared prefixes collapse into one branch, which is what makes a
+    large keyword alternation tractable.  Longest-match preference
+    falls out of the structure: at a node that both ends a word and
+    continues, the continuation branch is tried first (greedy
+    ``(?:...)?``), so a caller wrapping this in token-boundary
+    lookarounds sees whole-token matches.  The source is serialized
+    straight off the sorted word list — no trie is materialized.
+    """
+    ordered = sorted(set(words))
+    if not ordered or not ordered[0]:
+        raise ValueError("no words, or an empty word")
 
-        Longest-match preference falls out of the structure: at a node
-        that both ends a word and continues, the continuation branch is
-        tried first (greedy ``(?:...)?``), so a caller wrapping this in
-        token-boundary lookarounds sees whole-token matches.
-        """
+    def serialize(lo: int, hi: int, depth: int) -> str:
+        """``ordered[lo:hi]`` share their first ``depth`` characters."""
+        end = len(ordered[lo]) == depth  # the bare prefix sorts first
+        if end:
+            lo += 1
+        branches = []
+        while lo < hi:
+            char = ordered[lo][depth]
+            nxt = lo + 1
+            while nxt < hi and ordered[nxt][depth] == char:
+                nxt += 1
+            branches.append(re.escape(char) + serialize(lo, nxt, depth + 1))
+            lo = nxt
+        if not branches:
+            return ""
+        if len(branches) == 1 and not end:
+            return branches[0]
+        return "(?:" + "|".join(branches) + ")" + ("?" if end else "")
 
-        def serialize(node: dict) -> str:
-            end = None in node
-            branches = [
-                re.escape(char) + serialize(child)
-                for char, child in sorted(node.items(), key=lambda kv: kv[0] or "")
-                if char is not None
-            ]
-            if not branches:
-                return ""
-            if len(branches) == 1 and not end:
-                return branches[0]
-            return "(?:" + "|".join(branches) + ")" + ("?" if end else "")
+    return serialize(0, len(ordered), 0)
 
-        trie = self._trie()
-        if not trie:
-            raise ValueError("no words added")
-        return serialize(trie)
+
+# IntFlag attribute access goes through a descriptor on every call;
+# memoize the plain int once per distinct flag value instead.  Filter
+# type masks go through the same table, so the thousands of records
+# sharing a mask share one int object.
+_CT_VALUE: dict = {}
+
+
+def _ct_int(content_type: Any) -> int:
+    value = _CT_VALUE.get(content_type)
+    if value is None:
+        value = _CT_VALUE[content_type] = int(content_type)
+    return value
 
 
 # One confirmation record per filter: everything Filter.matches() needs,
@@ -188,13 +199,37 @@ def _record(filter_: Filter) -> _Record:
     opts = filter_.options
     domain_opts = opts if (opts.domains_include or opts.domains_exclude) else None
     return (
-        int(opts.type_mask),
+        _ct_int(opts.type_mask),
         opts.third_party,
         domain_opts,
         filter_.regex.search,
         filter_.list_name,
         filter_,
     )
+
+
+class _Records(dict):
+    """Bucket key -> confirmation records, flattened on first touch.
+
+    Indexing is the only way in.  The ``_FilterIndex`` bucket map stays
+    the source of truth (shared, not copied); a key it does not hold
+    answers ``None`` and is not stored, so request hosts cannot grow
+    the table.  ``$document`` exceptions are dropped while flattening:
+    they get their own page-level pass, and the bucket engine skips
+    them inline at the same point.
+    """
+
+    __slots__ = ("_source",)
+
+    def __init__(self, source: dict[str, list[Filter]]) -> None:
+        self._source = source
+
+    def __missing__(self, key: str) -> "list[_Record] | None":
+        bucket = self._source.get(key)
+        if bucket is None:
+            return None
+        records = self[key] = [_record(f) for f in bucket if not f.options.is_document_exception]
+        return records
 
 
 def _required_literal(pattern: str) -> str | None:
@@ -223,47 +258,45 @@ def _required_literal(pattern: str) -> str | None:
 _TOKEN_BOUNDARY_BEFORE = r"(?<![a-z0-9%])"
 _TOKEN_BOUNDARY_AFTER = r"(?![a-z0-9%])"
 
-# IntFlag attribute access goes through a descriptor on every call;
-# memoize the plain int once per distinct flag value instead.
-_CT_VALUE: dict = {}
-
-
-def _ct_int(content_type: Any) -> int:
-    value = _CT_VALUE.get(content_type)
-    if value is None:
-        value = _CT_VALUE[content_type] = int(content_type)
-    return value
-
 
 class _CompiledIndex:
-    """Flattened, discovery-ready form of one ``_FilterIndex``."""
+    """Discovery-ready view of one ``_FilterIndex``."""
 
-    __slots__ = ("by_host", "host_all", "by_keyword", "tail", "tail_always", "tail_any")
+    __slots__ = ("by_host", "host_all", "by_keyword", "keyed", "tail", "tail_always", "tail_any")
 
-    def __init__(self, filters_by_host: dict, filters_by_keyword: dict, keywordless: list):
-        self.by_host: dict[str, list[_Record]] = {}
-        self.host_all: list[_Record] = []
-        for key, bucket in filters_by_host.items():
-            records = [_record(f) for f in bucket]
-            self.by_host[key] = records
-            self.host_all.extend(records)
-        self.by_keyword: dict[str, list[_Record]] = {}
-        for keyword, bucket in filters_by_keyword.items():
-            records = [_record(f) for f in bucket]
-            if records:
-                self.by_keyword[keyword] = records
-        # The keywordless tail, guarded by one any-literal automaton:
-        # when no required literal occurs in the URL, only the filters
-        # with no extractable literal (tail_always) need confirming —
-        # and their relative order is their insertion order, unchanged.
+    def __init__(self, index: _FilterIndex) -> None:
+        self.by_host = _Records(index._by_host)  # noqa: SLF001 — same-package internals
+        self.host_all: list[_Record] | None = None
+        self.by_keyword = _Records(index._by_keyword)  # noqa: SLF001
+        # The keywordless tail, guarded by one any-literal scan: when no
+        # required literal occurs in the URL, only the filters with no
+        # extractable literal (tail_always) need confirming — and their
+        # relative order is their insertion order, unchanged.
         self.tail: list[tuple[str | None, _Record]] = [
-            (_required_literal(f.pattern), _record(f)) for f in keywordless
+            (_required_literal(f.pattern), _record(f))
+            for f in index._keywordless  # noqa: SLF001
+            if not f.options.is_document_exception
         ]
         self.tail_always: list[_Record] = [rec for lit, rec in self.tail if lit is None]
         literals = {lit for lit, _rec in self.tail if lit is not None}
         self.tail_any: re.Pattern[str] | None = (
-            re.compile(AhoCorasick(sorted(literals)).to_regex()) if literals else None
+            re.compile(trie_regex(literals)) if literals else None
         )
+        # Whether anything but the host probe can discover a candidate.
+        self.keyed = bool(self.tail) or any(
+            not f.options.is_document_exception
+            for bucket in index._by_keyword.values()  # noqa: SLF001
+            for f in bucket
+        )
+
+    def opaque_host_bucket(self) -> "list[_Record] | None":
+        """Every host bucket's records in index order: what a host with
+        no registrable domain falls back to.  Built on the first such
+        host and shared by all of them."""
+        if self.host_all is None:
+            by_host = self.by_host
+            self.host_all = [record for key in by_host._source for record in by_host[key]]  # noqa: SLF001
+        return self.host_all or None
 
     def buckets_for(
         self, host_bucket: "list[_Record] | None", tokens: list[str], url_lower: str
@@ -273,9 +306,9 @@ class _CompiledIndex:
         if host_bucket:
             buckets.append(host_bucket)
         if tokens:
-            get_bucket = self.by_keyword.get
+            by_keyword = self.by_keyword
             for token in tokens:
-                bucket = get_bucket(token)
+                bucket = by_keyword[token]
                 if bucket:
                     buckets.append(bucket)
         if self.tail_any is not None and self.tail_any.search(url_lower) is not None:
@@ -288,7 +321,7 @@ class _CompiledIndex:
 
 
 class _Compiled:
-    """All lazily-built matcher state (never serialized — transient).
+    """All compiled matcher state (never serialized — transient).
 
     ``host_cache`` / ``page_cache`` memoize *bucket pointers* per
     hostname / page URL — which candidate lists a host resolves to —
@@ -300,7 +333,6 @@ class _Compiled:
     """
 
     __slots__ = (
-        "finder",
         "findall",
         "blocking",
         "exceptions",
@@ -310,32 +342,39 @@ class _Compiled:
         "host_cache",
         "page_cache",
         "total_lists",
-        "ex_keyed",
     )
 
     def __init__(
         self,
-        finder: "re.Pattern[str] | None",
-        blocking: _CompiledIndex,
-        exceptions: _CompiledIndex,
-        doc_by_host: dict[str, list[tuple[int, Filter]]],
-        doc_rest: list[tuple[int, Filter]],
-        doc_all: list[tuple[int, Filter]],
+        blocking_index: _FilterIndex,
+        exception_index: _FilterIndex,
+        document_exceptions: list[Filter],
         total_lists: int,
     ) -> None:
-        self.finder = finder
-        self.findall = finder.findall if finder is not None else None
-        self.blocking = blocking
-        self.exceptions = exceptions
-        self.doc_by_host = doc_by_host
-        self.doc_rest = doc_rest
-        self.doc_all = doc_all
-        self.total_lists = total_lists
-        # Whether the exception index has any non-host discovery paths:
-        # when False and the host probe missed, the whole pass is a no-op.
-        self.ex_keyed = bool(
-            exceptions.by_keyword or exceptions.tail_any is not None or exceptions.tail_always
+        self.blocking = _CompiledIndex(blocking_index)
+        self.exceptions = _CompiledIndex(exception_index)
+        keywords = set(blocking_index._by_keyword)  # noqa: SLF001
+        keywords.update(exception_index._by_keyword)  # noqa: SLF001
+        self.findall = (
+            re.compile(
+                _TOKEN_BOUNDARY_BEFORE + "(?:" + trie_regex(keywords) + ")" + _TOKEN_BOUNDARY_AFTER
+            ).findall
+            if keywords
+            else None
         )
+        # Document exceptions, bucketed like the host-anchored blocking
+        # filters; the serial keeps multi-bucket candidates sortable
+        # back into insertion order.
+        self.doc_by_host: dict[str, list[tuple[int, Filter]]] = {}
+        self.doc_rest: list[tuple[int, Filter]] = []
+        self.doc_all = list(enumerate(document_exceptions))
+        for entry in self.doc_all:
+            key = _host_bucket_key(entry[1].pattern)
+            if key is not None:
+                self.doc_by_host.setdefault(key, []).append(entry)
+            else:
+                self.doc_rest.append(entry)
+        self.total_lists = total_lists
         # request_host -> (bl_bucket|None, ex_bucket|None, doc_bucket|None, opaque)
         self.host_cache: dict[str, tuple] = {}
         # page_url -> (page_host, doc_bucket|None, opaque)
@@ -351,8 +390,8 @@ class _Compiled:
                 # Same fallback as _FilterIndex.candidates: an opaque
                 # host voids the registrable-domain shortcut.
                 entry = (
-                    self.blocking.host_all if self.blocking.by_host else None,
-                    self.exceptions.host_all if self.exceptions.by_host else None,
+                    self.blocking.opaque_host_bucket(),
+                    self.exceptions.opaque_host_bucket(),
                     None,
                     True,
                 )
@@ -365,8 +404,8 @@ class _Compiled:
             else:
                 key = registrable_domain(request_host)
                 entry = (
-                    self.blocking.by_host.get(key),
-                    self.exceptions.by_host.get(key),
+                    self.blocking.by_host[key] or None,
+                    self.exceptions.by_host[key] or None,
                     self.doc_by_host.get(key),
                     False,
                 )
@@ -399,10 +438,12 @@ class ACTrieEngine(FilterEngine):
 
     Semantics (including which filter is reported on multi-match URLs)
     are identical to the bucket engine — only candidate discovery and
-    confirmation change.  The compiled automaton is process-local,
-    rebuilt lazily after any :meth:`add_filters` and never serialized:
-    snapshots carry the portable bucket state and each process compiles
-    its own tries on first use.
+    confirmation change.  The compiled state is process-local, dropped
+    by any :meth:`add_filters` and never serialized: snapshots carry
+    the portable bucket state and each process compiles its own.
+    Whoever builds an engine for serving calls :meth:`compile` once the
+    last list is in, so no request pays for it; an engine nobody
+    compiled compiles itself on first use.
     """
 
     _TRANSIENT_STATE = ("_compiled",)
@@ -417,48 +458,19 @@ class ACTrieEngine(FilterEngine):
 
     # -- compilation --------------------------------------------------
 
+    @property
+    def is_compiled(self) -> bool:
+        return self._compiled is not None
+
+    def compile(self) -> None:
+        """Build the discovery state for the filters loaded so far (idempotent)."""
+        if self._compiled is None:
+            self._compile()
+
     def _compile(self) -> _Compiled:
-        blocking_index = self._blocking
-        exception_index = self._exceptions
-        blocking = _CompiledIndex(
-            blocking_index._by_host,  # noqa: SLF001 — same-package internals
-            blocking_index._by_keyword,
-            blocking_index._keywordless,
+        compiled = self._compiled = _Compiled(
+            self._blocking, self._exceptions, self._document_exceptions, len(self._list_names)
         )
-        # Document exceptions get their own page-level pass; drop them
-        # from the compiled request-exception index (the bucket engine
-        # skips them inline at the same point).
-        not_doc = lambda fs: [f for f in fs if not f.options.is_document_exception]  # noqa: E731
-        exceptions = _CompiledIndex(
-            {k: not_doc(b) for k, b in exception_index._by_host.items()},
-            {k: not_doc(b) for k, b in exception_index._by_keyword.items()},
-            not_doc(exception_index._keywordless),
-        )
-
-        keywords = set(blocking.by_keyword) | set(exceptions.by_keyword)
-        finder: re.Pattern[str] | None = None
-        if keywords:
-            automaton = AhoCorasick(sorted(keywords))
-            finder = re.compile(
-                _TOKEN_BOUNDARY_BEFORE + "(?:" + automaton.to_regex() + ")" + _TOKEN_BOUNDARY_AFTER
-            )
-
-        doc_by_host: dict[str, list[tuple[int, Filter]]] = {}
-        doc_rest: list[tuple[int, Filter]] = []
-        doc_all: list[tuple[int, Filter]] = []
-        for serial, filter_ in enumerate(self._document_exceptions):
-            entry = (serial, filter_)
-            doc_all.append(entry)
-            key = _host_bucket_key(filter_.pattern)
-            if key is not None:
-                doc_by_host.setdefault(key, []).append(entry)
-            else:
-                doc_rest.append(entry)
-
-        compiled = _Compiled(
-            finder, blocking, exceptions, doc_by_host, doc_rest, doc_all, len(self._list_names)
-        )
-        self._compiled = compiled
         return compiled
 
     @staticmethod
@@ -546,7 +558,7 @@ class ACTrieEngine(FilterEngine):
         if blocking_hit is None:
             return _NO_MATCH
 
-        if ex_host is None and not compiled.ex_keyed:
+        if ex_host is None and not compiled.exceptions.keyed:
             return MatchResult(decision=Decision.BLOCK, blocking_filter=blocking_hit)
         for bucket in compiled.exceptions.buckets_for(ex_host, tokens, url_lower):
             for mask, party, domain_opts, search, _list_name, exception in bucket:
@@ -616,7 +628,7 @@ class ACTrieEngine(FilterEngine):
                 break
 
         whitelist_hit: Filter | None = None
-        if ex_host is not None or compiled.ex_keyed:
+        if ex_host is not None or compiled.exceptions.keyed:
             for bucket in compiled.exceptions.buckets_for(ex_host, tokens, url_lower):
                 for mask, party, domain_opts, search, _list_name, exception in bucket:
                     if not mask & content_type:

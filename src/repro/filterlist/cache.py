@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Protocol
+from typing import Hashable, Iterable
 
 from repro.filterlist.engine import Classification, FilterEngine, MatchResult, RequestContext
 from repro.filterlist.filter import Filter
@@ -41,40 +41,10 @@ __all__ = [
     "DEFAULT_CACHE_SIZE",
     "CacheStats",
     "DecisionCache",
-    "DecisionEngine",
     "CachingEngine",
     "EngineFingerprintMismatch",
 ]
 
-
-class DecisionEngine(Protocol):
-    """The matcher surface :class:`CachingEngine` (and the pipeline)
-    requires — satisfied by :class:`FilterEngine`, the actrie engine,
-    and :class:`~repro.filterlist.combined.CombinedRegexEngine`."""
-
-    @property
-    def fingerprint(self) -> str: ...
-
-    @property
-    def document_matching_needs_page_url(self) -> bool: ...
-
-    @property
-    def list_names(self) -> list[str]: ...
-
-    @property
-    def filter_count(self) -> int: ...
-
-    def add_filters(self, filters: Iterable[Filter], list_name: str | None = None) -> None: ...
-
-    def iter_filters(self) -> list[Filter]: ...
-
-    def classify(
-        self, url: str, context: RequestContext, *, request_host: str | None = None
-    ) -> Classification: ...
-
-    def match(
-        self, url: str, context: RequestContext, *, request_host: str | None = None
-    ) -> MatchResult: ...
 
 DEFAULT_CACHE_SIZE = 65536
 
@@ -181,12 +151,12 @@ class CachingEngine:
     golden gate enforce it end to end.
     """
 
-    def __init__(self, engine: DecisionEngine, *, maxsize: int = DEFAULT_CACHE_SIZE) -> None:
+    def __init__(self, engine: FilterEngine, *, maxsize: int = DEFAULT_CACHE_SIZE) -> None:
         self._engine = engine
         self._cache = DecisionCache(engine.fingerprint, maxsize=maxsize)
 
     @property
-    def engine(self) -> DecisionEngine:
+    def engine(self) -> FilterEngine:
         """The wrapped engine (escape hatch for uncached access)."""
         return self._engine
 

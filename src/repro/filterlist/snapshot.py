@@ -23,11 +23,12 @@ twice:
 * the **payload digest** in the header covers the serialized bytes, so
   storage-level damage is distinguished from identity drift.
 
-Snapshots are *matcher-agnostic*: the payload stores the exact bucket
-layout, not matcher machinery, so one artifact restores as the classic
-bucketed engine, the Aho–Corasick engine, or the combined-regex engine
-(``load_snapshot(..., matcher=...)``) — all decision-identical by the
-differential harness (``tests/test_engine_differential.py``).
+The payload stores the exact bucket layout, not matcher machinery:
+:func:`load_snapshot` restores it as the production
+:class:`~repro.filterlist.actrie.ACTrieEngine`, already compiled, and
+:meth:`FilterEngine.restore_snapshot_state` restores the same state as
+the reference bucket engine — decision-identical by the differential
+harness (``tests/test_engine_differential.py``).
 """
 
 from __future__ import annotations
@@ -39,12 +40,10 @@ import struct
 from dataclasses import dataclass
 
 from repro.filterlist.actrie import ACTrieEngine
-from repro.filterlist.combined import CombinedRegexEngine
 from repro.filterlist.engine import SNAPSHOT_STATE_VERSION, FilterEngine
 from repro.robustness.atomic import atomic_writer
 
 __all__ = [
-    "MATCHERS",
     "SNAPSHOT_VERSION",
     "LoadedSnapshot",
     "SnapshotCorrupt",
@@ -52,18 +51,12 @@ __all__ = [
     "SnapshotFingerprintMismatch",
     "SnapshotInfo",
     "SnapshotVersionError",
-    "build_engine",
     "inspect_snapshot",
     "load_snapshot",
     "write_snapshot",
 ]
 
 SNAPSHOT_VERSION = 1
-
-#: Selectable matcher backends (``--matcher``).  ``buckets`` is the
-#: classic keyword/host-bucket engine, ``actrie`` adds the Aho–Corasick
-#: token prefilter, ``combined`` the chunked-alternation prefilter.
-MATCHERS = ("buckets", "actrie", "combined")
 
 _MAGIC = b"RPROSNAP"
 _HEADER = struct.Struct("<8sIQ32s")  # magic, version, payload length, sha256
@@ -116,7 +109,7 @@ class SnapshotInfo:
 class LoadedSnapshot:
     """A restored engine plus the provenance it was pinned to."""
 
-    engine: FilterEngine | CombinedRegexEngine
+    engine: ACTrieEngine
     info: SnapshotInfo
 
 
@@ -239,25 +232,13 @@ def inspect_snapshot(path: str) -> SnapshotInfo:
     return _info_from_payload(_read_payload(path))
 
 
-def build_engine(state: dict, matcher: str) -> FilterEngine | CombinedRegexEngine:
-    """Restore exported engine state as the requested matcher backend."""
-    if matcher == "buckets":
-        return FilterEngine.restore_snapshot_state(state)
-    if matcher == "actrie":
-        return ACTrieEngine.restore_snapshot_state(state)
-    if matcher == "combined":
-        return CombinedRegexEngine.from_inner(FilterEngine.restore_snapshot_state(state))
-    raise ValueError(f"unknown matcher {matcher!r} (expected one of {', '.join(MATCHERS)})")
-
-
 def load_snapshot(
     path: str,
     *,
-    matcher: str = "buckets",
     expected_fingerprint: str | None = None,
     use_mmap: bool = True,
 ) -> LoadedSnapshot:
-    """Restore an engine from ``path``; raises :class:`SnapshotError`.
+    """Restore a ready-to-serve engine from ``path``; raises :class:`SnapshotError`.
 
     ``expected_fingerprint`` pins identity: pass the engine fingerprint
     a run manifest recorded (or one freshly computed from list files) to
@@ -268,4 +249,10 @@ def load_snapshot(
     state = payload["state"]
     if expected_fingerprint is not None and state["fingerprint"] != expected_fingerprint:
         raise SnapshotFingerprintMismatch(expected_fingerprint, state["fingerprint"])
-    return LoadedSnapshot(engine=build_engine(state, matcher), info=_info_from_payload(payload))
+    info = _info_from_payload(payload)
+    engine = ACTrieEngine.restore_snapshot_state(state)
+    # The wire form is dead weight from here on: release it before the
+    # compile allocates, so the two do not stack in the process's peak.
+    del payload, state
+    engine.compile()
+    return LoadedSnapshot(engine=engine, info=info)

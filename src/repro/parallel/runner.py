@@ -77,7 +77,6 @@ def build_ecosystem_pipeline(
     publishers: int,
     eco_seed: int,
     use_decision_cache: bool = True,
-    matcher: str = "buckets",
     snapshot_path: str | None = None,
     snapshot_policy: str = "refuse",
 ) -> AdClassificationPipeline:
@@ -102,10 +101,10 @@ def build_ecosystem_pipeline(
     from repro.filterlist.snapshot import SnapshotError, load_snapshot
     from repro.web import Ecosystem, EcosystemConfig
 
-    config = PipelineConfig(use_decision_cache=use_decision_cache, matcher=matcher)
+    config = PipelineConfig(use_decision_cache=use_decision_cache)
     if snapshot_path:
         try:
-            loaded = load_snapshot(snapshot_path, matcher=matcher)
+            loaded = load_snapshot(snapshot_path)
         except (SnapshotError, FileNotFoundError):
             if snapshot_policy == "refuse":
                 raise

@@ -16,16 +16,7 @@ injection for the equivalence tests) and
 driver; imported directly to avoid import cycles with the pipeline).
 """
 
-from repro.robustness.health import (
-    EXIT_CLEAN,
-    EXIT_DEGRADED,
-    EXIT_INTERRUPTED,
-    EXIT_MANIFEST_MISMATCH,
-    EXIT_MISSING_INPUT,
-    EXIT_STRICT_ABORT,
-    EXIT_WORKER_FAILURE,
-    PipelineHealth,
-)
+from repro.robustness.health import PipelineHealth
 from repro.robustness.policy import ErrorPolicy, LogParseError, RunInterrupted
 from repro.robustness.quarantine import QuarantineWriter, read_quarantine
 from repro.robustness.atomic import atomic_writer, fsync_dir, replace_atomic
@@ -86,11 +77,4 @@ __all__ = [
     "RetryPolicy",
     "RetryExhausted",
     "DEFAULT_RETRY_POLICY",
-    "EXIT_CLEAN",
-    "EXIT_STRICT_ABORT",
-    "EXIT_MISSING_INPUT",
-    "EXIT_DEGRADED",
-    "EXIT_MANIFEST_MISMATCH",
-    "EXIT_WORKER_FAILURE",
-    "EXIT_INTERRUPTED",
 ]

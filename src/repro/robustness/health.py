@@ -11,32 +11,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-__all__ = [
-    "PipelineHealth",
-    "EXIT_CLEAN",
-    "EXIT_STRICT_ABORT",
-    "EXIT_MISSING_INPUT",
-    "EXIT_DEGRADED",
-    "EXIT_MANIFEST_MISMATCH",
-    "EXIT_WORKER_FAILURE",
-    "EXIT_INTERRUPTED",
-]
+from repro.exitcodes import EXIT_CLEAN, EXIT_DEGRADED
 
-# CLI exit codes: re-exported from the central registry
-# (:mod:`repro.exitcodes`) — these names predate it and the whole tree
-# imports them from here, so they stay.  New code should import from
-# ``repro.exitcodes`` directly; the registry's docstrings and the
-# README table are the normative meanings, and the RC010 gate keeps
-# both in sync.
-from repro.exitcodes import (  # noqa: F401  (re-export)
-    EXIT_CLEAN,
-    EXIT_DEGRADED,
-    EXIT_INTERRUPTED,
-    EXIT_MANIFEST_MISMATCH,
-    EXIT_MISSING_INPUT,
-    EXIT_STRICT_ABORT,
-    EXIT_WORKER_FAILURE,
-)
+__all__ = ["PipelineHealth"]
 
 
 @dataclass

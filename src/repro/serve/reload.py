@@ -5,10 +5,11 @@ pressure (the arms-race literature in PAPERS.md), so an always-on
 classifier must pick up new list contents *without* dropping in-flight
 work — and without trusting the new list blindly:
 
-* the replacement engine is built on a worker thread
+* the replacement engine is built *and compiled* on a worker thread
   (``asyncio.to_thread``) from the same sources the daemon started
   with, inside a :class:`~repro.robustness.retry.RetryPolicy` budget,
-  so the event loop never stalls on a multi-second list parse;
+  so the event loop never stalls on a multi-second list parse — nor,
+  on the first request after a swap, on the engine's compile;
 * lint gating (``FilterList.from_text(lint=...)``, DESIGN.md §9.4)
   applies on reload exactly as on startup — a list that fails to parse
   or lint leaves the **last good engine** serving;
@@ -31,8 +32,7 @@ import threading
 from typing import Callable
 
 from repro.filterlist.actrie import ACTrieEngine
-from repro.filterlist.cache import CacheStats, CachingEngine, DecisionEngine
-from repro.filterlist.combined import CombinedRegexEngine
+from repro.filterlist.cache import CacheStats, CachingEngine
 from repro.filterlist.engine import FilterEngine
 from repro.filterlist.lists import FilterList
 from repro.filterlist.snapshot import load_snapshot
@@ -66,9 +66,7 @@ class EngineSource:
         publishers: int = 300,
         eco_seed: int = 20151028,
         lint: str = "refuse",
-        use_keyword_index: bool = True,
         snapshot_path: str | None = None,
-        matcher: str = "buckets",
     ) -> None:
         if lint not in ("off", "refuse", "quarantine"):
             raise ValueError(f"unknown lint policy {lint!r}")
@@ -78,19 +76,10 @@ class EngineSource:
         self.publishers = publishers
         self.eco_seed = eco_seed
         self.lint = lint
-        self.use_keyword_index = use_keyword_index
         self.snapshot_path = snapshot_path
-        self.matcher = matcher
 
-    def _empty_engine(self) -> DecisionEngine:
-        if self.matcher == "actrie":
-            return ACTrieEngine(use_keyword_index=self.use_keyword_index)
-        if self.matcher == "combined":
-            return CombinedRegexEngine()
-        return FilterEngine(use_keyword_index=self.use_keyword_index)
-
-    def build(self) -> DecisionEngine:
-        """Parse/lint the sources into a fresh engine (blocking).
+    def build(self) -> ACTrieEngine:
+        """Parse/lint the sources into a fresh, compiled engine (blocking).
 
         Snapshot mode raises :class:`~repro.filterlist.snapshot.SnapshotError`
         (a ``ValueError`` subclass it is not — the retry policy treats it
@@ -98,10 +87,11 @@ class EngineSource:
         manager keeps the last good engine serving in that case.
         """
         if self.snapshot_path:
-            return load_snapshot(self.snapshot_path, matcher=self.matcher).engine
-        engine = self._empty_engine()
+            return load_snapshot(self.snapshot_path).engine
+        engine = ACTrieEngine()
         for name, filter_list in self.load_lists().items():
             engine.add_filters(filter_list.filters, list_name=name)
+        engine.compile()
         return engine
 
     def load_lists(self) -> dict[str, FilterList]:
@@ -123,11 +113,7 @@ class EngineSource:
 
     def describe(self) -> dict:
         if self.snapshot_path:
-            return {
-                "mode": "snapshot",
-                "path": self.snapshot_path,
-                "matcher": self.matcher,
-            }
+            return {"mode": "snapshot", "path": self.snapshot_path}
         if self.list_paths:
             return {"mode": "files", "lists": list(self.list_paths), "lint": self.lint}
         return {
@@ -147,7 +133,7 @@ class EngineHolder:
 
     def __init__(
         self,
-        engine: DecisionEngine,
+        engine: FilterEngine,
         *,
         cache_size: int | None,
     ) -> None:
@@ -155,15 +141,15 @@ class EngineHolder:
         self._generation = 1
         self._retired_stats = CacheStats()
         self._lock = threading.Lock()
-        self._engine: CachingEngine | DecisionEngine = self._wrap(engine)
+        self._engine: CachingEngine | FilterEngine = self._wrap(engine)
 
-    def _wrap(self, engine: DecisionEngine) -> CachingEngine | DecisionEngine:
+    def _wrap(self, engine: FilterEngine) -> CachingEngine | FilterEngine:
         if self._cache_size is None:
             return engine
         return CachingEngine(engine, maxsize=self._cache_size)
 
     @property
-    def engine(self) -> CachingEngine | DecisionEngine:
+    def engine(self) -> CachingEngine | FilterEngine:
         return self._engine
 
     @property
@@ -192,7 +178,7 @@ class EngineHolder:
         total.merge(caching.stats)
         return total
 
-    def adopt(self, engine: DecisionEngine) -> str:
+    def adopt(self, engine: FilterEngine) -> str:
         """Swap in a freshly-built engine; returns ``"swapped"``/``"noop"``.
 
         An identical fingerprint proves the list contents did not
@@ -286,7 +272,7 @@ class ReloadManager:
             )
             return ReloadOutcome(status, self.holder)
 
-    def _build_with_retry(self) -> DecisionEngine:
+    def _build_with_retry(self) -> ACTrieEngine:
         return self.retry.run(
             self.source.build,
             retry_on=(OSError, ValueError),

@@ -40,7 +40,7 @@ from repro.staticcheck.filterlint import (
     lint_texts,
     rule_local_diagnostics,
 )
-from repro.staticcheck.redos import RedosHazard, analyze_regex, scan_pattern_source
+from repro.staticcheck.redos import RedosHazard, analyze_regex
 
 __all__ = [
     "CODES",
@@ -48,7 +48,6 @@ __all__ = [
     "Severity",
     "RedosHazard",
     "analyze_regex",
-    "scan_pattern_source",
     "apply_baseline",
     "load_baseline",
     "write_baseline",

@@ -1,14 +1,9 @@
 """FL006: ReDoS-hazard detection for regexes (DESIGN.md §9.3).
 
-Two consumers:
-
-* the filter-list linter, which analyzes ``/regex/``-style rules
-  *before* they ever reach an engine;
-* :class:`~repro.filterlist.combined.CombinedRegexEngine`, which
-  pre-screens every compiled pattern fragment before splicing it into
-  the giant alternation — one pathological fragment there would stall
-  every URL classification, which is exactly the hot path the paper's
-  pipeline lives on.
+The filter-list linter analyzes ``/regex/``-style rules *before* they
+ever reach an engine — one pathological rule there would stall every
+URL classification it is a candidate for, which is exactly the hot path
+the paper's pipeline lives on.
 
 Detection is static and conservative, based on the parsed regex tree
 (``re._parser``), looking for the classic exponential shapes:
@@ -19,12 +14,6 @@ Detection is static and conservative, based on the parsed regex tree
   character;
 * **stacked large bounded repeats** — ``(a{1,N}){1,M}`` with
   ``N*M`` beyond a sanity bound.
-
-A *quick scan* fast path makes screening effectively free for the
-escaped-literal fragments ABP pattern compilation produces: a fragment
-with no unescaped quantified group cannot backtrack exponentially, and
-the two fixed helper fragments the compiler emits (the ``^`` separator
-class and the ``||`` domain anchor) are known-safe by construction.
 """
 
 from __future__ import annotations
@@ -38,7 +27,7 @@ try:  # Python >= 3.11
 except ImportError:  # pragma: no cover - Python 3.10 fallback
     import sre_parse as _sre_parser  # type: ignore[no-redef]
 
-__all__ = ["RedosHazard", "analyze_regex", "scan_pattern_source", "regex_rule_body"]
+__all__ = ["RedosHazard", "analyze_regex", "regex_rule_body"]
 
 _MAXREPEAT = _sre_parser.MAXREPEAT
 # A bounded repeat counts as "large" beyond this many iterations;
@@ -246,32 +235,3 @@ def analyze_regex(source: str) -> RedosHazard | None:
     except (re.error, ValueError, OverflowError) as exc:
         return RedosHazard("unparseable regex", str(exc))
     return _walk(list(tree), in_repeat=False)
-
-
-# -- fast pre-screen for compiled ABP fragments -----------------------------
-
-# The two fixed fragments repro.filterlist.filter emits; both are
-# linear-time by construction and stripped before the quick scan.
-_KNOWN_SAFE_FRAGMENTS = (
-    r"^[\w\-]+:/+(?:[^/]+\.)?",  # _DOMAIN_ANCHOR_REGEX
-    r"(?:[^\w\-.%]|$)",  # _SEPARATOR_REGEX
-)
-
-_QUANTIFIED_GROUP = re.compile(r"(?<!\\)\)[*+{?]")
-
-
-def scan_pattern_source(source: str) -> RedosHazard | None:
-    """Cheap screen for a compiled ABP pattern fragment.
-
-    Strips the compiler's fixed known-safe fragments, then looks for a
-    quantified group — the only shape that can nest quantifiers.  Only
-    when that textual smell is present does the full parsed-tree
-    analysis run, so screening a list of escaped-literal patterns is a
-    single string scan per rule.
-    """
-    stripped = source
-    for fragment in _KNOWN_SAFE_FRAGMENTS:
-        stripped = stripped.replace(fragment, "")
-    if _QUANTIFIED_GROUP.search(stripped) is None:
-        return None
-    return analyze_regex(source)

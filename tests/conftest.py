@@ -14,7 +14,7 @@ import pytest
 
 from repro.browser.crawler import Crawler
 from repro.core import AdClassificationPipeline
-from repro.filterlist import build_lists
+from repro.filterlist import ACTrieEngine, build_lists
 from repro.trace import RBNTraceGenerator, rbn2_config
 from repro.web import Ecosystem, EcosystemConfig
 
@@ -26,6 +26,18 @@ def pytest_addoption(parser: pytest.Parser) -> None:
         default=False,
         help="regenerate tests/golden/ expected outputs (never the trace)",
     )
+
+
+@pytest.fixture()
+def forbid_engine_compile(monkeypatch):
+    """Call the fixture's value to make any later engine compile fail
+    the test: requests against an engine built for serving must find it
+    compiled already."""
+
+    def refuse(self):
+        raise AssertionError("a request paid for the engine compile")
+
+    return lambda: monkeypatch.setattr(ACTrieEngine, "_compile", refuse)
 
 
 @pytest.fixture(scope="session")

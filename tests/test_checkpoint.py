@@ -18,6 +18,7 @@ import sys
 import pytest
 
 from repro.core.pipeline import StreamingClassifier
+from repro.exitcodes import EXIT_MANIFEST_MISMATCH
 from repro.http.log import write_log
 from repro.robustness import (
     CRASH_EXIT_CODE,
@@ -30,7 +31,6 @@ from repro.robustness import (
     atomic_writer,
 )
 from repro.robustness.checkpoint import _HEADER, _MAGIC
-from repro.robustness.health import EXIT_MANIFEST_MISMATCH
 from repro.robustness.runstate import (
     ClassifySink,
     DurableRun,
@@ -471,6 +471,30 @@ class TestCrashRecoveryCli:
         assert proc.returncode == EXIT_MANIFEST_MISMATCH
         assert "manifest mismatch" in proc.stderr
         assert "eco_seed" in proc.stderr
+
+    def test_resume_of_a_checkpoint_that_pinned_a_matcher_exits_4(self, tmp_path, cli_trace):
+        """Checkpoint directories written while ``--matcher`` existed
+        pinned it in the manifest; the key is gone, so their config hash
+        no longer matches and they are refused like any changed config."""
+        import json
+
+        out = tmp_path / "out.tsv"
+        crashed = _cli(
+            _classify_args(cli_trace, out, tmp_path / "ckpt", "--crash-after", "3000"),
+            tmp_path,
+        )
+        assert crashed.returncode == CRASH_EXIT_CODE
+        manifest_path = tmp_path / "ckpt" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["params"]["matcher"] = "buckets"
+        manifest["config_hash"] = fingerprint_params(manifest["params"])
+        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        proc = _cli(
+            _classify_args(cli_trace, out, tmp_path / "ckpt", "--resume"), tmp_path
+        )
+        assert proc.returncode == EXIT_MANIFEST_MISMATCH
+        assert "manifest mismatch" in proc.stderr
+        assert "matcher: 'buckets' -> None" in proc.stderr
 
     def test_resume_without_checkpoint_dir_is_an_error(self, tmp_path, cli_trace):
         proc = _cli(

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -20,6 +23,19 @@ def trace_files(tmp_path_factory):
     )
     assert code == 0
     return http_path, tls_path
+
+
+def test_importing_the_cli_loads_no_staticcheck_module():
+    """classify and serve processes must not pay for the lint package
+    (``repro lint`` imports it on demand)."""
+    code = (
+        "import sys, repro.cli; "
+        "print([m for m in sys.modules if m.startswith('repro.staticcheck')])"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
 
 
 class TestParser:

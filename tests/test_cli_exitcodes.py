@@ -18,8 +18,7 @@ import sys
 
 import pytest
 
-from repro.robustness import EXIT_MISSING_INPUT
-from repro.robustness.health import EXIT_MANIFEST_MISMATCH, EXIT_STRICT_ABORT
+from repro.exitcodes import EXIT_MANIFEST_MISMATCH, EXIT_MISSING_INPUT, EXIT_STRICT_ABORT
 
 _ECO = ["--publishers", "80", "--eco-seed", "99"]
 
@@ -155,13 +154,14 @@ class TestSnapshotExitCodes:
         base = self._classify(tmp_path, trace_file)
         assert base.returncode == 0, base.stderr
         baseline = (tmp_path / "out.tsv").read_bytes()
-        for matcher in ("buckets", "actrie", "combined"):
-            proc = self._classify(
-                tmp_path, trace_file,
-                "--engine-snapshot", str(snapshot_file), "--matcher", matcher,
-            )
-            assert proc.returncode == 0, proc.stderr
-            assert (tmp_path / "out.tsv").read_bytes() == baseline, matcher
+        proc = self._classify(tmp_path, trace_file, "--engine-snapshot", str(snapshot_file))
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "out.tsv").read_bytes() == baseline
+
+    def test_matcher_flag_is_gone(self, tmp_path, trace_file):
+        proc = self._classify(tmp_path, trace_file, "--matcher", "actrie")
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --matcher" in proc.stderr
 
     def test_corrupt_snapshot_exits_6(self, tmp_path, trace_file, snapshot_file):
         from repro.exitcodes import EXIT_SNAPSHOT_INVALID

@@ -1,16 +1,17 @@
-"""Four-way differential decision harness (DESIGN.md §15).
+"""Oracle-vs-production differential decision harness (DESIGN.md §15).
 
-Every matcher backend must be *decision-identical*: the classic
-bucketed :class:`FilterEngine`, the Aho–Corasick :class:`ACTrieEngine`,
-the :class:`CombinedRegexEngine` alternation prefilter, and an engine
-round-tripped through a ``repro compile-lists`` snapshot are four
-implementations of one contract.  Hypothesis generates filter lists and
+The production engine must be *decision-identical* to the oracle.  Four
+routes to one contract: the plain bucketed :class:`FilterEngine`
+(``buckets``, the oracle), the Aho–Corasick :class:`ACTrieEngine` every
+production path builds (``actrie``), and both engine classes restored
+from a ``repro compile-lists`` snapshot (``snapshot`` is what
+``load_snapshot`` hands production, ``snapshot-buckets`` the oracle's
+restore of the same state).  Hypothesis generates filter lists and
 URL/content-type/page-host workloads; every generated decision is
-compared across all four paths, asserting not just the tri-state
-outcome but the *identity* (text + list attribution) of the blocking
-and exception filters — the paper's EasyList-vs-EasyPrivacy
-attribution (§6) rides on which filter matched, not only whether one
-did.
+compared across all four, asserting not just the tri-state outcome but
+the *identity* (text + list attribution) of the blocking and exception
+filters — the paper's EasyList-vs-EasyPrivacy attribution (§6) rides
+on which filter matched, not only whether one did.
 
 Shrunk counterexamples from harness development are committed below as
 :class:`TestRegressions` so the exact divergences that once existed
@@ -24,7 +25,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.filterlist.actrie import ACTrieEngine
-from repro.filterlist.combined import CombinedRegexEngine
 from repro.filterlist.engine import FilterEngine, RequestContext
 from repro.filterlist.filter import Filter
 from repro.filterlist.options import ContentType
@@ -44,6 +44,11 @@ _HOSTS = (
 )
 _TOKENS = ("ad", "banner", "pixel", "track", "adserver", "promo", "img", "js")
 _EXTS = ("gif", "js", "png", "html", "css")
+
+# A userinfo or IPv6-literal host voids the registrable-domain
+# shortcut, so both engines fall back to every host bucket (and every
+# $document exception).
+_OPAQUE_HOSTS = ("user@cdn.ads.example", "[2001:db8::1]")
 
 _host = st.sampled_from(_HOSTS)
 _token = st.sampled_from(_TOKENS)
@@ -92,7 +97,7 @@ def _lists(draw) -> dict[str, list[str]]:
 
 @st.composite
 def _url(draw) -> str:
-    host = draw(_host)
+    host = draw(st.sampled_from(_HOSTS + _OPAQUE_HOSTS))
     segments = draw(st.lists(_token, min_size=0, max_size=3))
     path = "/".join(segments)
     ext = draw(st.sampled_from(_EXTS))
@@ -106,7 +111,8 @@ _context = st.builds(
         (ContentType.IMAGE, ContentType.SCRIPT, ContentType.DOCUMENT, ContentType.OTHER)
     ),
     page_url=st.sampled_from(
-        ("http://news.example/", "http://ads.example/", "http://pub.example/a", "")
+        ("http://news.example/", "http://ads.example/", "http://pub.example/a",
+         "http://user@news.example/", "")
     ),
 )
 
@@ -142,16 +148,18 @@ def _build_engines(lines: dict[str, list[str]], tmp_path):
     """All four decision paths, loaded with the same filters."""
     base = FilterEngine()
     actrie = ACTrieEngine()
-    combined = CombinedRegexEngine()
     for name, texts in lines.items():
-        filters = [Filter.parse(text) for text in texts]
-        base.add_filters(filters, list_name=name)
+        base.add_filters([Filter.parse(text) for text in texts], list_name=name)
         actrie.add_filters([Filter.parse(text) for text in texts], list_name=name)
-        combined.add_filters([Filter.parse(text) for text in texts], list_name=name)
     snapshot_path = str(tmp_path / "engine.snap")
     write_snapshot(snapshot_path, base)
     restored = load_snapshot(snapshot_path).engine
-    return {"buckets": base, "actrie": actrie, "combined": combined, "snapshot": restored}
+    return {
+        "buckets": base,
+        "actrie": actrie,
+        "snapshot": restored,
+        "snapshot-buckets": FilterEngine.restore_snapshot_state(base.export_snapshot_state()),
+    }
 
 
 def _assert_identical(engines, url: str, context: RequestContext) -> None:
@@ -180,17 +188,19 @@ class TestDifferential:
     def test_snapshot_restores_every_matcher_identically(
         self, lines, workload, tmp_path_factory
     ):
-        """One artifact, three matchers: decisions must not depend on backend."""
-        base = FilterEngine()
+        """An artifact the production engine compiled (as ``repro
+        compile-lists`` does) restores identically as either class."""
+        base = ACTrieEngine()
         for name, texts in lines.items():
             base.add_filters([Filter.parse(t) for t in texts], list_name=name)
         path = str(tmp_path_factory.mktemp("snap") / "engine.snap")
         write_snapshot(path, base)
+        restored = load_snapshot(path).engine
         engines = {
-            matcher: load_snapshot(path, matcher=matcher).engine
-            for matcher in ("buckets", "actrie", "combined")
+            "buckets": FilterEngine.restore_snapshot_state(restored.export_snapshot_state()),
+            "actrie": restored,
+            "direct": base,
         }
-        engines["direct"] = base
         for url, context in workload:
             _assert_identical(engines, url, context)
 
@@ -224,7 +234,7 @@ class TestEcosystemDifferential:
 # ---------------------------------------------------------------------------
 
 # Each entry is (filters-by-list, url, content_type, page_url) — minimal
-# inputs that once produced a cross-backend divergence during harness
+# inputs that once produced an oracle/production divergence during harness
 # development.  They run as plain assertions so the fix can never rot.
 _REGRESSIONS = [
     # actrie host-bucket probe once indexed the empty host, diverging on
@@ -233,15 +243,6 @@ _REGRESSIONS = [
         {"easylist": ["||ads.example^"]},
         "x", ContentType.OTHER, "",
         id="actrie-empty-host-probe",
-    ),
-    # combined's inner engine once ran without the keyword index, so a
-    # URL matched by several filters attributed a *different* (equally
-    # valid) filter than the bucketed path — same decision, wrong
-    # identity, which breaks EasyList-vs-EasyPrivacy attribution.
-    pytest.param(
-        {"easylist": ["/ad/", "||ads.example^"], "easyprivacy": ["/track/"]},
-        "http://ads.example/ad/track/f.gif", ContentType.IMAGE, "http://news.example/",
-        id="combined-multi-match-attribution",
     ),
     # $document exceptions are page-sensitive: the snapshot must carry
     # page_sensitive_documents or restored engines silently stop
@@ -257,6 +258,13 @@ _REGRESSIONS = [
         {"easylist": ["||ads.example^$~third-party"]},
         "http://ads.example/f.gif", ContentType.IMAGE, "",
         id="first-party-option-empty-page",
+    ),
+    # An opaque request host reaches host-anchored filters only through
+    # the all-host-buckets fallback.
+    pytest.param(
+        {"easylist": ["||track.example^", "||ads.example^"], "easyprivacy": ["||ads.example/f"]},
+        "http://user@cdn.ads.example/f.gif", ContentType.IMAGE, "http://news.example/",
+        id="opaque-host-fallback",
     ),
 ]
 

@@ -6,9 +6,10 @@ sampled slice of the golden RBN-2 trace plus an EasyList-style subset
 (every 2nd rule of the ecosystem lists), and ``decisions.tsv`` is the
 expected per-request verdict — decision, blocking filter text, list
 attribution, whitelist attribution.  Any drift in parsing, bucketing,
-option semantics or matcher backends shows up as a line diff here, and
-**all** matcher backends (``buckets``, ``actrie``, ``combined``) plus a
-snapshot round-trip must reproduce the same golden bytes.
+option semantics or the matcher shows up as a line diff here, and the
+oracle (``buckets``), the production engine (``actrie``) and a snapshot
+round-trip into the production engine (``snapshot``) must all reproduce
+the same golden bytes.
 
 After a *deliberate* decision-layer change, regenerate with
 
@@ -26,7 +27,6 @@ import pytest
 
 from repro.core.content_type import infer_content_type
 from repro.filterlist.actrie import ACTrieEngine
-from repro.filterlist.combined import CombinedRegexEngine
 from repro.filterlist.engine import FilterEngine, RequestContext
 from repro.filterlist.parser import parse_list_text
 from repro.filterlist.snapshot import load_snapshot, write_snapshot
@@ -86,15 +86,13 @@ def _decision_rows(engine) -> bytes:
 def _engines(tmp_path):
     buckets = FilterEngine()
     actrie = ACTrieEngine()
-    combined = CombinedRegexEngine()
-    for engine in (buckets, actrie, combined):
+    for engine in (buckets, actrie):
         _build_engine(engine)
     snapshot = str(tmp_path / "golden.snap")
     write_snapshot(snapshot, buckets)
     return {
         "buckets": buckets,
         "actrie": actrie,
-        "combined": combined,
         "snapshot": load_snapshot(snapshot).engine,
     }
 
@@ -114,7 +112,7 @@ def test_corpus_is_nontrivial(tmp_path):
     assert decisions == {"none", "block", "whitelist"}
 
 
-@pytest.mark.parametrize("backend", ["buckets", "actrie", "combined", "snapshot"])
+@pytest.mark.parametrize("backend", ["buckets", "actrie", "snapshot"])
 def test_decisions_match_golden(backend, tmp_path):
     engines = _engines(tmp_path)
     assert _decision_rows(engines[backend]) == EXPECTED.read_bytes(), (

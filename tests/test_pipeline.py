@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.core.pipeline import AdClassificationPipeline, PipelineConfig
 from repro.filterlist.options import ContentType
 from repro.http.log import HttpLogRecord
@@ -164,6 +166,19 @@ class TestAblations:
         for a, b in zip(indexed, linear):
             assert a.is_ad == b.is_ad
             assert a.blacklist_name == b.blacklist_name
+
+    def test_matcher_selects_production_engine_or_oracle(self, lists):
+        from repro.filterlist import ACTrieEngine, FilterEngine
+
+        for matcher, kind in ((None, ACTrieEngine), ("actrie", ACTrieEngine), ("buckets", FilterEngine)):
+            config = PipelineConfig(use_decision_cache=False)
+            if matcher is not None:
+                config.matcher = matcher
+            assert type(AdClassificationPipeline(lists, config).engine) is kind
+
+    def test_unknown_matcher_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown matcher"):
+            AdClassificationPipeline({}, PipelineConfig(matcher="combined"))
 
 
 class TestAgainstGroundTruth:

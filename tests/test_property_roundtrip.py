@@ -1,11 +1,13 @@
 """Property test: every parser-accepted rule decides identically under
-the keyword-indexed engine and the combined-regex backend.
+the oracle (the plain bucket :class:`FilterEngine`), the production
+:class:`ACTrieEngine`, and a production engine restored from a snapshot
+of the oracle.
 
 This is the linter's soundness anchor (DESIGN.md §9.5): the FL checks
-reason about pattern structure, which is only meaningful if the two
-engines agree on what a pattern *means*.  Hypothesis generates rules
-from the documented ABP grammar plus URLs biased to collide with them,
-and asserts decision-for-decision equality.
+reason about pattern structure, which is only meaningful if the engines
+agree on what a pattern *means*.  Hypothesis generates rules from the
+documented ABP grammar plus URLs biased to collide with them, and
+asserts equality of the decision and of which filter produced it.
 """
 
 from __future__ import annotations
@@ -15,10 +17,11 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from repro.filterlist.combined import CombinedRegexEngine
+from repro.filterlist.actrie import ACTrieEngine
 from repro.filterlist.engine import FilterEngine, RequestContext
 from repro.filterlist.filter import Filter
 from repro.filterlist.options import ContentType
+from repro.filterlist.snapshot import load_snapshot, write_snapshot
 
 # -- rule generation --------------------------------------------------------
 
@@ -78,18 +81,24 @@ def _contexts(draw):
     )
 
 
-def _build_engines(rules):
-    filters = []
-    for rule in rules:
-        try:
-            filters.append(Filter.parse(rule))
-        except ValueError:
-            pass  # parser-rejected rules are out of scope
-    keyword_engine = FilterEngine()
-    combined_engine = CombinedRegexEngine()
-    keyword_engine.add_filters(filters, list_name="prop")
-    combined_engine.add_filters(filters, list_name="prop")
-    return keyword_engine, combined_engine
+def _build_engines(rules, directory):
+    """The oracle, then the production engine built and snapshot-restored."""
+    oracle, production = FilterEngine(), ACTrieEngine()
+    for engine in (oracle, production):
+        filters = []
+        for rule in rules:
+            try:
+                filters.append(Filter.parse(rule))
+            except ValueError:
+                pass  # parser-rejected rules are out of scope
+        engine.add_filters(filters, list_name="prop")
+    path = str(directory / "engine.snap")
+    write_snapshot(path, oracle)
+    return oracle, (production, load_snapshot(path).engine)
+
+
+def _text(filter_):
+    return None if filter_ is None else filter_.text
 
 
 @settings(max_examples=150, deadline=None)
@@ -98,11 +107,14 @@ def _build_engines(rules):
     url=_urls(),
     context=_contexts(),
 )
-def test_engines_agree_on_match(rules, url, context):
-    keyword_engine, combined_engine = _build_engines(rules)
-    a = keyword_engine.match(url, context)
-    b = combined_engine.match(url, context)
-    assert a.decision == b.decision, (rules, url)
+def test_engines_agree_on_match(rules, url, context, tmp_path_factory):
+    oracle, others = _build_engines(rules, tmp_path_factory.mktemp("snap"))
+    a = oracle.match(url, context)
+    for engine in others:
+        b = engine.match(url, context)
+        assert a.decision == b.decision, (rules, url)
+        assert _text(a.blocking_filter) == _text(b.blocking_filter), (rules, url)
+        assert _text(a.exception_filter) == _text(b.exception_filter), (rules, url)
 
 
 @settings(max_examples=150, deadline=None)
@@ -111,26 +123,10 @@ def test_engines_agree_on_match(rules, url, context):
     url=_urls(),
     context=_contexts(),
 )
-def test_engines_agree_on_classify(rules, url, context):
-    keyword_engine, combined_engine = _build_engines(rules)
-    a = keyword_engine.classify(url, context)
-    b = combined_engine.classify(url, context)
-    assert (a.blacklist_filter is None) == (b.blacklist_filter is None), (rules, url)
-    assert (a.whitelist_filter is None) == (b.whitelist_filter is None), (rules, url)
-
-
-@settings(max_examples=50, deadline=None)
-@given(rules=st.lists(_rules(), min_size=1, max_size=6), url=_urls(), context=_contexts())
-def test_redos_guard_never_changes_decisions(rules, url, context):
-    """The FL006 guard may only reroute evaluation, never alter it."""
-    filters = []
-    for rule in rules:
-        try:
-            filters.append(Filter.parse(rule))
-        except ValueError:
-            pass
-    guarded = CombinedRegexEngine(redos_guard=True)
-    unguarded = CombinedRegexEngine(redos_guard=False)
-    guarded.add_filters(filters, list_name="prop")
-    unguarded.add_filters(filters, list_name="prop")
-    assert guarded.match(url, context).decision == unguarded.match(url, context).decision
+def test_engines_agree_on_classify(rules, url, context, tmp_path_factory):
+    oracle, others = _build_engines(rules, tmp_path_factory.mktemp("snap"))
+    a = oracle.classify(url, context)
+    for engine in others:
+        b = engine.classify(url, context)
+        assert _text(a.blacklist_filter) == _text(b.blacklist_filter), (rules, url)
+        assert _text(a.whitelist_filter) == _text(b.whitelist_filter), (rules, url)

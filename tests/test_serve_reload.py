@@ -11,9 +11,15 @@ central promise:
   byte-for-byte identical list text must not cost the hit rate.
 
 Hypothesis drives both sides with randomized list pairs and query sets.
+
+A swap must not cost the next request anything either: the reload
+builds *and compiles* the replacement off the event loop, so what
+:meth:`EngineHolder.adopt` receives is ready to answer.
 """
 
 from __future__ import annotations
+
+import asyncio
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +27,8 @@ from hypothesis import strategies as st
 from repro.filterlist.engine import FilterEngine, RequestContext
 from repro.filterlist.lists import FilterList
 from repro.filterlist.options import ContentType
-from repro.serve import EngineHolder
+from repro.serve import EngineHolder, EngineSource
+from repro.serve.reload import ReloadManager
 
 HOSTS = ["ads.alpha.com", "cdn.beta.net", "track.gamma.org", "static.delta.io"]
 PATHS = ["/spot.gif", "/lib.js", "/banner/x.png", "/index.html", "/pixel"]
@@ -114,3 +121,25 @@ class TestReloadStaleness:
         total = holder.cache_stats()
         # /metrics reports lifetime totals: a swap retires, never resets.
         assert total.lookups == lookups_before + len(query)
+
+
+class TestReloadCompilesOffLoop:
+    def test_swapped_in_engine_is_compiled_before_adoption(self, tmp_path, forbid_engine_compile):
+        path = tmp_path / "list.txt"
+        path.write_text("||ads.alpha.com^\n")
+        source = EngineSource(list_paths=[str(path)])
+        holder = EngineHolder(source.build(), cache_size=256)
+        adopt, seen_compiled = holder.adopt, []
+
+        def recording_adopt(engine):
+            seen_compiled.append(engine.is_compiled)
+            return adopt(engine)
+
+        holder.adopt = recording_adopt
+        path.write_text("||ads.alpha.com^\n||cdn.beta.net^\n")
+        outcome = asyncio.run(ReloadManager(source, holder).reload())
+        assert outcome.status == "swapped"
+        assert seen_compiled == [True]
+        forbid_engine_compile()  # ...and the first request builds nothing
+        results = classify_all(holder.engine, ["http://cdn.beta.net/lib.js"])
+        assert results[0][1:3] == (True, True)

@@ -17,7 +17,6 @@ import pytest
 
 from repro.filterlist.actrie import ACTrieEngine
 from repro.filterlist.cache import CachingEngine
-from repro.filterlist.combined import CombinedRegexEngine
 from repro.filterlist.engine import (
     SNAPSHOT_STATE_VERSION,
     FilterEngine,
@@ -27,7 +26,6 @@ from repro.filterlist.engine import (
 from repro.filterlist.filter import Filter
 from repro.filterlist.options import ContentType
 from repro.filterlist.snapshot import (
-    MATCHERS,
     SnapshotCorrupt,
     SnapshotError,
     SnapshotFingerprintMismatch,
@@ -89,22 +87,25 @@ def snapshot_path(tmp_path) -> str:
 
 
 class TestRoundTrip:
-    def test_restored_engine_is_decision_identical(self, snapshot_path):
+    def test_restored_engine_is_decision_identical(self, snapshot_path, forbid_engine_compile):
         base = _engine()
         loaded = load_snapshot(snapshot_path)
         assert loaded.engine.fingerprint == base.fingerprint
         assert loaded.engine.filter_count == base.filter_count
         assert loaded.engine.list_names == base.list_names
+        forbid_engine_compile()  # restored means ready: no request compiles
         assert _decisions(loaded.engine) == _decisions(base)
 
-    @pytest.mark.parametrize("matcher", MATCHERS)
-    def test_every_matcher_restores(self, snapshot_path, matcher):
-        loaded = load_snapshot(snapshot_path, matcher=matcher)
-        assert _decisions(loaded.engine) == _decisions(_engine())
-
-    def test_unknown_matcher_is_rejected(self, snapshot_path):
-        with pytest.raises(ValueError, match="unknown matcher"):
-            load_snapshot(snapshot_path, matcher="bloom")
+    @pytest.mark.parametrize(
+        "kind", [FilterEngine, ACTrieEngine], ids=["buckets", "actrie"]
+    )
+    def test_every_matcher_restores(self, snapshot_path, kind):
+        """The oracle class restores the state ``load_snapshot`` hands
+        the production class."""
+        state = load_snapshot(snapshot_path).engine.export_snapshot_state()
+        restored = kind.restore_snapshot_state(state)
+        assert type(restored) is kind
+        assert _decisions(restored) == _decisions(_engine())
 
     def test_write_is_byte_deterministic(self, tmp_path):
         a, b = str(tmp_path / "a.snap"), str(tmp_path / "b.snap")
@@ -269,23 +270,15 @@ class TestCachingEngineStaleFingerprintWindow:
 class TestEngineSourceSnapshotMode:
     """`repro serve --engine-snapshot`: snapshot-backed build and reload."""
 
-    def test_builds_requested_matcher(self, snapshot_path):
-        for matcher, kind in (
-            ("buckets", FilterEngine),
-            ("actrie", ACTrieEngine),
-            ("combined", CombinedRegexEngine),
-        ):
-            source = EngineSource(snapshot_path=snapshot_path, matcher=matcher)
-            engine = source.build()
-            assert isinstance(engine, kind)
-            assert _decisions(engine) == _decisions(_engine())
+    def test_builds_compiled_production_engine(self, snapshot_path, forbid_engine_compile):
+        engine = EngineSource(snapshot_path=snapshot_path).build()
+        assert isinstance(engine, ACTrieEngine) and engine.is_compiled
+        forbid_engine_compile()
+        assert _decisions(engine) == _decisions(_engine())
 
     def test_describe_reports_snapshot_mode(self, snapshot_path):
-        source = EngineSource(snapshot_path=snapshot_path, matcher="actrie")
-        description = source.describe()
-        assert description["mode"] == "snapshot"
-        assert description["path"] == snapshot_path
-        assert description["matcher"] == "actrie"
+        description = EngineSource(snapshot_path=snapshot_path).describe()
+        assert description == {"mode": "snapshot", "path": snapshot_path}
 
     def test_snapshot_and_lists_are_exclusive(self, snapshot_path, tmp_path):
         lists = tmp_path / "list.txt"
@@ -298,17 +291,6 @@ class TestEngineSourceSnapshotMode:
         source = EngineSource(snapshot_path=snapshot_path)
         with pytest.raises(SnapshotError):
             source.build()
-
-
-class TestFromInner:
-    def test_combined_from_inner_equals_incremental(self):
-        base = _engine()
-        from_inner = CombinedRegexEngine.from_inner(base)
-        incremental = CombinedRegexEngine()
-        for name, texts in _FILTERS.items():
-            incremental.add_filters([Filter.parse(t) for t in texts], list_name=name)
-        assert from_inner.fingerprint == incremental.fingerprint
-        assert _decisions(from_inner) == _decisions(incremental)
 
 
 class TestByteCorruptor:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.staticcheck.redos import analyze_regex, regex_rule_body, scan_pattern_source
+from repro.staticcheck.redos import analyze_regex, regex_rule_body
 
 CATASTROPHIC = [
     r"(a+)+b",            # classic nested unbounded quantifier
@@ -54,22 +54,3 @@ class TestRegexRuleBody:
 
     def test_unenclosed_pattern(self):
         assert regex_rule_body("||ads.example^") is None
-
-
-class TestScanPatternSource:
-    """The guard combined.py runs over already-compiled fragments."""
-
-    def test_compiled_abp_fragments_are_safe(self):
-        from repro.filterlist.filter import Filter
-
-        for rule in ("||ads.example^", "|http://x/*/ads/", "banner$script", "/img/*.gif|"):
-            filter_ = Filter.parse(rule)
-            assert scan_pattern_source(filter_.regex.pattern) is None, rule
-
-    def test_hazardous_fragment_flagged(self):
-        assert scan_pattern_source(r"(a+)+b") is not None
-
-    def test_fast_path_skips_simple_sources(self):
-        # No quantified group at all: the cheap regex pre-screen is
-        # enough and full parsing is skipped.
-        assert scan_pattern_source(r"foo\.bar[^/]*baz") is None
