@@ -1,4 +1,4 @@
-"""Ingestion fast path: TSV vs binary framing, mmap vs read restore.
+"""Ingestion fast path: TSV vs binary framing.
 
 Engineering benchmarks for DESIGN.md §16.  PR 4's parse/classify split
 measured TSV parse as the Amdahl term of the worker pool (parse is
@@ -14,7 +14,6 @@ from __future__ import annotations
 import pathlib
 import time
 
-from repro.filterlist.snapshot import load_snapshot, write_snapshot
 from repro.http.binlog import write_binlog
 from repro.http.log import SeekableLogReader, write_log
 
@@ -107,52 +106,3 @@ def test_ingest_head_to_head(rbn2, tmp_path_factory, results_dir):
     ]
     write_result(results_dir, "bench_ingest.txt", "\n".join(lines) + "\n")
     assert speedup >= 3.0, f"bin parse speedup regressed: {speedup:.2f}x < 3x"
-
-
-def test_snapshot_restore_mmap_vs_read(lists, tmp_path_factory, results_dir):
-    """Zero-copy (mmap) vs buffered (read) snapshot restore latency.
-
-    The bench-ecosystem lists compile to a ~18 KiB artifact where both
-    paths are noise-identical, so the engine is padded to EasyList-order
-    filter count — the scale at which the blob copy actually shows up.
-    """
-    from conftest import write_result
-    from repro.filterlist import Filter
-    from repro.filterlist.engine import FilterEngine
-
-    engine = FilterEngine()
-    for name, lst in lists.items():
-        engine.add_filters(lst.filters, list_name=name)
-    engine.add_filters(
-        [Filter.parse(f"||pad{i}.tracker.example^$third-party") for i in range(20_000)],
-        list_name="synthetic-pad",
-    )
-    tmp = tmp_path_factory.mktemp("snap")
-    path = str(tmp / "engine.snap")
-    write_snapshot(path, engine)
-    size_mib = pathlib.Path(path).stat().st_size / 2**20
-
-    best = {"mmap": float("inf"), "read": float("inf")}
-    fingerprints = set()
-    for _ in range(5):
-        for name, use_mmap in (("mmap", True), ("read", False)):
-            started = time.perf_counter()
-            loaded = load_snapshot(path, use_mmap=use_mmap)
-            best[name] = min(best[name], time.perf_counter() - started)
-            fingerprints.add(loaded.engine.fingerprint)
-    assert fingerprints == {engine.fingerprint}  # both paths restore the same engine
-
-    lines = [
-        "Snapshot restore: mmap (zero-copy) vs buffered read",
-        f"artifact: {size_mib:.1f} MiB, {engine.filter_count} filters",
-        "",
-        f"  mmap: {best['mmap'] * 1e3:.2f} ms   read: {best['read'] * 1e3:.2f} ms   "
-        f"({best['read'] / best['mmap']:.2f}x)",
-        "",
-        "(restore is dominated by engine reconstruction — unpickle plus",
-        " regex recompile; the mapping removes the blob copy and digest-",
-        " input copy, the rest is format-independent.  Cost is paid per",
-        " worker process and per serve hot reload.)",
-    ]
-    write_result(results_dir, "bench_ingest_snapshot.txt", "\n".join(lines) + "\n")
-    assert best["mmap"] > 0 and best["read"] > 0

@@ -46,7 +46,6 @@ from typing import TYPE_CHECKING, Sequence, TextIO
 if TYPE_CHECKING:
     from repro.analysis.traffic import TrafficAccumulator
 
-from repro.analysis.report import render_table
 from repro.core import AdClassificationPipeline
 from repro.exitcodes import (
     EXIT_INTERRUPTED,
@@ -437,6 +436,10 @@ def _read_tls(stream: TextIO) -> list[TlsConnectionRecord]:
 
 
 def _cmd_ecosystem(args: argparse.Namespace) -> int:
+    # Table commands import repro.analysis (and with it numpy) here:
+    # classify and serve must not pay for it at start-up.
+    from repro.analysis.report import render_table
+
     ecosystem = _ecosystem_from(args)
     lists = build_lists(ecosystem.list_spec())
     print(f"publishers:  {len(ecosystem.publishers)}")
@@ -685,6 +688,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_usage(args: argparse.Namespace) -> int:
+    from repro.analysis.report import render_table
     from repro.core import (
         aggregate_users,
         annotate_browsers,
@@ -753,6 +757,7 @@ def _cmd_usage(args: argparse.Namespace) -> int:
 
 
 def _cmd_crawl(args: argparse.Namespace) -> int:
+    from repro.analysis.report import render_table
     from repro.browser.crawler import Crawler
     from repro.filterlist.lists import EASYLIST, EASYPRIVACY
 
@@ -857,6 +862,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _report_tables(
     accumulator: "TrafficAccumulator", health: PipelineHealth, *, fmt: str = "text"
 ) -> int:
+    from repro.analysis.report import render_table
+
     summary = accumulator.summary()
     print(f"requests: {summary.total_requests}; ad share "
           f"{summary.ad_request_share:.2%} of requests / "

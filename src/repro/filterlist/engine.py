@@ -26,7 +26,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from repro.filterlist.filter import Filter, FilterKind, compile_pattern, extract_keywords
+from repro.filterlist.filter import Filter, FilterKind, extract_keywords
 from repro.filterlist.options import ContentType, FilterOptions
 from repro.http.url import is_third_party, registrable_domain, split_url
 
@@ -160,8 +160,8 @@ def _document_is_host_only(filter_: Filter) -> bool:
 
 # Version of the engine's *state* wire form (the snapshot container in
 # repro.filterlist.snapshot has its own header version; this one guards
-# the pickled payload layout below it).
-SNAPSHOT_STATE_VERSION = 1
+# the layout of the JSON payload below it).
+SNAPSHOT_STATE_VERSION = 2  # 2: option sets in their own table
 
 
 def fingerprint_of_filters(groups: "Iterable[tuple[str, Iterable[Filter]]]") -> str:
@@ -184,68 +184,28 @@ def fingerprint_of_filters(groups: "Iterable[tuple[str, Iterable[Filter]]]") -> 
     return fingerprint
 
 
-def _filter_to_wire(filter_: Filter) -> tuple:
-    """Primitive, regex-free wire form of one compiled filter."""
-    opts = filter_.options
+def _options_to_wire(opts: FilterOptions) -> tuple:
+    """One option set as hashable primitives, in field-declaration order."""
     return (
-        filter_.text,
-        filter_.kind.value,
-        filter_.pattern,
-        filter_.list_name,
-        (
-            int(opts.type_mask),
-            sorted(opts.domains_include),
-            sorted(opts.domains_exclude),
-            opts.third_party,
-            opts.match_case,
-            opts.elemhide_exception,
-            opts.generic_hide,
-            opts.collapse,
-            tuple(opts.unknown_options),
-            tuple(opts.conflicts),
-        ),
+        int(opts.type_mask),
+        tuple(sorted(opts.domains_include)),
+        tuple(sorted(opts.domains_exclude)),
+        opts.third_party,
+        opts.match_case,
+        opts.elemhide_exception,
+        opts.generic_hide,
+        opts.collapse,
+        tuple(opts.unknown_options),
+        tuple(opts.conflicts),
     )
 
 
-def _filter_from_wire(wire: tuple) -> Filter:
-    """Rebuild a filter from its wire form, recompiling the regex.
-
-    Reconstructs directly rather than via :meth:`Filter.parse` so the
-    restored object is independent of parse-mode defaults: the snapshot
-    records exactly the option set the original engine matched with.
-    """
-    text, kind_value, pattern, list_name, opt_wire = wire
-    (
-        type_mask,
-        domains_include,
-        domains_exclude,
-        third_party,
-        match_case,
-        elemhide_exception,
-        generic_hide,
-        collapse,
-        unknown_options,
-        conflicts,
-    ) = opt_wire
-    options = FilterOptions(
-        type_mask=ContentType(type_mask),
-        domains_include=frozenset(domains_include),
-        domains_exclude=frozenset(domains_exclude),
-        third_party=third_party,
-        match_case=match_case,
-        elemhide_exception=elemhide_exception,
-        generic_hide=generic_hide,
-        collapse=collapse,
-        unknown_options=tuple(unknown_options),
-        conflicts=tuple(conflicts),
-    )
-    return Filter(
-        text=text,
-        kind=FilterKind(kind_value),
-        pattern=pattern,
-        regex=compile_pattern(pattern, match_case=match_case),
-        options=options,
-        list_name=list_name,
+def _options_from_wire(wire: "tuple | list") -> FilterOptions:
+    """Inverse of :func:`_options_to_wire` (JSON hands back lists)."""
+    type_mask, include, exclude, *flags, unknown, conflicts = wire
+    return FilterOptions(
+        ContentType(type_mask), frozenset(include), frozenset(exclude), *flags,
+        tuple(unknown), tuple(conflicts),
     )
 
 
@@ -542,7 +502,7 @@ class FilterEngine:
         )
 
     def export_snapshot_state(self) -> dict:
-        """Picklable primitive form of the full matcher state.
+        """JSON-ready primitive form of the full matcher state.
 
         The filter table is deduplicated by object identity so document
         exceptions (which appear both in the exception index and the
@@ -562,6 +522,20 @@ class FilterEngine:
         blocking = self._blocking.to_snapshot(ref)
         exceptions = self._exceptions.to_snapshot(ref)
         document_exceptions = [ref(f) for f in self._document_exceptions]
+        # A list has far fewer distinct option sets than filters: each
+        # is written once and filters refer to it by position.  The
+        # regex is no part of the wire form; it compiles on first search.
+        option_refs: dict[tuple, int] = {}
+        filters = [
+            (
+                f.text,
+                f.kind.value,
+                f.pattern,
+                f.list_name,
+                option_refs.setdefault(_options_to_wire(f.options), len(option_refs)),
+            )
+            for f in table
+        ]
         return {
             "state_version": SNAPSHOT_STATE_VERSION,
             "fingerprint": self._fingerprint,
@@ -569,7 +543,8 @@ class FilterEngine:
             "list_names": list(self._list_names),
             "page_sensitive_documents": self._page_sensitive_documents,
             "keyword_counts": sorted(self._keyword_counts.items()),
-            "filters": [_filter_to_wire(f) for f in table],
+            "options": list(option_refs),
+            "filters": filters,
             "blocking": blocking,
             "exceptions": exceptions,
             "document_exceptions": document_exceptions,
@@ -593,7 +568,21 @@ class FilterEngine:
                 f"(expected {SNAPSHOT_STATE_VERSION})"
             )
         engine = cls(use_keyword_index=state["use_index"])
-        filters = [_filter_from_wire(wire) for wire in state["filters"]]
+        # Built directly rather than via Filter.parse, so the restored
+        # filters carry exactly the option sets the original engine
+        # matched with.  Filters with equal options share one
+        # FilterOptions object: nothing mutates options after parsing.
+        options = [_options_from_wire(wire) for wire in state["options"]]
+        filters = [
+            Filter(
+                text=text,
+                kind=FilterKind(kind),
+                pattern=pattern,
+                options=options[option_ref],
+                list_name=list_name,
+            )
+            for text, kind, pattern, list_name, option_ref in state["filters"]
+        ]
         engine._blocking = _FilterIndex.from_snapshot(state["blocking"], filters)
         engine._exceptions = _FilterIndex.from_snapshot(state["exceptions"], filters)
         engine._document_exceptions = [filters[i] for i in state["document_exceptions"]]

@@ -18,7 +18,7 @@ JavaScript regexes.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from repro.filterlist.options import ContentType, FilterOptions, parse_options
@@ -147,18 +147,39 @@ def _find_options_separator(text: str) -> int | None:
 
 @dataclass(slots=True)
 class Filter:
-    """One compiled request filter (blocking or exception)."""
+    """One request filter (blocking or exception).
+
+    The pattern's regex is compiled the first time :attr:`regex` is
+    read, not when the filter is made: a list-scale engine holds tens
+    of thousands of filters and a trace only ever searches the few
+    hundred whose buckets its URLs reach (DESIGN.md §15).
+    """
+
+    # Process-local, never part of equality, ``repr`` or the snapshot
+    # wire form (``FilterEngine.export_snapshot_state``).
+    _TRANSIENT_STATE = ("_regex",)
 
     text: str
     kind: FilterKind
     pattern: str
-    regex: re.Pattern[str]
     options: FilterOptions
     list_name: str = ""
+    _regex: re.Pattern[str] | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def is_exception(self) -> bool:
         return self.kind is FilterKind.EXCEPTION
+
+    @property
+    def regex(self) -> re.Pattern[str]:
+        regex = self._regex
+        if regex is None:
+            # Unlocked on purpose: two threads racing here compile the
+            # same pattern twice and the last write wins — same regex
+            # either way (``serve`` builds engines in a worker thread
+            # but classifies on the loop).
+            regex = self._regex = compile_pattern(self.pattern, match_case=self.options.match_case)
+        return regex
 
     @classmethod
     def parse(cls, line: str, *, list_name: str = "", lenient: bool = False) -> "Filter":
@@ -186,15 +207,7 @@ class Filter:
         else:
             pattern, options = body, FilterOptions()
 
-        regex = compile_pattern(pattern, match_case=options.match_case)
-        return cls(
-            text=text,
-            kind=kind,
-            pattern=pattern,
-            regex=regex,
-            options=options,
-            list_name=list_name,
-        )
+        return cls(text=text, kind=kind, pattern=pattern, options=options, list_name=list_name)
 
     def matches(
         self,

@@ -104,7 +104,7 @@ def parse_list_text(text: str, name: str = "") -> ParsedList:
             continue
         try:
             result.filters.append(Filter.parse(line, list_name=name))
-        except (OptionParseError, re.error, ValueError) as exc:
+        except (OptionParseError, ValueError) as exc:
             result.invalid_lines.append(line)
             result.rejected.append(RejectedLine(line_no, line, str(exc)))
     return result

@@ -1,19 +1,30 @@
-"""Precompiled engine snapshots: compile once, deserialize in milliseconds.
+"""Precompiled engine snapshots: build the index once, restore it per process.
 
-Cold-start pays full list parse + regex compile + index build in every
-process — for the RBN-scale list sets that is seconds per worker, and
-`repro serve` pays it again on every hot reload.  ``repro compile-lists``
-freezes a loaded :class:`~repro.filterlist.engine.FilterEngine` (filter
-table, keyword buckets, hostname index, option tables, fingerprint) into
-a single on-disk artifact that any later process restores without
-re-parsing anything (DESIGN.md §15).
+Every process that classifies needs a ready engine — every CLI run,
+every pool worker, every ``repro serve`` hot reload.  ``repro
+compile-lists`` freezes a loaded :class:`~repro.filterlist.engine.FilterEngine`
+(filter table, option table, keyword buckets, hostname index,
+fingerprint) into one on-disk artifact that a later process restores
+without parsing a list (DESIGN.md §15).
+
+What a restore costs at 20,157 filters (2-core reference host): 0.27 s
+— ``json.loads`` 0.03–0.06, rebuilding the filter objects 0.05–0.09,
+one ``re.compile`` of the keyword trie 0.13–0.19, read + SHA-256 under
+0.01.  It was 2.0–2.5 s while every filter compiled its verification
+regex on restore (1.7 s of it); a filter now compiles its regex the
+first time a request reaches its bucket (:attr:`Filter.regex`), and a
+long-tail trace reaches a few hundred of the 20K.  The same change took
+parsing the 20K-rule list from text from 2.0 s to 0.35 s, so a snapshot
+still wins, narrowly.  Not built: a memory-mapped, lazily materialised
+filter table.  It could only remove the 0.1 s of decode and object
+building above, 2 % of a 4.5 s list-scale run.
 
 The framing is deliberately paranoid, mirroring the checkpoint format
 (:mod:`repro.robustness.checkpoint`): magic, container version, payload
-length and a SHA-256 digest precede the pickled payload, so truncated or
+length and a SHA-256 digest precede the JSON payload, so truncated or
 bit-flipped files are *detected* — :class:`SnapshotCorrupt` — rather
-than deserialized into a silently different matcher.  Identity is pinned
-twice:
+than decoded into a silently different matcher, and decoding runs no
+code the file chooses.  Identity is pinned twice:
 
 * the **engine fingerprint** inside the payload is the same chained
   SHA-256 the run-manifest machinery records (DESIGN.md §8), so a
@@ -25,17 +36,16 @@ twice:
 
 The payload stores the exact bucket layout, not matcher machinery:
 :func:`load_snapshot` restores it as the production
-:class:`~repro.filterlist.actrie.ACTrieEngine`, already compiled, and
-:meth:`FilterEngine.restore_snapshot_state` restores the same state as
-the reference bucket engine — decision-identical by the differential
-harness (``tests/test_engine_differential.py``).
+:class:`~repro.filterlist.actrie.ACTrieEngine`, its index already
+compiled, and :meth:`FilterEngine.restore_snapshot_state` restores the
+same state as the reference bucket engine — decision-identical by the
+differential harness (``tests/test_engine_differential.py``).
 """
 
 from __future__ import annotations
 
 import hashlib
-import mmap
-import pickle
+import json
 import struct
 from dataclasses import dataclass
 
@@ -56,7 +66,7 @@ __all__ = [
     "write_snapshot",
 ]
 
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2  # 1 framed a pickle of the same state
 
 _MAGIC = b"RPROSNAP"
 _HEADER = struct.Struct("<8sIQ32s")  # magic, version, payload length, sha256
@@ -135,7 +145,10 @@ def write_snapshot(
         "lists_fingerprint": lists_fingerprint,
         "source": source,
     }
-    blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    # ensure_ascii (the default) escapes the lone surrogates filter text
+    # can carry, so they round-trip; dicts keep insertion order, so
+    # identical state gives identical bytes.
+    blob = json.dumps(payload, separators=(",", ":")).encode("ascii")
     header = _HEADER.pack(_MAGIC, SNAPSHOT_VERSION, len(blob), hashlib.sha256(blob).digest())
     with atomic_writer(path, mode="wb") as stream:
         stream.write(header)
@@ -156,43 +169,15 @@ def _info_from_payload(payload: dict) -> SnapshotInfo:
     )
 
 
-def _read_payload(path: str, *, use_mmap: bool = True) -> dict:
-    """Read and validate the framing; raises :class:`SnapshotError`.
-
-    The file is mapped read-only (zero-copy restore, PR 9's leftover):
-    header fields are unpacked in place, the digest is computed over a
-    ``memoryview`` of the mapping, and ``pickle.loads`` consumes the
-    same view — the payload bytes are never copied into an intermediate
-    ``bytes`` object.  ``use_mmap=False`` forces the plain ``read()``
-    path (empty or pseudo files, and the A/B leg in
-    ``benchmarks/bench_ingest.py``).
-    """
+def _read_payload(path: str) -> dict:
+    """Read and validate the framing; raises :class:`SnapshotError`."""
     try:
-        stream = open(path, "rb")  # staticcheck: ok[RC001] read-only mmap source
+        with open(path, "rb") as stream:
+            data = stream.read()
     except FileNotFoundError:
         raise  # missing input, not damage — callers map it to exit 2
     except OSError as exc:
         raise SnapshotCorrupt(f"{path}: {exc}") from None
-    mapped: mmap.mmap | None = None
-    data: bytes | mmap.mmap
-    try:
-        if use_mmap:
-            try:
-                mapped = mmap.mmap(stream.fileno(), 0, access=mmap.ACCESS_READ)
-                data = mapped
-            except (ValueError, OSError):  # empty / unmappable file: fall back to a copy
-                stream.seek(0)
-                data = stream.read()
-        else:
-            data = stream.read()
-        return _validate_payload(path, data)
-    finally:
-        if mapped is not None:
-            mapped.close()
-        stream.close()
-
-
-def _validate_payload(path: str, data: bytes | mmap.mmap) -> dict:
     if len(data) < _HEADER.size:
         raise SnapshotCorrupt(f"{path}: truncated header ({len(data)} bytes)")
     magic, version, length, digest = _HEADER.unpack_from(data)
@@ -202,23 +187,18 @@ def _validate_payload(path: str, data: bytes | mmap.mmap) -> dict:
         raise SnapshotVersionError(
             f"{path}: unsupported snapshot version {version} (expected {SNAPSHOT_VERSION})"
         )
-    blob = memoryview(data)[_HEADER.size :]
+    blob = data[_HEADER.size :]
+    if len(blob) != length:
+        raise SnapshotCorrupt(f"{path}: torn payload ({len(blob)}/{length} bytes)")
+    if hashlib.sha256(blob).digest() != digest:
+        raise SnapshotCorrupt(f"{path}: checksum mismatch")
     try:
-        if len(blob) != length:
-            raise SnapshotCorrupt(f"{path}: torn payload ({len(blob)}/{length} bytes)")
-        if hashlib.sha256(blob).digest() != digest:
-            raise SnapshotCorrupt(f"{path}: checksum mismatch")
-        try:
-            payload = pickle.loads(blob)
-        except Exception as exc:  # pickle raises a zoo of types; staticcheck: ok[RC002] rethrown as SnapshotCorrupt
-            raise SnapshotCorrupt(f"{path}: undecodable payload: {exc}") from None
-    finally:
-        # Release the view before the caller closes the mapping —
-        # mmap.close() raises BufferError while views are outstanding.
-        blob.release()
-    if not isinstance(payload, dict) or "state" not in payload:
+        payload = json.loads(blob)
+    except (ValueError, RecursionError) as exc:
+        raise SnapshotCorrupt(f"{path}: undecodable payload: {exc}") from None
+    state = payload.get("state") if isinstance(payload, dict) else None
+    if not isinstance(state, dict):
         raise SnapshotCorrupt(f"{path}: unexpected payload shape")
-    state = payload["state"]
     if state.get("state_version") != SNAPSHOT_STATE_VERSION:
         raise SnapshotVersionError(
             f"{path}: engine state version {state.get('state_version')!r} "
@@ -236,16 +216,14 @@ def load_snapshot(
     path: str,
     *,
     expected_fingerprint: str | None = None,
-    use_mmap: bool = True,
 ) -> LoadedSnapshot:
     """Restore a ready-to-serve engine from ``path``; raises :class:`SnapshotError`.
 
     ``expected_fingerprint`` pins identity: pass the engine fingerprint
     a run manifest recorded (or one freshly computed from list files) to
     refuse a stale or wrong snapshot *before* any decision is made.
-    ``use_mmap=False`` opts out of the zero-copy restore path.
     """
-    payload = _read_payload(path, use_mmap=use_mmap)
+    payload = _read_payload(path)
     state = payload["state"]
     if expected_fingerprint is not None and state["fingerprint"] != expected_fingerprint:
         raise SnapshotFingerprintMismatch(expected_fingerprint, state["fingerprint"])

@@ -35,9 +35,8 @@ import queue as queue_module
 import signal
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
-from repro.analysis.traffic import TrafficAccumulator
 from repro.core.pipeline import AdClassificationPipeline
 from repro.parallel.sharding import OrderedRowEmitter, QuarantineMerger
 from repro.parallel.supervision import RunInterrupted, WorkerFailure, WorkerSupervisor
@@ -50,6 +49,9 @@ from repro.robustness.policy import ErrorPolicy, LogParseError
 from repro.robustness.quarantine import QuarantineWriter
 from repro.robustness.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from repro.robustness.runstate import ClassifySink, ManifestMismatch, RunManifest
+
+if TYPE_CHECKING:
+    from repro.analysis.traffic import TrafficAccumulator
 
 __all__ = [
     "ParallelOutcome",
@@ -529,6 +531,9 @@ class ParallelRun:
         health.shards_degraded += len(degraded_shards)
         accumulator = None
         if self.emit == "fold":
+            # Only ``report`` folds; classify must not import numpy.
+            from repro.analysis.traffic import TrafficAccumulator
+
             accumulator = TrafficAccumulator()
             for _worker_id, message in sorted(done.items()):
                 accumulator.merge_state(message["fold"])

@@ -42,9 +42,8 @@ import threading
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
-from repro.analysis.traffic import TrafficAccumulator
 from repro.core.pipeline import AdClassificationPipeline, StreamingClassifier
 from repro.exitcodes import EXIT_WORKER_ORPHANED, EXIT_WORKER_TERMINATED
 from repro.http.log import HttpLogRecord, SeekableLogReader
@@ -55,6 +54,9 @@ from repro.robustness.health import PipelineHealth
 from repro.robustness.policy import ErrorPolicy, LogParseError
 from repro.robustness.quarantine import QuarantineWriter
 from repro.robustness.runstate import classification_row
+
+if TYPE_CHECKING:
+    from repro.analysis.traffic import TrafficAccumulator
 
 __all__ = ["WorkerConfig", "run_worker", "SHARD_STATE_VERSION"]
 
@@ -254,9 +256,12 @@ class _ShardWorker:
         self._max_ts = float("-inf")
         # Outbound row batch: (global index, rendered row, is_ad, is_wl).
         self._rows: list[tuple[int, str, bool, bool]] = []
-        self.accumulator: TrafficAccumulator | None = (
-            TrafficAccumulator() if config.emit == "fold" else None
-        )
+        self.accumulator: TrafficAccumulator | None = None
+        if config.emit == "fold":
+            # Only ``report`` folds; classify must not import numpy.
+            from repro.analysis.traffic import TrafficAccumulator
+
+            self.accumulator = TrafficAccumulator()
         self.classifier: StreamingClassifier | None = None
         self.reader: SeekableLogReader | None = None
         # Supervision plumbing (DESIGN.md §12).

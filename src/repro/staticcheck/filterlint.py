@@ -369,7 +369,7 @@ def lint_texts(named_texts: list[tuple[str, str]]) -> list[Diagnostic]:
                 continue
             try:
                 filter_ = Filter.parse(line, list_name=name, lenient=True)
-            except (OptionParseError, re.error, ValueError) as exc:
+            except (OptionParseError, ValueError) as exc:
                 findings.append(
                     _diag("FL001", f"unparseable rule: {exc}",
                           source=name, line=line_no, subject=line)

@@ -38,6 +38,22 @@ def test_importing_the_cli_loads_no_staticcheck_module():
     assert done.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("module", ["repro.cli", "repro.serve"])
+def test_importing_classify_and_serve_loads_no_numpy(module):
+    """Only the table commands (ecosystem, usage, crawl, report) import
+    ``repro.analysis``; numpy is 0.13 s and 16 MiB every other process
+    would pay at start-up."""
+    code = (
+        f"import sys, {module}; "
+        "print([m for m in sys.modules "
+        "if m == 'numpy' or m.split('.')[:2] == ['repro', 'analysis']])"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):

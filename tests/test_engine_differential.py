@@ -1,6 +1,8 @@
 """Oracle-vs-production differential decision harness (DESIGN.md §15).
 
-The production engine must be *decision-identical* to the oracle.  Four
+The production engine must be *decision-identical* to the oracle — and
+since a filter's regex compiles on first search, identical no matter
+which patterns happen to be compiled when a request arrives.  Four
 routes to one contract: the plain bucketed :class:`FilterEngine`
 (``buckets``, the oracle), the Aho–Corasick :class:`ACTrieEngine` every
 production path builds (``actrie``), and both engine classes restored
@@ -202,6 +204,34 @@ class TestDifferential:
             "direct": base,
         }
         for url, context in workload:
+            _assert_identical(engines, url, context)
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(lines=_lists(), workload=_workload, opaque=st.sampled_from(_OPAQUE_HOSTS))
+    def test_lazy_restored_engine_against_cold_built_oracle(
+        self, lines, workload, opaque, tmp_path_factory
+    ):
+        """A restored engine has compiled no filter pattern yet; the
+        oracle is built from text and has compiled every one.  The
+        restored engine's first request carries an opaque host, which
+        flattens (and compiles) every host bucket at once; whatever is
+        compiled when, the matched filter's text and list must agree."""
+        oracle = FilterEngine()
+        for name, texts in lines.items():
+            oracle.add_filters([Filter.parse(text) for text in texts], list_name=name)
+        path = str(tmp_path_factory.mktemp("snap") / "engine.snap")
+        write_snapshot(path, oracle)
+        for filter_ in oracle.iter_filters():
+            assert filter_.regex is not None  # the oracle defers nothing
+        restored = load_snapshot(path).engine
+        assert isinstance(restored, ACTrieEngine)
+        engines = {"oracle": oracle, "restored": restored}
+        first = (
+            f"http://{opaque}/ad/f.gif",
+            RequestContext(ContentType.IMAGE, "http://news.example/"),
+        )
+        for url, context in [first, *workload]:
             _assert_identical(engines, url, context)
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.filterlist.filter import (
@@ -131,6 +133,47 @@ class TestFilterParse:
         assert not filter_.matches_document("http://other.com/", "other.com")
         blocking = Filter.parse("||x.com^")
         assert not blocking.matches_document("http://x.com/", "x.com")
+
+
+class TestLazyRegex:
+    """The pattern compiles on first read of ``regex``; nothing a caller
+    can compare or print tells a searched filter from a fresh one."""
+
+    def test_equality_and_repr_are_unchanged_by_searching(self):
+        line = "||ads.example.com^$third-party,script"
+        searched, fresh = Filter.parse(line), Filter.parse(line)
+        before = repr(searched)
+        assert searched.matches(
+            "http://ads.example.com/a.js", ContentType.SCRIPT, "news.example", third_party=True
+        )
+        assert searched == fresh
+        assert repr(searched) == before == repr(fresh)
+        assert "regex" not in before
+
+    def test_regex_is_compiled_once_and_honours_match_case(self):
+        filter_ = Filter.parse("/BannerAd/$match-case")
+        assert filter_.regex is filter_.regex
+        assert filter_.regex.search("http://x.example/BannerAd/1")
+        assert not filter_.regex.search("http://x.example/bannerad/1")
+
+    @pytest.mark.parametrize("seed", [20151028, 7])
+    def test_compile_pattern_raises_for_no_input(self, seed):
+        """Deferring the compile must never turn a load-time rejection
+        into a request-time exception: every character is escaped or
+        substituted, so no pattern can fail to compile."""
+        alphabet = (
+            list("|*^") * 4
+            + list(r"\.+?()[]{}$-/&=:%#~,!'\"")
+            + list("abcXYZ019_ ")
+            + ["\x00", "\x07", "\t", "\n", "\r", "\x1b", "\x7f"]
+            + ["\u00e9", "\u0130", "\u212a", "\u4e2d", "\U0001f600", "\udcff"]
+        )
+        rng = random.Random(seed)
+        for _ in range(2500):
+            pattern = "".join(rng.choices(alphabet, k=rng.randint(0, 24)))
+            for match_case in (False, True):
+                compiled = compile_pattern(pattern, match_case=match_case)
+                compiled.search("http://ads.example.com/banner?x=1")
 
 
 class TestElementHiding:

@@ -12,6 +12,7 @@ corruptor).
 from __future__ import annotations
 
 import pathlib
+import struct
 
 import pytest
 
@@ -22,10 +23,12 @@ from repro.filterlist.engine import (
     FilterEngine,
     RequestContext,
     fingerprint_of_filters,
+    tokenize_url,
 )
 from repro.filterlist.filter import Filter
 from repro.filterlist.options import ContentType
 from repro.filterlist.snapshot import (
+    SNAPSHOT_VERSION,
     SnapshotCorrupt,
     SnapshotError,
     SnapshotFingerprintMismatch,
@@ -93,6 +96,8 @@ class TestRoundTrip:
         assert loaded.engine.fingerprint == base.fingerprint
         assert loaded.engine.filter_count == base.filter_count
         assert loaded.engine.list_names == base.list_names
+        # Filter equality covers text, kind, pattern, list and option set.
+        assert loaded.engine.iter_filters() == base.iter_filters()
         forbid_engine_compile()  # restored means ready: no request compiles
         assert _decisions(loaded.engine) == _decisions(base)
 
@@ -128,14 +133,81 @@ class TestRoundTrip:
         with pytest.raises(FileNotFoundError):
             load_snapshot(str(tmp_path / "nope.snap"))
 
-    def test_mmap_and_read_restores_agree(self, snapshot_path):
-        # The zero-copy (mmap) restore and the plain read() path must
-        # produce the same engine — and the mapping must be released
-        # (the file stays deletable / the view raises no BufferError).
-        mapped = load_snapshot(snapshot_path, use_mmap=True)
-        copied = load_snapshot(snapshot_path, use_mmap=False)
-        assert mapped.info == copied.info
-        assert _decisions(mapped.engine) == _decisions(copied.engine)
+    def test_surrogate_bearing_filter_text_round_trips(self, tmp_path):
+        # A list read with surrogateescape can hand the engine a lone
+        # surrogate; the fingerprint already hashes it with "replace",
+        # and the JSON payload must carry it through unchanged.
+        text = "/ad\udcff/banner"
+        engine = FilterEngine()
+        engine.add_filters([Filter.parse(text), Filter.parse("/caf\u00e9/")], list_name="odd")
+        path = str(tmp_path / "odd.snap")
+        write_snapshot(path, engine)
+        restored = load_snapshot(path).engine
+        assert [f.text for f in restored.iter_filters()] == [
+            f.text for f in engine.iter_filters()
+        ]
+        assert restored.fingerprint == engine.fingerprint
+        context = RequestContext(ContentType.IMAGE, "http://pub.example/")
+        assert restored.match("http://x.example/ad\udcff/banner", context).is_blocked
+
+
+class TestLazyVerificationRegexes:
+    """Restoring compiles the ACTrie index, not 5,000 filter regexes:
+    a filter's pattern compiles when a request first reaches its bucket."""
+
+    @staticmethod
+    def _list_scale_engine() -> FilterEngine:
+        lines = []
+        for i in range(1200):
+            lines += [
+                f"||ads{i}.net{i % 53}.example^$third-party",
+                f"/banner{i}/*$image",
+                f"&slot{i}=",
+                f"||cdn{i}.example/static{i % 7}/",
+                f"@@||ok{i}.net{i % 53}.example^",
+            ]
+        lines += ["||shared.example^", "/banner7/*.gif", "@@||shared.example/ok/", "ad*x", "@@*y*z"]
+        engine = FilterEngine()
+        engine.add_filters([Filter.parse(line) for line in lines], list_name="generated")
+        return engine
+
+    @staticmethod
+    def _compiled(engine) -> set[int]:
+        return {id(f) for f in engine.iter_filters() if f._regex is not None}  # noqa: SLF001
+
+    def test_restore_compiles_on_first_touch_only(self, tmp_path, forbid_engine_compile):
+        path = str(tmp_path / "big.snap")
+        cold = self._list_scale_engine()
+        assert cold.filter_count >= 5000
+        write_snapshot(path, cold)
+        engine = load_snapshot(path).engine
+        forbid_engine_compile()  # the index is compiled; only patterns are deferred
+        tail = {
+            id(f)
+            for index in (engine._blocking, engine._exceptions)  # noqa: SLF001
+            for f in index._keywordless  # noqa: SLF001
+        }
+        assert tail and self._compiled(engine) <= tail
+
+        url = "http://ads7.shared.example/banner7/x.gif?slot9=1"
+        context = RequestContext(ContentType.IMAGE, "http://news.example/")
+        got = engine.classify(url, context)
+        consulted = set(tail)
+        for index in (engine._blocking, engine._exceptions):  # noqa: SLF001
+            consulted.update(id(f) for f in index._by_host.get("shared.example", ()))  # noqa: SLF001
+            for token in tokenize_url(url):
+                consulted.update(id(f) for f in index._by_keyword.get(token, ()))  # noqa: SLF001
+        compiled = self._compiled(engine)
+        assert compiled - tail, "the request searched no bucketed filter"
+        assert compiled <= consulted
+        assert len(compiled) < 20
+
+        want = cold.classify(url, context)
+        assert want.blacklist_filter is not None
+        for attr in ("blacklist_filter", "whitelist_filter"):
+            a, b = getattr(got, attr), getattr(want, attr)
+            assert (a and (a.text, a.list_name)) == (b and (b.text, b.list_name))
+        assert got.blacklist_lists == want.blacklist_lists
 
 
 class TestFaultInjection:
@@ -187,6 +259,19 @@ class TestFaultInjection:
         pathlib.Path(snapshot_path).write_bytes(bytes(data))
         with pytest.raises(SnapshotVersionError, match="unsupported snapshot version"):
             load_snapshot(snapshot_path)
+
+    def test_v1_pickle_era_header_is_a_version_error(self, snapshot_path):
+        # A snapshot written before the JSON payload (container version
+        # 1) is version skew like any other: refused before a payload
+        # byte is read, never unpickled.
+        assert SNAPSHOT_VERSION == 2
+        data = pathlib.Path(snapshot_path).read_bytes()
+        v1 = data[:8] + struct.pack("<I", 1) + data[12:]
+        pathlib.Path(snapshot_path).write_bytes(v1)
+        with pytest.raises(SnapshotVersionError, match="unsupported snapshot version 1"):
+            load_snapshot(snapshot_path)
+        with pytest.raises(SnapshotVersionError):
+            inspect_snapshot(snapshot_path)
 
     def test_fingerprint_mismatch_is_identity_not_damage(self, snapshot_path):
         expected = "0" * 64
