@@ -39,12 +39,10 @@ invocations compose as long as those flags agree.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
-from typing import TYPE_CHECKING, Sequence, TextIO
-
-if TYPE_CHECKING:
-    from repro.analysis.traffic import TrafficAccumulator
+from typing import Sequence, TextIO
 
 from repro.core import AdClassificationPipeline
 from repro.exitcodes import (
@@ -72,18 +70,20 @@ from repro.robustness import (
     ErrorPolicy,
     LogParseError,
     PipelineHealth,
-    QuarantineWriter,
     atomic_writer,
 )
 from repro.robustness.runstate import (
     DEFAULT_CHECKPOINT_EVERY,
+    Checkpointing,
     ClassifySink,
-    DurableRun,
     ManifestMismatch,
     RunManifest,
+    RunResult,
+    RunSink,
     TrafficSink,
     UserStatsSink,
-    classification_row,
+    open_quarantine,
+    run_serial,
 )
 from repro.trace import (
     CorruptionConfig,
@@ -316,70 +316,92 @@ def _note_cache(health: PipelineHealth, pipeline: AdClassificationPipeline) -> N
         health.add_url_cache_stats(url_info.hits, url_info.misses)
 
 
-def _quarantine_path(args: argparse.Namespace) -> str:
-    return args.quarantine_out or f"{args.trace}.quarantine"
+def _quarantine_path(args: argparse.Namespace) -> str | None:
+    """The sidecar path, or None unless ``--on-error quarantine``."""
+    if args.on_error != "quarantine":
+        return None
+    path = args.quarantine_out or f"{args.trace}.quarantine"
+    # A durable run names the sidecar the way its manifest pins it: absolute.
+    return os.path.abspath(path) if getattr(args, "checkpoint_dir", None) else path
 
 
-def _load_http_records(args: argparse.Namespace, health: PipelineHealth):
-    """Read the HTTP log under the command's error policy."""
-    policy = ErrorPolicy(args.on_error)
-    quarantine = None
-    quarantine_path = None
-    if policy is ErrorPolicy.QUARANTINE:
-        quarantine_path = _quarantine_path(args)
-        quarantine = QuarantineWriter.open(quarantine_path)
-    try:
-        with SeekableLogReader(
-            args.trace, on_error=policy, health=health, quarantine=quarantine
-        ) as reader:
-            records = list(reader)
-    finally:
-        if quarantine is not None:
-            quarantine.close()
-    if quarantine is not None and quarantine.count:
-        print(f"quarantined {quarantine.count} lines to {quarantine_path}")
-    return records
+def _print_quarantined(count: int, path: str | None) -> None:
+    if count:
+        print(f"quarantined {count} lines to {path}")
 
 
-def _durable_run(
+def _run(
     args: argparse.Namespace,
-    *,
-    command: str,
-    pipeline: AdClassificationPipeline,
-    lists,
-    sink,
+    sink: RunSink,
     params: dict,
-    output_path: str | None = None,
+    *,
     reorder_window: float | None = None,
     max_users: int | None = None,
-):
-    """Build and execute the checkpointed run for one subcommand."""
+) -> RunResult:
+    """Execute one classify/usage/report: trace → classifier → ``sink``.
+
+    The one way a record reaches a sink: :func:`run_serial`, or with
+    ``--workers`` the shard pool folding into the same sink
+    (DESIGN.md §10).  ``--checkpoint-dir`` hands either one a
+    :class:`Checkpointing`, keyed by ``params``, the manifest's
+    identity of the run (DESIGN.md §8); without it the run is plain.
+    """
     policy = ErrorPolicy(args.on_error)
-    quarantine_path = _quarantine_path(args) if policy is ErrorPolicy.QUARANTINE else None
-    manifest = RunManifest.build(
-        command=command,
-        params=params,
-        lists=lists,
-        input_path=args.trace,
-        output_path=output_path,
-        quarantine_path=quarantine_path,
-    )
-    runner = DurableRun(
-        directory=args.checkpoint_dir,
-        manifest=manifest,
-        pipeline=pipeline,
-        sink=sink,
-        on_error=policy,
-        checkpoint_every=args.checkpoint_every or None,
-        resume=args.resume,
-        reorder_window=reorder_window,
-        max_users=max_users,
-        crash_injector=CrashInjector(args.crash_after) if args.crash_after else None,
-        log=print,
-    )
-    result = runner.run()
-    if result.quarantine_count:
-        print(f"quarantined {result.quarantine_count} lines to {result.quarantine_path}")
+    quarantine_path = _quarantine_path(args)
+    workers = getattr(args, "workers", None)
+    get_lists = _lists_factory(args)
+    checkpointing = None
+    if args.checkpoint_dir:
+        checkpointing = Checkpointing(
+            directory=args.checkpoint_dir,
+            manifest=RunManifest.build(
+                command=params["command"],
+                params=params,
+                lists=get_lists(),
+                input_path=args.trace,
+                output_path=getattr(args, "out", None),
+                quarantine_path=quarantine_path,
+            ),
+            every=args.checkpoint_every or None,
+            resume=args.resume,
+            crash_injector=CrashInjector(args.crash_after) if args.crash_after else None,
+        )
+    if workers is None:
+        expected = None
+        if checkpointing is not None and args.engine_snapshot:
+            expected = _expected_engine_fingerprint(get_lists())
+        pipeline = _resolve_pipeline(args, get_lists, expected_fingerprint=expected)
+        result = run_serial(
+            args.trace,
+            pipeline,
+            sink,
+            on_error=policy,
+            quarantine_path=quarantine_path,
+            reorder_window=reorder_window,
+            max_users=max_users,
+            checkpointing=checkpointing,
+            log=print,
+        )
+        _note_cache(result.health, pipeline)
+    else:
+        from repro.parallel import ParallelRun
+
+        result = ParallelRun(
+            workers=workers,
+            input_path=args.trace,
+            pipeline_factory=_pipeline_factory(args),
+            on_error=policy,
+            quarantine_path=quarantine_path,
+            reorder_window=reorder_window,
+            emit="fold" if isinstance(sink, TrafficSink) else "rows",
+            sink=sink,
+            checkpointing=checkpointing,
+            # The pool narrates (resume point, respawns, lost shards) on
+            # durable runs; a plain run's stdout is its summary alone.
+            log=print if checkpointing is not None else (lambda message: None),
+            **_supervision_kwargs(args),
+        ).run()
+    _print_quarantined(result.quarantine_count, quarantine_path)
     return result
 
 
@@ -486,12 +508,9 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     """
     policy = ErrorPolicy(args.on_error)
     health = PipelineHealth()
-    quarantine = None
-    quarantine_path = None
-    if policy is ErrorPolicy.QUARANTINE:
-        quarantine_path = _quarantine_path(args)
-        quarantine = QuarantineWriter.open(quarantine_path)
-    try:
+    quarantine_path = _quarantine_path(args)
+    quarantine = open_quarantine(policy, quarantine_path)
+    with quarantine or contextlib.nullcontext():
         with SeekableLogReader(
             args.trace, on_error=policy, health=health, quarantine=quarantine
         ) as reader:
@@ -503,11 +522,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
             else:
                 with atomic_writer(args.out) as stream:
                     count = write_log(reader, stream)
-    finally:
-        if quarantine is not None:
-            quarantine.close()
-    if quarantine is not None and quarantine.count:
-        print(f"quarantined {quarantine.count} lines to {quarantine_path}")
+    _print_quarantined(quarantine.count if quarantine is not None else 0, quarantine_path)
     print(f"converted {count} records: {args.trace} ({source}) -> {args.out} ({target})")
     if health.records_dropped:
         print(health.summary())
@@ -541,156 +556,34 @@ def _classify_params(args: argparse.Namespace) -> dict:
     }
 
 
-def _classify_parallel(args: argparse.Namespace) -> int:
-    """`repro classify --workers N` (DESIGN.md §10)."""
-    from repro.parallel import ParallelRun
-
-    factory = _pipeline_factory(args)
-    policy = ErrorPolicy(args.on_error)
-
-    if args.checkpoint_dir:
-        ecosystem = _ecosystem_from(args)
-        lists = build_lists(ecosystem.list_spec())
-        quarantine_path = _quarantine_path(args) if policy is ErrorPolicy.QUARANTINE else None
-        manifest = RunManifest.build(
-            command="classify",
-            params=_classify_params(args),
-            lists=lists,
-            input_path=args.trace,
-            output_path=args.out,
-            quarantine_path=quarantine_path,
-        )
-        sink = ClassifySink(
-            part_path=os.path.join(args.checkpoint_dir, "output.part") if args.out else None,
-            final_path=os.path.abspath(args.out) if args.out else None,
-        )
-        outcome = ParallelRun(
-            workers=args.workers,
-            input_path=args.trace,
-            pipeline_factory=factory,
-            on_error=policy,
-            reorder_window=args.reorder_window,
-            directory=args.checkpoint_dir,
-            manifest=manifest,
-            sink=sink,
-            checkpoint_every=args.checkpoint_every or None,
-            resume=args.resume,
-            crash_injector=CrashInjector(args.crash_after) if args.crash_after else None,
-            log=print,
-            **_supervision_kwargs(args),
-        ).run()
-        if outcome.quarantine_count:
-            print(f"quarantined {outcome.quarantine_count} lines to {outcome.quarantine_path}")
-        _classify_summary(sink.total, sink.ads, sink.whitelisted)
-        if args.out and not outcome.degraded_shards:
-            print(f"wrote classification to {args.out}")
-        return _finish(outcome.health, always_summarize=True, fmt=args.health_format)
-
-    quarantine = None
-    quarantine_path = None
-    if policy is ErrorPolicy.QUARANTINE:
-        quarantine_path = _quarantine_path(args)
-        quarantine = QuarantineWriter.open(quarantine_path)
-    rows: list[str] = []
-    counts = {"ads": 0, "whitelisted": 0}
-
-    def on_row(row: str, is_ad: bool, is_whitelisted: bool) -> None:
-        rows.append(row)
-        if is_ad:
-            counts["ads"] += 1
-        if is_whitelisted:
-            counts["whitelisted"] += 1
-
-    try:
-        outcome = ParallelRun(
-            workers=args.workers,
-            input_path=args.trace,
-            pipeline_factory=factory,
-            on_error=policy,
-            reorder_window=args.reorder_window,
-            on_row=on_row,
-            quarantine=quarantine,
-            **_supervision_kwargs(args),
-        ).run()
-    finally:
-        if quarantine is not None:
-            quarantine.close()
-    if quarantine is not None and quarantine.count:
-        print(f"quarantined {quarantine.count} lines to {quarantine_path}")
-    _classify_summary(len(rows), counts["ads"], counts["whitelisted"])
-    if args.out:
-        if outcome.degraded_shards:
-            print(f"not writing {args.out}: output is a partial prefix "
-                  f"(shards {outcome.degraded_shards} lost)")
-        else:
-            with atomic_writer(args.out) as stream:
-                stream.write(ClassifySink.HEADER)
-                for row in rows:
-                    stream.write(row + "\n")
-            print(f"wrote classification to {args.out}")
-    return _finish(outcome.health, always_summarize=True, fmt=args.health_format)
-
-
 def _cmd_classify(args: argparse.Namespace) -> int:
     _check_checkpoint_args(args)
     _check_parallel_args(args)
-    if args.workers is not None:
-        return _classify_parallel(args)
-    get_lists = _lists_factory(args)
-
-    if args.checkpoint_dir:
-        lists = get_lists()
-        expected = _expected_engine_fingerprint(lists) if args.engine_snapshot else None
-        pipeline = _resolve_pipeline(args, get_lists, expected_fingerprint=expected)
-        sink = ClassifySink(
-            part_path=os.path.join(args.checkpoint_dir, "output.part") if args.out else None,
-            final_path=os.path.abspath(args.out) if args.out else None,
-        )
-        result = _durable_run(
-            args,
-            command="classify",
-            pipeline=pipeline,
-            lists=lists,
-            sink=sink,
-            params=_classify_params(args),
-            output_path=args.out,
-            reorder_window=args.reorder_window,
-            max_users=args.max_users,
-        )
-        _classify_summary(sink.total, sink.ads, sink.whitelisted)
-        if args.out:
-            print(f"wrote classification to {args.out}")
-        _note_cache(result.health, pipeline)
-        return _finish(result.health, always_summarize=True, fmt=args.health_format)
-
-    pipeline = _resolve_pipeline(args, get_lists)
-    health = PipelineHealth()
-    records = _load_http_records(args, health)
-    entries = pipeline.process(
-        records,
-        health=health,
-        max_users=args.max_users,
-        reorder_window=args.reorder_window,
+    part_path = None
+    if args.out and args.checkpoint_dir:
+        part_path = os.path.join(args.checkpoint_dir, "output.part")
+    sink = ClassifySink(
+        part_path=part_path, final_path=os.path.abspath(args.out) if args.out else None
     )
-
-    ads = sum(1 for entry in entries if entry.is_ad)
-    whitelisted = sum(1 for entry in entries if entry.is_whitelisted)
-    _classify_summary(len(entries), ads, whitelisted)
-
-    if args.out:
-        with atomic_writer(args.out) as stream:
-            stream.write(ClassifySink.HEADER)
-            for entry in entries:
-                stream.write(classification_row(entry) + "\n")
+    result = _run(
+        args,
+        sink,
+        _classify_params(args),
+        reorder_window=args.reorder_window,
+        max_users=args.max_users,
+    )
+    _classify_summary(sink.total, sink.ads, sink.whitelisted)
+    if args.out and not result.degraded_shards:
         print(f"wrote classification to {args.out}")
-    _note_cache(health, pipeline)
-    return _finish(health, always_summarize=True, fmt=args.health_format)
+    elif args.out and not args.checkpoint_dir:
+        print(f"not writing {args.out}: output is a partial prefix "
+              f"(shards {result.degraded_shards} lost)")
+    return _finish(result.health, always_summarize=True, fmt=args.health_format)
 
 
 def _cmd_usage(args: argparse.Namespace) -> int:
     from repro.analysis.report import render_table
     from repro.core import (
-        aggregate_users,
         annotate_browsers,
         classify_usage,
         heavy_hitters,
@@ -699,43 +592,20 @@ def _cmd_usage(args: argparse.Namespace) -> int:
 
     _check_checkpoint_args(args)
     ecosystem = _ecosystem_from(args)
-    get_lists = _lists_factory(args)
-
-    if args.checkpoint_dir:
-        lists = get_lists()
-        expected = _expected_engine_fingerprint(lists) if args.engine_snapshot else None
-        pipeline = _resolve_pipeline(args, get_lists, expected_fingerprint=expected)
-        sink = UserStatsSink()
-        result = _durable_run(
-            args,
-            command="usage",
-            pipeline=pipeline,
-            lists=lists,
-            sink=sink,
-            params={
-                "command": "usage",
-                "publishers": args.publishers,
-                "eco_seed": args.eco_seed,
-                "on_error": args.on_error,
-            },
-        )
-        health = result.health
-        stats = sink.stats
-        total_requests, total_ads = sink.total, sink.total_ads
-    else:
-        pipeline = _resolve_pipeline(args, get_lists)
-        health = PipelineHealth()
-        records = _load_http_records(args, health)
-        entries = pipeline.process(records, health=health)
-        stats = aggregate_users(entries)
-        total_requests = len(entries)
-        total_ads = sum(1 for entry in entries if entry.is_ad)
+    sink = UserStatsSink()
+    params = {
+        "command": "usage",
+        "publishers": args.publishers,
+        "eco_seed": args.eco_seed,
+        "on_error": args.on_error,
+    }
+    health = _run(args, sink, params).health
 
     with open(args.tls) as stream:
         tls_records = _read_tls(stream)
     downloads = easylist_download_clients(tls_records, abp_server_ips(ecosystem))
 
-    annotation = annotate_browsers(heavy_hitters(stats, min_requests=args.min_requests))
+    annotation = annotate_browsers(heavy_hitters(sink.stats, min_requests=args.min_requests))
     usages = classify_usage(
         list(annotation.browsers.values()), downloads, threshold=args.threshold
     )
@@ -747,13 +617,12 @@ def _cmd_usage(args: argparse.Namespace) -> int:
             "% requests": f"{100 * row.request_share:.1f}%",
             "% ad reqs": f"{100 * row.ad_request_share:.1f}%",
         }
-        for row in usage_breakdown(usages, total_requests=total_requests, total_ads=total_ads)
+        for row in usage_breakdown(usages, total_requests=sink.total, total_ads=sink.total_ads)
     ]
     print(render_table(rows, title="ad-blocker usage classes (paper Table 3)"))
     likely = sum(1 for usage in usages if usage.likely_adblock)
     print(f"likely Adblock Plus users: {likely}/{len(usages)} active browsers")
-    _note_cache(health, pipeline)
-    return _finish(health)
+    return _finish(health, fmt=args.health_format)
 
 
 def _cmd_crawl(args: argparse.Namespace) -> int:
@@ -788,7 +657,7 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.analysis.traffic import TrafficAccumulator
+    from repro.analysis.report import render_table
 
     _check_checkpoint_args(args)
     _check_parallel_args(args)
@@ -796,74 +665,16 @@ def _cmd_report(args: argparse.Namespace) -> int:
         raise SystemExit(
             "error: --workers with --checkpoint-dir is only supported for classify"
         )
-    if args.workers is not None:
-        from repro.parallel import ParallelRun
+    sink = TrafficSink()
+    params = {
+        "command": "report",
+        "publishers": args.publishers,
+        "eco_seed": args.eco_seed,
+        "on_error": args.on_error,
+    }
+    health = _run(args, sink, params).health
 
-        policy = ErrorPolicy(args.on_error)
-        quarantine = None
-        quarantine_path = None
-        if policy is ErrorPolicy.QUARANTINE:
-            quarantine_path = _quarantine_path(args)
-            quarantine = QuarantineWriter.open(quarantine_path)
-        try:
-            outcome = ParallelRun(
-                workers=args.workers,
-                input_path=args.trace,
-                pipeline_factory=_pipeline_factory(args),
-                on_error=policy,
-                emit="fold",
-                quarantine=quarantine,
-                **_supervision_kwargs(args),
-            ).run()
-        finally:
-            if quarantine is not None:
-                quarantine.close()
-        if quarantine is not None and quarantine.count:
-            print(f"quarantined {quarantine.count} lines to {quarantine_path}")
-        health = outcome.health
-        accumulator = outcome.accumulator
-        assert accumulator is not None
-        return _report_tables(accumulator, health, fmt=args.health_format)
-
-    get_lists = _lists_factory(args)
-
-    if args.checkpoint_dir:
-        lists = get_lists()
-        expected = _expected_engine_fingerprint(lists) if args.engine_snapshot else None
-        pipeline = _resolve_pipeline(args, get_lists, expected_fingerprint=expected)
-        sink = TrafficSink()
-        result = _durable_run(
-            args,
-            command="report",
-            pipeline=pipeline,
-            lists=lists,
-            sink=sink,
-            params={
-                "command": "report",
-                "publishers": args.publishers,
-                "eco_seed": args.eco_seed,
-                "on_error": args.on_error,
-            },
-        )
-        health = result.health
-        accumulator = sink.accumulator
-    else:
-        pipeline = _resolve_pipeline(args, get_lists)
-        health = PipelineHealth()
-        records = _load_http_records(args, health)
-        accumulator = TrafficAccumulator()
-        for entry in pipeline.iter_process(records, fixup_window=None, health=health):
-            accumulator.add(entry)
-
-    _note_cache(health, pipeline)
-    return _report_tables(accumulator, health, fmt=args.health_format)
-
-
-def _report_tables(
-    accumulator: "TrafficAccumulator", health: PipelineHealth, *, fmt: str = "text"
-) -> int:
-    from repro.analysis.report import render_table
-
+    accumulator = sink.accumulator
     summary = accumulator.summary()
     print(f"requests: {summary.total_requests}; ad share "
           f"{summary.ad_request_share:.2%} of requests / "
@@ -882,7 +693,7 @@ def _report_tables(
         for row in accumulator.content_type_rows()
     ]
     print(render_table(rows, title="traffic by Content-Type (paper Table 4)"))
-    return _finish(health, fmt=fmt)
+    return _finish(health, fmt=args.health_format)
 
 
 def _cmd_compile_lists(args: argparse.Namespace) -> int:

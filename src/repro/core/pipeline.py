@@ -546,6 +546,7 @@ class AdClassificationPipeline:
         self,
         records: Iterable[HttpLogRecord],
         *,
+        resume_from: dict | None = None,
         fixup_window: int | None = 1024,
         reorder_window: float | None = None,
         max_users: int | None = None,
@@ -566,33 +567,10 @@ class AdClassificationPipeline:
         million-user streams (an evicted user restarts with an empty
         referrer map if it reappears).  ``health`` tallies reorderings
         and evictions.
-        """
-        yield from self.classify_stream(
-            records,
-            fixup_window=fixup_window,
-            reorder_window=reorder_window,
-            max_users=max_users,
-            health=health,
-        )
 
-    def classify_stream(
-        self,
-        records: Iterable[HttpLogRecord],
-        *,
-        resume_from: dict | None = None,
-        fixup_window: int | None = 1024,
-        reorder_window: float | None = None,
-        max_users: int | None = None,
-        health: PipelineHealth | None = None,
-    ) -> "Iterator[ClassifiedRequest]":
-        """:meth:`iter_process` with resumable state (DESIGN.md §8).
-
-        ``resume_from`` takes a snapshot previously captured with
-        :meth:`StreamingClassifier.export_state`; ``records`` must then
-        be the remainder of the original stream (the durable runner
-        seeks the input to the checkpointed byte offset).  Stream
-        options must match the snapshotting run — the run manifest
-        enforces this at the CLI layer.
+        ``resume_from`` takes a :meth:`StreamingClassifier.export_state`
+        snapshot; ``records`` must then be the remainder of the stream
+        it was taken from, and the other options must match that run's.
         """
         classifier = StreamingClassifier(
             self,

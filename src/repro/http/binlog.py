@@ -80,6 +80,8 @@ _F_LOCATION = 0x40
 #: cheap (~0.5 MiB of payload at typical record sizes).
 DEFAULT_BLOCK_RECORDS = 4096
 
+_MADV_DONTNEED = getattr(mmap, "MADV_DONTNEED", None)  # absent on Windows
+
 _MAX_STRING_BYTES = 0xFFFF  # u16 length table
 
 
@@ -244,6 +246,7 @@ class BinLogReader:
         self._buf = memoryview(raw)
         self._size = len(self._buf)
         self._block_end = 0  # byte end of the block currently being decoded
+        self._spent = 0  # page-aligned end of the mapping already given back
 
     @property
     def header(self) -> list[str] | None:
@@ -405,6 +408,14 @@ class BinLogReader:
             return
         self._block_end = data_end
         self.offset = data_start
+        # The blocks behind this one are decoded: give their pages back,
+        # so that a consumer holding the reader open keeps one block of
+        # the input resident, not all of it.  (A later seek() backwards
+        # faults them in again.)
+        spent = start - start % mmap.PAGESIZE
+        if self._mm is not None and spent > self._spent and _MADV_DONTNEED is not None:
+            self._mm.madvise(_MADV_DONTNEED, self._spent, spent - self._spent)
+            self._spent = spent
 
     def _damage(self, reason: str, at: int, resync_to: int | None) -> None:
         """Route one damaged frame through the error policy, then resync.

@@ -102,9 +102,9 @@ class SplitUrl:
         return join_url(self)
 
 
-#: Bound on the ``split_url`` memo.  Tuned empirically on the RBN-2
-#: classify stream (``bench_engine_micro.py::test_url_split_cache_sweep``,
-#: results in ``benchmarks/results/url_split_cache.txt``): page URLs and
+#: Bound on the ``split_url`` memo.  Tuned by a size sweep over the RBN-2
+#: classify stream (``http.url.cache_hit_rate`` in ``benchmarks/perf``
+#: reads the result today): page URLs and
 #: referrers repeat heavily while request URLs are near-unique, so the
 #: hit rate climbs until the working set of repeated URLs fits and is
 #: flat beyond 32Ki entries; 64Ki buys <1pt over 32Ki at twice the

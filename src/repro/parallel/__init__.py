@@ -10,7 +10,6 @@ per-shard durable-run extension.
 """
 
 from repro.parallel.runner import (
-    ParallelOutcome,
     ParallelRun,
     RunInterrupted,
     WorkerFailure,
@@ -21,7 +20,6 @@ from repro.parallel.supervision import ShardSlot, WorkerSupervisor
 from repro.parallel.worker import WorkerConfig, run_worker
 
 __all__ = [
-    "ParallelOutcome",
     "ParallelRun",
     "RunInterrupted",
     "WorkerFailure",

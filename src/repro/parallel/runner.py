@@ -32,29 +32,30 @@ from __future__ import annotations
 import multiprocessing
 import os
 import queue as queue_module
-import signal
-import threading
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Callable
 
 from repro.core.pipeline import AdClassificationPipeline
 from repro.parallel.sharding import OrderedRowEmitter, QuarantineMerger
 from repro.parallel.supervision import RunInterrupted, WorkerFailure, WorkerSupervisor
 from repro.parallel.worker import GARBAGE_KIND, WorkerConfig, run_worker
-from repro.robustness.atomic import replace_atomic
 from repro.robustness.checkpoint import CheckpointStore
-from repro.robustness.crash import CHAOS_ENV, CrashInjector
+from repro.robustness.crash import CHAOS_ENV
 from repro.robustness.health import PipelineHealth
 from repro.robustness.policy import ErrorPolicy, LogParseError
 from repro.robustness.quarantine import QuarantineWriter
 from repro.robustness.retry import DEFAULT_RETRY_POLICY, RetryPolicy
-from repro.robustness.runstate import ClassifySink, ManifestMismatch, RunManifest
-
-if TYPE_CHECKING:
-    from repro.analysis.traffic import TrafficAccumulator
+from repro.robustness.runstate import (
+    DURABLE_FIXUP_WINDOW,
+    Checkpointing,
+    InterruptFlag,
+    RunResult,
+    RunSink,
+    open_quarantine,
+    publish_quarantine,
+    quarantine_state,
+)
 
 __all__ = [
-    "ParallelOutcome",
     "ParallelRun",
     "RunInterrupted",
     "WorkerFailure",
@@ -62,11 +63,6 @@ __all__ = [
 ]
 
 PARENT_STATE_VERSION = 1
-
-# The durable fix-up window (DurableRun's default): bounds worker memory
-# and how far output rows can trail the read position.  The non-durable
-# path buffers everything, mirroring AdClassificationPipeline.process().
-DURABLE_FIXUP_WINDOW = 1024
 
 _QUEUE_SLOTS_PER_WORKER = 4
 _POLL_TIMEOUT_S = 1.0
@@ -116,35 +112,17 @@ def build_ecosystem_pipeline(
     return AdClassificationPipeline(build_lists(ecosystem.list_spec()), config)
 
 
-@dataclass(slots=True)
-class ParallelOutcome:
-    """What a pool run produced, for the CLI to render."""
-
-    health: PipelineHealth
-    records: int
-    rows: int
-    quarantine_count: int
-    quarantine_path: str | None
-    accumulator: TrafficAccumulator | None
-    resumed_generation: int | None
-    checkpoints_written: int
-    output_paths: list[str] = field(default_factory=list)
-    degraded_shards: list[int] = field(default_factory=list)
-    worker_restarts: int = 0
-
-
 class ParallelRun:
     """One classification run over a pool of shard workers.
 
-    Two execution modes share the machinery:
-
-    * non-durable (``directory=None``): rows stream to ``on_row`` and
-      rejected lines to a caller-owned ``quarantine`` writer, exactly
-      mirroring the serial in-memory path;
-    * durable (``directory`` set): the parent owns a
-      :class:`ClassifySink` over ``output.part``, the quarantine
-      ``.part`` sidecar, the run manifest, and the parent checkpoint
-      store, mirroring :class:`repro.robustness.runstate.DurableRun`.
+    The pool is :func:`repro.robustness.runstate.run_serial` spread
+    over processes and takes the same things: a ``sink`` — a
+    :class:`ClassifySink` (or anything with ``consume_row``) for
+    ``emit="rows"``, a :class:`TrafficSink` whose accumulator the shard
+    folds merge into for ``emit="fold"``, or none to discard — a
+    ``quarantine_path`` for the sidecar, and optionally a
+    :class:`Checkpointing`, which adds the run manifest, the parent
+    checkpoint store and one store per shard under its directory.
     """
 
     def __init__(
@@ -154,17 +132,11 @@ class ParallelRun:
         input_path: str,
         pipeline_factory: "Callable[[], AdClassificationPipeline]",
         on_error: ErrorPolicy = ErrorPolicy.STRICT,
+        quarantine_path: str | None = None,
         reorder_window: float | None = None,
         emit: str = "rows",
-        on_row: "Callable[[str, bool, bool], None] | None" = None,
-        quarantine: QuarantineWriter | None = None,
-        directory: str | None = None,
-        manifest: RunManifest | None = None,
-        sink: ClassifySink | None = None,
-        checkpoint_every: int | None = None,
-        keep: int = 3,
-        resume: bool = False,
-        crash_injector: CrashInjector | None = None,
+        sink: RunSink | None = None,
+        checkpointing: Checkpointing | None = None,
         worker_timeout: float | None = 30.0,
         retry: RetryPolicy | None = DEFAULT_RETRY_POLICY,
         on_worker_failure: str = "abort",
@@ -175,21 +147,17 @@ class ParallelRun:
             raise ValueError("workers must be >= 1")
         if on_worker_failure not in ("abort", "degrade"):
             raise ValueError("on_worker_failure must be 'abort' or 'degrade'")
+        if checkpointing is not None and emit != "rows":
+            raise ValueError("durable parallel runs only support classify output")
         self.workers = workers
         self.input_path = input_path
         self.pipeline_factory = pipeline_factory
         self.on_error = on_error
+        self.quarantine_path = quarantine_path
         self.reorder_window = reorder_window
         self.emit = emit
-        self.on_row = on_row
-        self.quarantine = quarantine
-        self.directory = directory
-        self.manifest = manifest
         self.sink = sink
-        self.checkpoint_every = checkpoint_every
-        self.keep = keep
-        self.resume = resume
-        self.crash_injector = crash_injector
+        self.checkpointing = checkpointing
         self.worker_timeout = worker_timeout
         self.retry = retry
         self.on_worker_failure = on_worker_failure
@@ -200,93 +168,52 @@ class ParallelRun:
             None if worker_timeout is None else min(1.0, worker_timeout / 4.0)
         )
         self.chaos = chaos if chaos is not None else os.environ.get(CHAOS_ENV) or None
-        self._interrupt: int | None = None
         self._last_parent_generation = 0
         self.log = log
-        if self.durable:
-            if manifest is None or sink is None:
-                raise ValueError("durable parallel runs need a manifest and a sink")
-            if emit != "rows":
-                raise ValueError("durable parallel runs only support classify output")
 
-    @property
-    def durable(self) -> bool:
-        return self.directory is not None
-
-    # -- paths ------------------------------------------------------------
+    # -- checkpoint stores --------------------------------------------------
 
     @property
     def parent_store(self) -> CheckpointStore:
-        assert self.directory is not None
-        return CheckpointStore(os.path.join(self.directory, "parent"), keep=self.keep)
+        assert self.checkpointing is not None
+        return self.checkpointing.store("parent")
 
-    def shard_dir(self, worker_id: int) -> str:
-        assert self.directory is not None
-        return os.path.join(self.directory, f"shard-{worker_id:02d}")
+    def shard_store(self, worker_id: int) -> CheckpointStore:
+        assert self.checkpointing is not None
+        return self.checkpointing.store(f"shard-{worker_id:02d}")
 
-    @property
-    def quarantine_part(self) -> str:
-        assert self.directory is not None
-        return os.path.join(self.directory, "quarantine.part")
+    def _stores(self) -> list[CheckpointStore]:
+        return [self.parent_store] + [
+            self.shard_store(worker_id) for worker_id in range(self.workers)
+        ]
 
     # -- lifecycle --------------------------------------------------------
 
     def _prepare(self) -> tuple[int | None, dict | None]:
-        """Manifest handling + resume rendezvous; mirrors DurableRun."""
-        if not self.durable:
+        """Manifest handling + resume rendezvous: the newest generation
+        valid in the parent store *and* every shard store."""
+        if self.checkpointing is None:
             return None, None
-        assert self.directory is not None and self.manifest is not None
-        os.makedirs(self.directory, exist_ok=True)
-        if self.resume:
-            saved = RunManifest.load(self.directory)
-            diagnostics = saved.mismatches(self.manifest)
-            if diagnostics:
-                raise ManifestMismatch(diagnostics)
-            candidates = set(self.parent_store.valid_generations())
-            for worker_id in range(self.workers):
-                store = CheckpointStore(self.shard_dir(worker_id), keep=self.keep)
-                candidates &= set(store.valid_generations())
-                if not candidates:
-                    break
-            if candidates:
-                generation = max(candidates)
-                payload = self.parent_store.load(generation).payload
-                if payload.get("version") != PARENT_STATE_VERSION:
-                    raise ValueError(
-                        f"unsupported parent state version {payload.get('version')!r}"
-                    )
-                self.log(
-                    f"resuming from checkpoint generation {generation} "
-                    f"({payload['records']} records already processed)"
-                )
-                return generation, payload
+        self.checkpointing.begin(self._stores())
+        if not self.checkpointing.resume:
+            return None, None
+        candidates = set(self.parent_store.valid_generations())
+        for worker_id in range(self.workers):
+            candidates &= set(self.shard_store(worker_id).valid_generations())
+            if not candidates:
+                break
+        if not candidates:
             self.log("no valid checkpoint found; restarting from the beginning")
             return None, None
-        for store in [self.parent_store] + [
-            CheckpointStore(self.shard_dir(worker_id)) for worker_id in range(self.workers)
-        ]:
-            for generation in store.generations():
-                os.unlink(store.path_for(generation))
-        self.manifest.save(self.directory)
-        return None, None
-
-    def _open_quarantine(self, payload: dict | None) -> QuarantineWriter | None:
-        """Durable-mode sidecar over quarantine.part (resume truncates)."""
-        if self.on_error is not ErrorPolicy.QUARANTINE:
-            return None
-        if payload is None:
-            # staticcheck: ok[RC001] quarantine .part sink, atomically published on finish
-            stream = open(self.quarantine_part, "wb")
-        else:
-            state = payload["quarantine"]
-            # staticcheck: ok[RC001] resume rewinds the sidecar to the checkpointed offset
-            stream = open(self.quarantine_part, "r+b")
-            stream.truncate(state["pos"])
-            stream.seek(state["pos"])
-        writer = QuarantineWriter(stream, owns_stream=True)
-        if payload is not None:
-            writer.restore_state(payload["quarantine"])
-        return writer
+        generation = max(candidates)
+        payload = self.parent_store.load(generation).payload
+        if payload.get("version") != PARENT_STATE_VERSION:
+            raise ValueError(f"unsupported parent state version {payload.get('version')!r}")
+        self.log(
+            f"resuming from checkpoint generation {generation} "
+            f"({payload['records']} records already processed)"
+        )
+        return generation, payload
 
     def _spawn_worker(
         self, context, out_queue, worker_id: int, attempt: int, rendezvous: int | None
@@ -306,9 +233,10 @@ class ParallelRun:
         absorb).  Non-durable respawns replay the whole shard from
         scratch for the same reason.
         """
+        checkpointing = self.checkpointing
         if attempt == 0:
             resume_generation = rendezvous
-        elif self.durable:
+        elif checkpointing is not None:
             resume_generation = self._last_parent_generation or None
         else:
             resume_generation = None
@@ -317,11 +245,11 @@ class ParallelRun:
             workers=self.workers,
             input_path=self.input_path,
             on_error=self.on_error.value,
-            fixup_window=DURABLE_FIXUP_WINDOW if self.durable else None,
+            fixup_window=DURABLE_FIXUP_WINDOW if checkpointing is not None else None,
             reorder_window=self.reorder_window,
             emit=self.emit,
-            checkpoint_dir=self.shard_dir(worker_id) if self.durable else None,
-            checkpoint_every=self.checkpoint_every if self.durable else None,
+            checkpoint_dir=self.shard_store(worker_id).directory if checkpointing else None,
+            checkpoint_every=checkpointing.every if checkpointing else None,
             resume_generation=resume_generation,
             attempt=attempt,
             heartbeat_interval_s=self.heartbeat_interval_s,
@@ -335,47 +263,57 @@ class ParallelRun:
         process.start()
         return process
 
-    # -- signals -----------------------------------------------------------
-
-    def _install_signal_handlers(self) -> dict[int, Any] | None:
-        """SIGINT/SIGTERM set a flag; the run loop raises RunInterrupted.
-
-        Handlers can only be installed from the main thread; elsewhere
-        (tests driving runs from threads) interruption stays with the
-        caller.  Workers ignore SIGINT themselves, so a terminal ^C
-        reaches only the parent, which shuts the pool down cleanly.
-        """
-        if threading.current_thread() is not threading.main_thread():
-            return None
-
-        def _flag(signum: int, frame: Any) -> None:
-            self._interrupt = signum
-
-        return {
-            signum: signal.signal(signum, _flag)
-            for signum in (signal.SIGINT, signal.SIGTERM)
-        }
-
-    @staticmethod
-    def _restore_signal_handlers(previous: dict[int, Any] | None) -> None:
-        if previous is None:
-            return
-        for signum, handler in previous.items():
-            signal.signal(signum, handler)
-
     # -- the fold ---------------------------------------------------------
 
-    def run(self) -> ParallelOutcome:
+    def run(self) -> RunResult:
         # Surface a missing input as FileNotFoundError in the parent
         # (CLI exit 2) instead of as a WorkerFailure traceback.
         open(self.input_path, "rb").close()
         resume_generation, payload = self._prepare()
-        quarantine = self.quarantine
-        if self.durable:
-            assert self.sink is not None
-            self.sink.begin(fresh=payload is None, state=payload["sink"] if payload else None)
-            quarantine = self._open_quarantine(payload)
+        sink, checkpointing = self.sink, self.checkpointing
+        quarantine = open_quarantine(
+            self.on_error,
+            self.quarantine_path,
+            checkpointing,
+            payload["quarantine"] if payload else None,
+        )
+        try:
+            if sink is not None:
+                sink.begin(fresh=payload is None, state=payload["sink"] if payload else None)
+            result = self._fold(resume_generation, payload, quarantine)
+            if result.degraded_shards and checkpointing is not None:
+                # Honest partial result: withhold finalize so the .part
+                # outputs and every checkpoint survive for a --resume
+                # once whatever killed the shard is fixed.
+                self.log(
+                    "degraded run: outputs left unpublished as .part files under "
+                    f"{checkpointing.directory} (fix the fault and --resume to complete them)"
+                )
+            else:
+                if sink is not None and not result.degraded_shards:
+                    sink.finalize()
+                publish_quarantine(quarantine, self.quarantine_path, checkpointing)
+                if checkpointing is not None:
+                    for store in self._stores():
+                        store.clear()
+        finally:
+            # After a publish these are no-ops; after anything else they
+            # release the streams without publishing: a checkpointed run
+            # keeps output.part, the sidecar and every checkpoint for a
+            # later --resume, a plain one leaves no output behind.
+            if sink is not None:
+                sink.close()
+            if quarantine is not None:
+                quarantine.close()
+        return result
 
+    def _fold(
+        self,
+        resume_generation: int | None,
+        payload: dict | None,
+        quarantine: QuarantineWriter | None,
+    ) -> RunResult:
+        """Supervise the pool and merge its message streams in order."""
         emitter = OrderedRowEmitter(next_emit=payload["next_emit"] if payload else 0)
         merger = QuarantineMerger(
             quarantine.write if quarantine is not None else (lambda line_no, reason, raw: None),
@@ -403,88 +341,77 @@ class ParallelRun:
         # replayed markers (a respawned shard re-walks cuts the parent
         # may already have made durable).
         self._last_parent_generation = resume_generation or 0
-        self._interrupt = None
-        previous_handlers = self._install_signal_handlers()
-        completed = False
-        try:
-            supervisor.start()
-            while not supervisor.finished:
-                if self._interrupt is not None:
-                    raise RunInterrupted(self._interrupt)
-                try:
-                    item = out_queue.get(timeout=_POLL_TIMEOUT_S)
-                except queue_module.Empty:
+        # Workers ignore SIGINT themselves, so a terminal ^C reaches only
+        # the parent, which shuts the pool down cleanly.
+        with InterruptFlag() as interrupt:
+            try:
+                supervisor.start()
+                while not supervisor.finished:
+                    if interrupt.signum is not None:
+                        raise RunInterrupted(interrupt.signum)
+                    try:
+                        item = out_queue.get(timeout=_POLL_TIMEOUT_S)
+                    except queue_module.Empty:
+                        supervisor.poll()
+                        continue
+                    try:
+                        worker_id, attempt, kind, message = item
+                    except (TypeError, ValueError):
+                        self.log(f"discarding malformed result-queue item: {item!r}")
+                        supervisor.poll()
+                        continue
+                    if not isinstance(worker_id, int) or not isinstance(attempt, int):
+                        self.log(f"discarding malformed result-queue item: {item!r}")
+                        supervisor.poll()
+                        continue
+                    if not supervisor.accept(worker_id, attempt, kind):
+                        supervisor.poll()
+                        continue
+                    if kind == "batch":
+                        for index, row, is_ad, is_whitelisted in message["rows"]:
+                            emitter.push(index, (row, is_ad, is_whitelisted))
+                        for row, is_ad, is_whitelisted in emitter.drain():
+                            self._consume_row(row, is_ad, is_whitelisted)
+                        for line_no, reason, raw in message["quarantine"]:
+                            merger.push(line_no, reason, raw)
+                    elif kind == "hb":
+                        pass  # pure liveness evidence; accept() already credited it
+                    elif kind == "ckpt":
+                        generation = message["generation"]
+                        if generation > self._last_parent_generation:
+                            group = markers.setdefault(generation, {})
+                            group[worker_id] = message
+                            if len(group) == self.workers:
+                                del markers[generation]
+                                self._save_parent_checkpoint(
+                                    generation, group, emitter, merger, quarantine
+                                )
+                                checkpoints_written += 1
+                                self._last_parent_generation = generation
+                    elif kind == "done":
+                        done[worker_id] = message
+                        supervisor.mark_done(worker_id)
+                    elif kind == "parse_error":
+                        line_no, reason, line = message
+                        raise LogParseError(line_no, reason, line)
+                    elif kind == "error":
+                        supervisor.fault(worker_id, f"failed:\n{message}")
+                    else:
+                        # GARBAGE_KIND or anything else unintelligible: this
+                        # incarnation's stream can no longer be trusted.
+                        supervisor.fault(worker_id, "sent garbage on the result queue")
                     supervisor.poll()
-                    continue
-                try:
-                    worker_id, attempt, kind, message = item
-                except (TypeError, ValueError):
-                    self.log(f"discarding malformed result-queue item: {item!r}")
-                    supervisor.poll()
-                    continue
-                if not isinstance(worker_id, int) or not isinstance(attempt, int):
-                    self.log(f"discarding malformed result-queue item: {item!r}")
-                    supervisor.poll()
-                    continue
-                if not supervisor.accept(worker_id, attempt, kind):
-                    supervisor.poll()
-                    continue
-                if kind == "batch":
-                    for index, row, is_ad, is_whitelisted in message["rows"]:
-                        emitter.push(index, (row, is_ad, is_whitelisted))
-                    for row, is_ad, is_whitelisted in emitter.drain():
-                        self._consume_row(row, is_ad, is_whitelisted)
-                    for line_no, reason, raw in message["quarantine"]:
-                        merger.push(line_no, reason, raw)
-                elif kind == "hb":
-                    pass  # pure liveness evidence; accept() already credited it
-                elif kind == "ckpt":
-                    generation = message["generation"]
-                    if generation > self._last_parent_generation:
-                        group = markers.setdefault(generation, {})
-                        group[worker_id] = message
-                        if len(group) == self.workers:
-                            del markers[generation]
-                            self._save_parent_checkpoint(
-                                generation, group, emitter, merger, quarantine
-                            )
-                            checkpoints_written += 1
-                            self._last_parent_generation = generation
-                elif kind == "done":
-                    done[worker_id] = message
-                    supervisor.mark_done(worker_id)
-                elif kind == "parse_error":
-                    line_no, reason, line = message
-                    raise LogParseError(line_no, reason, line)
-                elif kind == "error":
-                    supervisor.fault(worker_id, f"failed:\n{message}")
-                else:
-                    # GARBAGE_KIND or anything else unintelligible: this
-                    # incarnation's stream can no longer be trusted.
-                    supervisor.fault(worker_id, "sent garbage on the result queue")
-                supervisor.poll()
-            stragglers = supervisor.join_all(_STRAGGLER_GRACE_S)
-            if stragglers:
-                self.log(
-                    "worker(s) "
-                    + ", ".join(str(worker_id) for worker_id in stragglers)
-                    + f" still running {_STRAGGLER_GRACE_S:g}s after the pool "
-                    "finished; terminating them"
-                )
-            completed = True
-        finally:
-            self._restore_signal_handlers(previous_handlers)
-            supervisor.terminate_all()
-            out_queue.close()
-            if not completed and self.durable:
-                # Interrupted or failed mid-run: keep output.part, the
-                # sidecar and every checkpoint for a later --resume, but
-                # close the streams cleanly (no finalize, no publish).
-                assert self.sink is not None
-                self.sink.close()
-                if quarantine is not None:
-                    quarantine.sync()
-                    quarantine.close()
+                stragglers = supervisor.join_all(_STRAGGLER_GRACE_S)
+                if stragglers:
+                    self.log(
+                        "worker(s) "
+                        + ", ".join(str(worker_id) for worker_id in stragglers)
+                        + f" still running {_STRAGGLER_GRACE_S:g}s after the pool "
+                        "finished; terminating them"
+                    )
+            finally:
+                supervisor.terminate_all()
+                out_queue.close()
 
         degraded_shards = supervisor.failed_ids
         for row, is_ad, is_whitelisted in emitter.drain():
@@ -511,7 +438,7 @@ class ParallelRun:
                         f"row merge lost rows: emitted {emitter.next_emit} of {records}"
                     )
                 emitter.assert_empty()
-        if not (degraded_shards and self.durable):
+        if not (degraded_shards and self.checkpointing is not None):
             merger.finish()
 
         health = PipelineHealth()
@@ -526,73 +453,27 @@ class ParallelRun:
             url_cache_stats = message.get("url_cache")
             if url_cache_stats is not None:
                 health.add_url_cache_stats(*url_cache_stats)
+            if self.emit == "fold" and self.sink is not None:
+                self.sink.accumulator.merge_state(message["fold"])
         health.worker_restarts += supervisor.restarts
         health.heartbeat_gaps += supervisor.heartbeat_gaps
         health.shards_degraded += len(degraded_shards)
-        accumulator = None
-        if self.emit == "fold":
-            # Only ``report`` folds; classify must not import numpy.
-            from repro.analysis.traffic import TrafficAccumulator
 
-            accumulator = TrafficAccumulator()
-            for _worker_id, message in sorted(done.items()):
-                accumulator.merge_state(message["fold"])
-
-        output_paths: list[str] = []
-        quarantine_path: str | None = None
-        quarantine_count = quarantine.count if quarantine is not None else 0
-        if self.durable:
-            assert self.sink is not None and self.manifest is not None
-            if degraded_shards:
-                # Honest partial result: withhold finalize so the .part
-                # outputs and every checkpoint survive for a --resume
-                # once whatever killed the shard is fixed.
-                self.sink.close()
-                if quarantine is not None:
-                    quarantine.sync()
-                    quarantine.close()
-                self.log(
-                    "degraded run: outputs left unpublished as .part files under "
-                    f"{self.directory} (fix the fault and --resume to complete them)"
-                )
-            else:
-                output_paths = list(self.sink.finalize())
-                self.sink.close()
-                if quarantine is not None:
-                    quarantine.sync()
-                    quarantine.close()
-                    quarantine_path = self.manifest.quarantine_path
-                    assert quarantine_path is not None
-                    replace_atomic(self.quarantine_part, quarantine_path)
-                stores = [self.parent_store] + [
-                    CheckpointStore(self.shard_dir(worker_id))
-                    for worker_id in range(self.workers)
-                ]
-                for store in stores:
-                    for generation in store.generations():
-                        os.unlink(store.path_for(generation))
-
-        return ParallelOutcome(
+        return RunResult(
             health=health,
             records=records,
-            rows=emitter.next_emit,
-            quarantine_count=quarantine_count,
-            quarantine_path=quarantine_path,
-            accumulator=accumulator,
             resumed_generation=resume_generation,
             checkpoints_written=checkpoints_written,
+            quarantine_count=quarantine.count if quarantine is not None else 0,
             degraded_shards=degraded_shards,
             worker_restarts=supervisor.restarts,
         )
 
     def _consume_row(self, row: str, is_ad: bool, is_whitelisted: bool) -> None:
-        if self.durable:
-            assert self.sink is not None
+        if self.sink is not None:
             self.sink.consume_row(row, is_ad, is_whitelisted)
-        elif self.on_row is not None:
-            self.on_row(row, is_ad, is_whitelisted)
-        if self.crash_injector is not None:
-            self.crash_injector.tick()
+        if self.checkpointing is not None and self.checkpointing.crash_injector is not None:
+            self.checkpointing.crash_injector.tick()
 
     def _save_parent_checkpoint(
         self,
@@ -614,24 +495,21 @@ class ParallelRun:
                 f"shard checkpoints disagree on the generation-{generation} cut: {sorted(cuts)}"
             )
         cut_line, _cut_g = cuts.pop()
-        quarantine_state: dict = {"pos": 0, "count": 0, "wrote_header": False}
         if quarantine is not None:
             # Everything at or below the cut line has arrived (workers
             # flush before their marker), so it is safe — and necessary,
             # for the recorded position to cover it — to flush now.
             merger.release(cut_line)
-            quarantine.sync()
-            quarantine_state = quarantine.export_state()
-            quarantine_state["pos"] = quarantine.tell()
-        assert self.sink is not None and self.checkpoint_every is not None
+        assert self.sink is not None and self.checkpointing is not None
+        assert self.checkpointing.every is not None
         state = {
             "version": PARENT_STATE_VERSION,
             "workers": self.workers,
             "generation": generation,
-            "records": generation * self.checkpoint_every,
+            "records": generation * self.checkpointing.every,
             "next_emit": emitter.next_emit,
             "sink": self.sink.export_state(),
-            "quarantine": quarantine_state,
+            "quarantine": quarantine_state(quarantine),
             "flushed_line": merger.flushed_line,
         }
         self.parent_store.save(state, generation=generation)
@@ -640,4 +518,4 @@ class ParallelRun:
         # generations the resume rendezvous needs).  Prune them to the
         # parent's retention window, leaving newer shard generations be.
         for worker_id in range(self.workers):
-            CheckpointStore(self.shard_dir(worker_id), keep=self.keep).prune_through(generation)
+            self.shard_store(worker_id).prune_through(generation)

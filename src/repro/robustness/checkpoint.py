@@ -118,6 +118,12 @@ class CheckpointStore:
             except OSError:
                 pass  # pruning is housekeeping, never fatal
 
+    def clear(self) -> None:
+        """Delete every generation: a finished run must not be resumed
+        into its published outputs, nor a fresh one from stale state."""
+        for generation in self.generations():
+            os.unlink(self.path_for(generation))
+
     def prune_through(self, generation: int) -> None:
         """Prune as if ``generation`` were the newest save: keep the
         newest ``keep`` generations at or below it, leaving anything

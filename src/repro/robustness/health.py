@@ -1,9 +1,11 @@
 """Pipeline health accounting for degraded runs.
 
-A single :class:`PipelineHealth` object is threaded through
-``read_log`` → ``iter_process`` → the CLI, tallying what was seen,
-dropped, repaired and quarantined per stage, so a degraded run ends
-with an explicit accounting instead of silently shrunken output.
+A single :class:`PipelineHealth` object is threaded through the run
+loop (:func:`repro.robustness.runstate.run_serial`: the reader and the
+:class:`~repro.core.pipeline.StreamingClassifier` both tally into it)
+and returned to the CLI, recording what was seen, dropped, repaired and
+quarantined per stage, so a degraded run ends with an explicit
+accounting instead of silently shrunken output.
 """
 
 from __future__ import annotations

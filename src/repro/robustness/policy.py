@@ -50,7 +50,7 @@ class RunInterrupted(Exception):
     """The run received SIGINT/SIGTERM and shut down cleanly (exit 130).
 
     Raised by any run driver — the parallel pool supervisor, the serial
-    :class:`~repro.robustness.runstate.DurableRun` loop, and the
+    :func:`~repro.robustness.runstate.run_serial` loop, and the
     ``repro serve`` daemon's drain path — after durable state has been
     left in a resumable condition.  Lives here (not in ``parallel``) so
     the serial and serving paths don't import the pool machinery just to

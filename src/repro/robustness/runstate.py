@@ -1,8 +1,13 @@
-"""Run manifest + the durable (checkpoint/resume) run driver.
+"""Run manifest, output sinks, and the one serial run loop.
 
-DESIGN.md §8.  A *durable run* wraps the ingestion→classification loop
-(`repro classify` / `repro usage` / `repro report`) so that a crash —
-OOM kill, deploy, power loss — costs at most one checkpoint interval:
+Every `repro classify` / `repro usage` / `repro report` executes as
+reader → :class:`~repro.core.pipeline.StreamingClassifier` → sink:
+:func:`run_serial` is that loop, and the shard pool
+(:mod:`repro.parallel.runner`) is the same fold spread over worker
+processes, handed the same sink.  Either is *plain* by default; handed
+a :class:`Checkpointing` it becomes *durable* (DESIGN.md §8), so that a
+crash — OOM kill, deploy, power loss — costs at most one checkpoint
+interval:
 
 * a **run manifest** (``manifest.json``) pins what the run *is*: the
   hash of every classification-relevant parameter, a fingerprint of the
@@ -13,9 +18,10 @@ OOM kill, deploy, power loss — costs at most one checkpoint interval:
 * periodic **checkpoints** (:mod:`repro.robustness.checkpoint`) freeze
   the input byte/line offset, the streaming classifier state, the
   health counters and the sink positions;
-* outputs are written to ``*.part`` files inside the checkpoint
-  directory and atomically renamed to their final paths only when the
-  run completes, so a crashed run never shadows a previous good output;
+* outputs are written to ``*.part`` files (inside the checkpoint
+  directory on a durable run) and atomically renamed to their final
+  paths only when the run completes, so a failed run never shadows a
+  previous good output;
 * on resume, part files are truncated back to the positions recorded in
   the newest *valid* checkpoint and the input is re-read from its
   offset — replaying the tail deterministically, which is what makes a
@@ -24,8 +30,10 @@ OOM kill, deploy, power loss — costs at most one checkpoint interval:
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import signal
@@ -49,9 +57,12 @@ from repro.robustness.quarantine import QuarantineWriter
 
 __all__ = [
     "DEFAULT_CHECKPOINT_EVERY",
+    "DURABLE_FIXUP_WINDOW",
     "ManifestMismatch",
     "RunManifest",
-    "DurableRun",
+    "Checkpointing",
+    "InterruptFlag",
+    "run_serial",
     "RunResult",
     "RunSink",
     "ClassifySink",
@@ -60,13 +71,16 @@ __all__ = [
     "classification_row",
     "fingerprint_params",
     "fingerprint_lists",
+    "open_quarantine",
+    "quarantine_state",
+    "publish_quarantine",
 ]
 
 
 def classification_row(entry: ClassifiedRequest) -> str:
     """The one `repro classify` output row format (no trailing newline).
 
-    Every writer — the serial in-memory path, the durable sink, and the
+    Every writer — :class:`ClassifySink`, plain or checkpointed, and the
     shard-parallel workers — renders through this function, so "byte-
     identical output across execution plans" (DESIGN.md §10) cannot
     drift into three subtly different formatters.
@@ -86,6 +100,16 @@ def classification_row(entry: ClassifiedRequest) -> str:
 MANIFEST_NAME = "manifest.json"
 MANIFEST_VERSION = 1
 DEFAULT_CHECKPOINT_EVERY = 10_000
+
+# Fix-up window of a checkpointed run, serial or pooled: it bounds the
+# classifier state every checkpoint carries and how far output rows
+# trail the read position.  A plain run buffers everything (``None``):
+# that is AdClassificationPipeline.process(), whose output the frozen
+# benchmark's oracle compares byte for byte, and a redirect fix-up there
+# reaches back thousands of rows.
+DURABLE_FIXUP_WINDOW = 1024
+
+_READ_AHEAD = 64  # records a plain run decodes before classifying them
 
 # Identity hash covers the first MiB: enough to catch truncation,
 # regeneration and in-place edits without re-reading a multi-GB trace
@@ -224,15 +248,15 @@ class RunManifest:
 
 
 # ---------------------------------------------------------------------------
-# Sinks: where released entries go.  A sink owns its .part file(s) and a
+# Sinks: where released entries go.  A sink owns its output file(s) and a
 # primitive, resumable state (counters + byte positions).
 
 
 class RunSink:
-    """Base class for durable-run output sinks."""
+    """Base class for run output sinks."""
 
     def begin(self, *, fresh: bool, state: dict | None) -> None:
-        """Open part files; start from scratch or from checkpoint state."""
+        """Open output files; start from scratch or from checkpoint state."""
 
     def consume(self, entry: ClassifiedRequest) -> None:
         raise NotImplementedError
@@ -241,21 +265,30 @@ class RunSink:
         """Flush + fsync, then snapshot counters and byte positions."""
         return {}
 
-    def finalize(self) -> list[str]:
-        """Fsync and atomically publish final outputs; returns their paths."""
-        return []
+    def finalize(self) -> None:
+        """Fsync and atomically publish final outputs."""
 
     def close(self) -> None:
-        pass
+        """Release files without publishing (the run failed or was cut)."""
 
 
 class ClassifySink(RunSink):
-    """`repro classify`: per-request TSV rows plus the console counters."""
+    """`repro classify`: per-request TSV rows plus the console counters.
+
+    Rows stream into a part file that :meth:`finalize` renames over
+    ``final_path``, so a failed run never shadows a previous good
+    output.  With ``part_path`` (a checkpointed run keeps it in the
+    checkpoint directory) the part file is durable state and
+    :meth:`close` leaves it for ``--resume``; without, it is
+    ``<final_path>.part`` and an unfinished run's :meth:`close` removes
+    it — nothing could resume it.  No ``final_path``: count only.
+    """
 
     HEADER = "#ts\tclient\turl\tpage\tis_ad\tblacklist\twhitelisted\n"
 
     def __init__(self, *, part_path: str | None = None, final_path: str | None = None):
-        self.part_path = part_path
+        self.resumable = part_path is not None
+        self.part_path = part_path or (final_path + ".part" if final_path else None)
         self.final_path = final_path
         self.total = 0
         self.ads = 0
@@ -263,11 +296,11 @@ class ClassifySink(RunSink):
         self._file = None
 
     def begin(self, *, fresh: bool, state: dict | None) -> None:
-        if self.part_path is None:
-            if state is not None:
-                self.total = state["total"]
-                self.ads = state["ads"]
-                self.whitelisted = state["whitelisted"]
+        if state is not None:
+            self.total = state["total"]
+            self.ads = state["ads"]
+            self.whitelisted = state["whitelisted"]
+        if self.final_path is None:
             return
         if fresh:
             # staticcheck: ok[RC001] .part sink: published atomically by finalize()
@@ -275,9 +308,6 @@ class ClassifySink(RunSink):
             self._file.write(self.HEADER.encode("utf-8"))
         else:
             assert state is not None
-            self.total = state["total"]
-            self.ads = state["ads"]
-            self.whitelisted = state["whitelisted"]
             # staticcheck: ok[RC001] resume rewinds the .part file to the checkpointed offset
             self._file = open(self.part_path, "r+b")
             self._file.truncate(state["pos"])
@@ -305,20 +335,21 @@ class ClassifySink(RunSink):
             state["pos"] = self._file.tell()
         return state
 
-    def finalize(self) -> list[str]:
-        if self._file is None or self.final_path is None:
-            return []
+    def finalize(self) -> None:
+        if self._file is None:
+            return
         self._file.flush()
         os.fsync(self._file.fileno())
         self._file.close()
         self._file = None
         replace_atomic(self.part_path, self.final_path)
-        return [self.final_path]
 
     def close(self) -> None:
         if self._file is not None:
             self._file.close()
             self._file = None
+            if not self.resumable:
+                os.unlink(self.part_path)
 
 
 class UserStatsSink(RunSink):
@@ -377,273 +408,276 @@ class TrafficSink(RunSink):
 
 
 # ---------------------------------------------------------------------------
+# What the serial loop and the shard pool (repro.parallel.runner) share.
+
+
+@dataclass(slots=True)
+class Checkpointing:
+    """What makes a run durable; a run is handed one, or is plain.
+
+    ``directory`` holds ``manifest.json``, the checkpoint generations
+    and the ``.part`` outputs; ``manifest`` is the identity ``resume``
+    is checked against; ``every`` is the record interval between
+    checkpoints (``None``: only an interrupt cuts one); ``keep`` is the
+    number of generations retained.
+    """
+
+    directory: str
+    manifest: RunManifest
+    every: int | None = DEFAULT_CHECKPOINT_EVERY
+    keep: int = 3
+    resume: bool = False
+    crash_injector: CrashInjector | None = None
+
+    def store(self, *subdirectory: str) -> CheckpointStore:
+        return CheckpointStore(os.path.join(self.directory, *subdirectory), keep=self.keep)
+
+    def begin(self, stores: list[CheckpointStore]) -> None:
+        """Resume: refuse unless the saved manifest is this run.  Fresh:
+        write the manifest and drop generations an older run left in
+        ``stores`` — a stale one would otherwise be "resumed" later."""
+        os.makedirs(self.directory, exist_ok=True)
+        if self.resume:
+            diagnostics = RunManifest.load(self.directory).mismatches(self.manifest)
+            if diagnostics:
+                raise ManifestMismatch(diagnostics)
+        else:
+            for store in stores:
+                store.clear()
+            self.manifest.save(self.directory)
+
+
+class InterruptFlag:
+    """While entered, SIGINT/SIGTERM set ``signum`` instead of raising.
+
+    The run loop polls the flag at its consistent cut points, leaves
+    durable state resumable and raises :class:`RunInterrupted` (CLI
+    exit 130; DESIGN.md §12).  Handlers can only be installed from the
+    main thread; elsewhere (tests driving runs from threads)
+    interruption stays with the caller.
+    """
+
+    def __init__(self) -> None:
+        self.signum: int | None = None
+        self._previous: dict[int, Any] = {}
+
+    def _set(self, signum: int, frame: Any) -> None:
+        self.signum = signum
+
+    def __enter__(self) -> "InterruptFlag":
+        if threading.current_thread() is threading.main_thread():
+            for signum in (signal.SIGINT, signal.SIGTERM):
+                self._previous[signum] = signal.signal(signum, self._set)
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        for signum, handler in self._previous.items():
+            signal.signal(signum, handler)
+
+
+def _quarantine_part(checkpointing: Checkpointing) -> str:
+    return os.path.join(checkpointing.directory, "quarantine.part")
+
+
+def open_quarantine(
+    on_error: ErrorPolicy,
+    path: str | None,
+    checkpointing: Checkpointing | None = None,
+    state: dict | None = None,
+) -> QuarantineWriter | None:
+    """The run's sidecar writer; ``None`` unless the policy quarantines.
+
+    A plain run writes ``path`` in place, line by line — the sidecar is
+    evidence, and must survive the run dying.  A checkpointed run
+    writes ``quarantine.part`` in its directory, rewound to ``state``
+    (a checkpoint's ``"quarantine"`` entry) on resume, and
+    :func:`publish_quarantine` renames it over ``path``.
+    """
+    if on_error is not ErrorPolicy.QUARANTINE:
+        return None
+    assert path is not None
+    if checkpointing is None:
+        return QuarantineWriter.open(path)
+    if state is None:
+        # staticcheck: ok[RC001] quarantine .part sink, atomically published on finish
+        stream = open(_quarantine_part(checkpointing), "wb")
+    else:
+        # staticcheck: ok[RC001] resume rewinds the sidecar to the checkpointed offset
+        stream = open(_quarantine_part(checkpointing), "r+b")
+        stream.truncate(state["pos"])
+        stream.seek(state["pos"])
+    writer = QuarantineWriter(stream, owns_stream=True)
+    if state is not None:
+        writer.restore_state(state)
+    return writer
+
+
+def quarantine_state(quarantine: QuarantineWriter | None) -> dict:
+    """A checkpoint's ``"quarantine"`` entry: fsync, then count + offset."""
+    if quarantine is None:
+        return {"pos": 0, "count": 0, "wrote_header": False}
+    quarantine.sync()
+    state = quarantine.export_state()
+    state["pos"] = quarantine.tell()
+    return state
+
+
+def publish_quarantine(
+    quarantine: QuarantineWriter | None, path: str | None, checkpointing: Checkpointing | None
+) -> None:
+    """End of a completed run: fsync, close, and rename the part file."""
+    if quarantine is None:
+        return
+    quarantine.sync()
+    quarantine.close()
+    if checkpointing is not None:
+        assert path is not None
+        replace_atomic(_quarantine_part(checkpointing), path)
+
+
+# ---------------------------------------------------------------------------
 
 
 @dataclass(slots=True)
 class RunResult:
-    """Outcome of a durable run, for the CLI to render."""
+    """Outcome of a run (serial or pooled), for the CLI to render."""
 
     health: PipelineHealth
     records: int
     resumed_generation: int | None
     checkpoints_written: int
     quarantine_count: int
-    quarantine_path: str | None
-    output_paths: list[str] = field(default_factory=list)
+    degraded_shards: list[int] = field(default_factory=list)
+    worker_restarts: int = 0
 
 
-class DurableRun:
-    """Checkpointed ingestion→classification loop around a sink.
+def run_serial(
+    input_path: str,
+    pipeline: AdClassificationPipeline,
+    sink: RunSink,
+    *,
+    on_error: ErrorPolicy = ErrorPolicy.STRICT,
+    quarantine_path: str | None = None,
+    reorder_window: float | None = None,
+    max_users: int | None = None,
+    checkpointing: Checkpointing | None = None,
+    log: Callable[[str], None] = lambda message: None,
+) -> RunResult:
+    """The one serial loop: reader → :class:`StreamingClassifier` → sink.
 
-    The loop structure is::
+    ::
 
         for record in seekable_reader:         # offset accounting
             for entry in classifier.feed(record):
                 sink.consume(entry)
-            every N records: checkpoint()      # atomic, checksummed
+            every N records: checkpoint        # only if handed checkpointing
+                                               # (else: read ahead in batches)
         for entry in classifier.finish():
             sink.consume(entry)
-        finalize()                             # publish outputs atomically
+        sink.finalize()                        # publish outputs atomically
 
-    ``checkpoint()`` happens *between* input records, the only points
-    where the combination (input offset, classifier state, sink
-    positions) is consistent.
+    Plain (no ``checkpointing``): nothing is written but the sink's
+    output and the sidecar, signals are left alone, and the fix-up
+    buffer is unbounded — :meth:`AdClassificationPipeline.process`
+    semantics.  Checkpointed: a checkpoint is cut *between* input
+    records, the only points where (input offset, classifier state,
+    sink positions) are consistent; SIGINT/SIGTERM cut one more and
+    raise :class:`RunInterrupted`; ``resume`` continues from the newest
+    valid generation, byte-identical to an uninterrupted run.
     """
-
-    def __init__(
-        self,
-        *,
-        directory: str,
-        manifest: RunManifest,
-        pipeline: AdClassificationPipeline,
-        sink: RunSink,
-        on_error: ErrorPolicy = ErrorPolicy.STRICT,
-        checkpoint_every: int | None = DEFAULT_CHECKPOINT_EVERY,
-        keep: int = 3,
-        resume: bool = False,
-        fixup_window: int | None = 1024,
-        reorder_window: float | None = None,
-        max_users: int | None = None,
-        crash_injector: CrashInjector | None = None,
-        log: Callable[[str], None] = lambda message: None,
-    ):
-        self.directory = directory
-        self.manifest = manifest
-        self.pipeline = pipeline
-        self.sink = sink
-        self.on_error = on_error
-        self.checkpoint_every = checkpoint_every
-        self.store = CheckpointStore(directory, keep=keep)
-        self.resume = resume
-        self.fixup_window = fixup_window
-        self.reorder_window = reorder_window
-        self.max_users = max_users
-        self.crash_injector = crash_injector
-        self.log = log
-
-    # -- paths ------------------------------------------------------------
-
-    @property
-    def output_part(self) -> str:
-        return os.path.join(self.directory, "output.part")
-
-    @property
-    def quarantine_part(self) -> str:
-        return os.path.join(self.directory, "quarantine.part")
-
-    # -- lifecycle --------------------------------------------------------
-
-    def _prepare(self):
-        """Validate/write the manifest; load the resume checkpoint if any."""
-        os.makedirs(self.directory, exist_ok=True)
-        if self.resume:
-            saved = RunManifest.load(self.directory)
-            diagnostics = saved.mismatches(self.manifest)
-            if diagnostics:
-                raise ManifestMismatch(diagnostics)
-            checkpoint = self.store.latest()
+    store = checkpoint = None
+    if checkpointing is not None:
+        store = checkpointing.store()
+        checkpointing.begin([store])
+        if checkpointing.resume:
+            checkpoint = store.latest()
             if checkpoint is not None:
-                self.log(
+                log(
                     f"resuming from checkpoint generation {checkpoint.generation} "
                     f"({checkpoint.payload['records_fed']} records already processed)"
                 )
             else:
-                self.log("no valid checkpoint found; restarting from the beginning")
-            return checkpoint
-        # Fresh run: the directory must not carry state from an older
-        # run — a stale generation would otherwise be "resumed" later.
-        for generation in self.store.generations():
-            os.unlink(self.store.path_for(generation))
-        self.manifest.save(self.directory)
-        return None
+                log("no valid checkpoint found; restarting from the beginning")
+    payload = checkpoint.payload if checkpoint is not None else None
 
-    def _open_quarantine(self, checkpoint) -> QuarantineWriter | None:
-        if self.on_error is not ErrorPolicy.QUARANTINE:
-            return None
-        if checkpoint is None:
-            # staticcheck: ok[RC001] quarantine .part sink, atomically published on finish
-            stream = open(self.quarantine_part, "wb")
-        else:
-            state = checkpoint.payload["quarantine"]
-            # staticcheck: ok[RC001] resume rewinds the sidecar to the checkpointed offset
-            stream = open(self.quarantine_part, "r+b")
-            stream.truncate(state["pos"])
-            stream.seek(state["pos"])
-        writer = QuarantineWriter(stream, owns_stream=True)
-        if checkpoint is not None:
-            writer.restore_state(checkpoint.payload["quarantine"])
-        return writer
-
-    def _checkpoint_payload(
-        self,
-        *,
-        records_fed: int,
-        reader: SeekableLogReader,
-        classifier: StreamingClassifier,
-        health: PipelineHealth,
-        quarantine: QuarantineWriter | None,
-    ) -> dict:
-        quarantine_state: dict = {"pos": 0, "count": 0, "wrote_header": False}
-        if quarantine is not None:
-            quarantine.sync()
-            quarantine_state = quarantine.export_state()
-            quarantine_state["pos"] = quarantine.tell()
-        return {
-            "records_fed": records_fed,
-            "reader": {
-                "offset": reader.offset,
-                "line_no": reader.line_no,
-                "header": reader.header,
-            },
-            "classifier": classifier.export_state(),
-            "health": health.export_state(),
-            "sink": self.sink.export_state(),
-            "quarantine": quarantine_state,
-        }
-
-    # -- signals (DESIGN.md §12's contract, serial edition) ----------------
-
-    def _install_signal_handlers(self) -> dict[int, Any] | None:
-        """SIGINT/SIGTERM set a flag; the run loop raises RunInterrupted.
-
-        Same contract as the parallel pool (DESIGN.md §12): the signal
-        lands between records, a final checkpoint is cut, durable state
-        stays resumable, and the CLI exits 130.  Handlers can only be
-        installed from the main thread; elsewhere (tests driving runs
-        from threads) interruption stays with the caller.
-        """
-        if threading.current_thread() is not threading.main_thread():
-            return None
-
-        def _flag(signum: int, frame: Any) -> None:
-            self._interrupt = signum
-
-        return {
-            signum: signal.signal(signum, _flag)
-            for signum in (signal.SIGINT, signal.SIGTERM)
-        }
-
-    @staticmethod
-    def _restore_signal_handlers(previous: dict[int, Any] | None) -> None:
-        if previous is None:
-            return
-        for signum, handler in previous.items():
-            signal.signal(signum, handler)
-
-    def run(self) -> RunResult:
-        checkpoint = self._prepare()
-        health = (
-            PipelineHealth.from_state(checkpoint.payload["health"])
-            if checkpoint is not None
-            else PipelineHealth()
-        )
-        quarantine = self._open_quarantine(checkpoint)
-        reader = SeekableLogReader(
-            self.manifest.input_path,
-            on_error=self.on_error,
-            health=health,
-            quarantine=quarantine,
-        )
-        classifier = StreamingClassifier(
-            self.pipeline,
-            fixup_window=self.fixup_window,
-            reorder_window=self.reorder_window,
-            max_users=self.max_users,
-            health=health,
-        )
-        records_fed = 0
-        if checkpoint is not None:
-            payload = checkpoint.payload
-            records_fed = payload["records_fed"]
-            reader.seek(**payload["reader"])
-            classifier.restore_state(payload["classifier"])
-            self.sink.begin(fresh=False, state=payload["sink"])
-        else:
-            self.sink.begin(fresh=True, state=None)
-
-        checkpoints_written = 0
-        self._interrupt: int | None = None
-        previous_handlers = self._install_signal_handlers()
+    health = PipelineHealth.from_state(payload["health"]) if payload else PipelineHealth()
+    quarantine = open_quarantine(
+        on_error, quarantine_path, checkpointing, payload["quarantine"] if payload else None
+    )
+    reader = SeekableLogReader(
+        input_path, on_error=on_error, health=health, quarantine=quarantine
+    )
+    classifier = StreamingClassifier(
+        pipeline,
+        fixup_window=DURABLE_FIXUP_WINDOW if checkpointing is not None else None,
+        reorder_window=reorder_window,
+        max_users=max_users,
+        health=health,
+    )
+    records_fed = checkpoints_written = 0
+    # A checkpointed run takes one record at a time: a cut needs the
+    # reader's coordinates, the health counters and the sidecar to
+    # describe exactly the records fed.  A plain run has no cuts and
+    # reads ahead, because alternating decode and classify on every
+    # record costs ~10 % of throughput (each evicts the other's working
+    # set; a batch of 16 already amortises it).
+    read_ahead = 1 if checkpointing is not None else _READ_AHEAD
+    with InterruptFlag() if checkpointing is not None else contextlib.nullcontext() as flag:
         try:
-            for record in reader:
-                for entry in classifier.feed(record):
-                    self.sink.consume(entry)
-                records_fed += 1
-                if self.checkpoint_every and records_fed % self.checkpoint_every == 0:
-                    self.store.save(
-                        self._checkpoint_payload(
-                            records_fed=records_fed,
-                            reader=reader,
-                            classifier=classifier,
-                            health=health,
-                            quarantine=quarantine,
-                        )
+            sink.begin(fresh=payload is None, state=payload["sink"] if payload else None)
+            if payload is not None:
+                records_fed = payload["records_fed"]
+                reader.seek(**payload["reader"])
+                classifier.restore_state(payload["classifier"])
+            records = iter(reader)
+            for batch in iter(lambda: list(itertools.islice(records, read_ahead)), []):
+                for record in batch:
+                    for entry in classifier.feed(record):
+                        sink.consume(entry)
+                records_fed += len(batch)
+                if checkpointing is None:
+                    continue
+                due = checkpointing.every and records_fed % checkpointing.every == 0
+                if due or flag.signum is not None:
+                    store.save(
+                        {
+                            "records_fed": records_fed,
+                            "reader": {
+                                "offset": reader.offset,
+                                "line_no": reader.line_no,
+                                "header": reader.header,
+                            },
+                            "classifier": classifier.export_state(),
+                            "health": health.export_state(),
+                            "sink": sink.export_state(),
+                            "quarantine": quarantine_state(quarantine),
+                        }
                     )
                     checkpoints_written += 1
-                if self._interrupt is not None:
-                    # Between records is the one consistent cut point:
-                    # checkpoint here so the interrupted tail costs zero
-                    # replay, keep .part outputs and the sidecar, and
-                    # let the CLI map this to exit 130.
-                    self.store.save(
-                        self._checkpoint_payload(
-                            records_fed=records_fed,
-                            reader=reader,
-                            classifier=classifier,
-                            health=health,
-                            quarantine=quarantine,
-                        )
-                    )
-                    self.log("interrupted between records; checkpoint saved")
-                    raise RunInterrupted(self._interrupt)
-                if self.crash_injector is not None:
-                    self.crash_injector.tick()
+                if flag.signum is not None:
+                    # Cut above, so the interrupted tail costs zero
+                    # replay; .part outputs and the sidecar stay.
+                    log("interrupted between records; checkpoint saved")
+                    raise RunInterrupted(flag.signum)
+                if checkpointing.crash_injector is not None:
+                    checkpointing.crash_injector.tick()
             for entry in classifier.finish():
-                self.sink.consume(entry)
-            output_paths = list(self.sink.finalize())
-            quarantine_path = None
-            if quarantine is not None:
-                quarantine.sync()
-                quarantine.close()
-                quarantine_path = self.manifest.quarantine_path
-                replace_atomic(self.quarantine_part, quarantine_path)
-            # The run is complete: drop the checkpoints so a later
-            # --resume reruns from scratch instead of replaying a tail
-            # into already-published outputs.
-            for generation in self.store.generations():
-                os.unlink(self.store.path_for(generation))
+                sink.consume(entry)
+            sink.finalize()
+            publish_quarantine(quarantine, quarantine_path, checkpointing)
+            if store is not None:
+                # The run is complete: a later --resume must rerun from
+                # scratch, not replay a tail into published outputs.
+                store.clear()
         finally:
-            self._restore_signal_handlers(previous_handlers)
             reader.close()
-            self.sink.close()
+            sink.close()
             if quarantine is not None:
                 quarantine.close()
-        return RunResult(
-            health=health,
-            records=records_fed,
-            resumed_generation=checkpoint.generation if checkpoint is not None else None,
-            checkpoints_written=checkpoints_written,
-            quarantine_count=quarantine.count if quarantine is not None else 0,
-            quarantine_path=quarantine_path,
-            output_paths=output_paths,
-        )
+    return RunResult(
+        health=health,
+        records=records_fed,
+        resumed_generation=checkpoint.generation if checkpoint is not None else None,
+        checkpoints_written=checkpoints_written,
+        quarantine_count=quarantine.count if quarantine is not None else 0,
+    )

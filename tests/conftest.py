@@ -15,8 +15,20 @@ import pytest
 from repro.browser.crawler import Crawler
 from repro.core import AdClassificationPipeline
 from repro.filterlist import ACTrieEngine, build_lists
+from repro.robustness.runstate import RunSink
 from repro.trace import RBNTraceGenerator, rbn2_config
 from repro.web import Ecosystem, EcosystemConfig
+
+
+class RowCollector(RunSink):
+    """The sink library-level pool tests hand to ``ParallelRun``: keeps
+    the rendered classification rows in a list instead of a file."""
+
+    def __init__(self) -> None:
+        self.rows: list[str] = []
+
+    def consume_row(self, row: str, is_ad: bool, is_whitelisted: bool) -> None:
+        self.rows.append(row)
 
 
 def pytest_addoption(parser: pytest.Parser) -> None:

@@ -13,6 +13,7 @@ strict/skip/quarantine, deterministic shard claims).
 from __future__ import annotations
 
 import io
+import mmap
 import os
 import subprocess
 import sys
@@ -341,7 +342,10 @@ class TestSeek:
             assert prefix + suffix == records, f"stop_after={stop_after}"
 
     def test_seek_to_start(self, tmp_path):
-        records, path = _write_corpus(tmp_path, n=100)
+        # Many small blocks over several pages: the first pass gives the
+        # pages behind each block back, the rewind must fault them in.
+        records, path = _write_corpus(tmp_path, n=500, block_records=16)
+        assert path.stat().st_size > 4 * mmap.PAGESIZE
         with SeekableLogReader(str(path)) as reader:
             list(reader)
             reader.seek(offset=0, line_no=0, header=None)

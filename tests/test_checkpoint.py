@@ -32,12 +32,13 @@ from repro.robustness import (
 )
 from repro.robustness.checkpoint import _HEADER, _MAGIC
 from repro.robustness.runstate import (
+    Checkpointing,
     ClassifySink,
-    DurableRun,
     ManifestMismatch,
     RunManifest,
     fingerprint_lists,
     fingerprint_params,
+    run_serial,
 )
 from repro.trace.corruption import CorruptionConfig, TraceCorruptor
 
@@ -234,7 +235,7 @@ class TestStreamingClassifierState:
 
 
 # ---------------------------------------------------------------------------
-# DurableRun in-process: crash (RAISE mode) + resume equivalence
+# run_serial with Checkpointing, in-process: crash (RAISE mode) + resume equivalence
 
 
 @pytest.fixture(scope="module")
@@ -276,21 +277,23 @@ def _durable_classify(
         output_path=out_path,
         quarantine_path=quarantine_path,
     )
-    runner = DurableRun(
-        directory=directory,
-        manifest=manifest,
-        pipeline=pipeline,
-        sink=ClassifySink(
-            part_path=os.path.join(directory, "output.part"), final_path=out_path
-        ),
+    result = run_serial(
+        str(trace_path),
+        pipeline,
+        ClassifySink(part_path=os.path.join(directory, "output.part"), final_path=out_path),
         on_error=on_error,
-        checkpoint_every=checkpoint_every,
-        resume=resume,
-        crash_injector=(
-            CrashInjector(crash_after, mode=CrashMode.RAISE) if crash_after else None
+        quarantine_path=quarantine_path,
+        checkpointing=Checkpointing(
+            directory=directory,
+            manifest=manifest,
+            every=checkpoint_every,
+            resume=resume,
+            crash_injector=(
+                CrashInjector(crash_after, mode=CrashMode.RAISE) if crash_after else None
+            ),
         ),
     )
-    return runner.run(), out_path, quarantine_path
+    return result, out_path, quarantine_path
 
 
 class TestDurableRunInProcess:

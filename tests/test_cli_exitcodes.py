@@ -12,9 +12,12 @@ same clean diagnostic.
 
 from __future__ import annotations
 
+import json
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -23,17 +26,22 @@ from repro.exitcodes import EXIT_MANIFEST_MISMATCH, EXIT_MISSING_INPUT, EXIT_STR
 _ECO = ["--publishers", "80", "--eco-seed", "99"]
 
 
-def _cli(args, cwd):
+def _env():
     env = dict(os.environ)
+    env.pop("REPRO_CHAOS", None)
     repo_src = os.path.join(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
     )
     env["PYTHONPATH"] = os.pathsep.join(
         part for part in (repo_src, env.get("PYTHONPATH")) if part
     )
+    return env
+
+
+def _cli(args, cwd):
     return subprocess.run(
         [sys.executable, "-m", "repro.cli", *args],
-        cwd=str(cwd), env=env, capture_output=True, text=True, timeout=600,
+        cwd=str(cwd), env=_env(), capture_output=True, text=True, timeout=600,
     )
 
 
@@ -105,8 +113,10 @@ def test_strict_abort_exits_1_with_line_diagnostic(tmp_path, trace_file, workers
         tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
+    out_dir = tmp_path / "published"
+    out_dir.mkdir()
     args = ["classify", *_ECO, "--trace", str(dirty),
-            "--out", str(tmp_path / "out.tsv"), "--on-error", "strict"]
+            "--out", str(out_dir / "out.tsv"), "--on-error", "strict"]
     if workers is not None:
         args += ["--workers", str(workers)]
     proc = _cli(args, tmp_path)
@@ -114,6 +124,86 @@ def test_strict_abort_exits_1_with_line_diagnostic(tmp_path, trace_file, workers
     assert "malformed input at" in proc.stderr
     assert "--on-error skip|quarantine" in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert os.listdir(out_dir) == []  # neither --out nor its .part staging file
+
+
+# ---------------------------------------------------------------------------
+# A failed plain (no --checkpoint-dir) run publishes nothing and leaves
+# nothing: neither --out nor its .part staging file (the strict abort
+# above included).  A durable run keeps output.part on purpose —
+# tests/test_supervision.py.
+
+_DYING_POOL = ["--workers", "2", "--worker-timeout", "4", "--worker-retries", "0",
+               "--chaos", "crash-hard:worker=1:after=500"]
+
+
+@pytest.mark.parametrize(
+    "extra, code, message",
+    [
+        pytest.param([], 5, "worker 1 exited", id="worker-failure"),
+        pytest.param(["--on-worker-failure", "degrade"], 3,
+                     "output is a partial prefix", id="degraded-pool"),
+    ],
+)
+def test_failed_plain_pool_run_leaves_no_output(tmp_path, trace_file, extra, code, message):
+    out_dir = tmp_path / "published"
+    out_dir.mkdir()
+    proc = _cli(
+        ["classify", *_ECO, "--trace", str(trace_file),
+         "--out", str(out_dir / "out.tsv"), *_DYING_POOL, *extra],
+        tmp_path,
+    )
+    assert proc.returncode == code, proc.stdout + proc.stderr
+    assert message in proc.stdout + proc.stderr
+    assert os.listdir(out_dir) == []
+
+
+@pytest.mark.parametrize("workers", [None, 2])
+def test_interrupted_plain_run_exits_130_and_leaves_no_output(
+    tmp_path, trace_file, workers
+):
+    out_dir = tmp_path / "published"
+    out_dir.mkdir()
+    args = ["classify", *_ECO, "--trace", str(trace_file),
+            "--out", str(out_dir / "out.tsv")]
+    if workers is not None:
+        args += ["--workers", str(workers)]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", *args],
+        cwd=str(tmp_path), env=_env(),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        # The staging file appears when the run loop is entered.
+        deadline = time.monotonic() + 120.0
+        while not os.listdir(out_dir):
+            assert proc.poll() is None, proc.communicate()[1]
+            assert time.monotonic() < deadline, "run never opened its output"
+            time.sleep(0.002)
+        proc.send_signal(signal.SIGINT)
+        stdout, stderr = proc.communicate(timeout=120)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 130, stdout + stderr
+    assert "interrupted" in stderr
+    assert os.listdir(out_dir) == []
+
+
+def test_usage_health_format_json_ends_in_the_health_document(tmp_path, trace_file):
+    args = ["usage", *_ECO, "--trace", str(trace_file),
+            "--tls", str(trace_file.with_name("tls.tsv")), "--min-requests", "50"]
+    plain = _cli(args, tmp_path)
+    assert plain.returncode == 0, plain.stderr
+    assert "paper Table 3" in plain.stdout
+    assert "\n{" not in plain.stdout  # a clean text-mode run prints no summary
+
+    proc = _cli([*args, "--health-format", "json"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(plain.stdout)
+    health = json.loads(proc.stdout[len(plain.stdout):])
+    assert health["records_ok"] > 0
 
 
 @pytest.fixture(scope="module")
@@ -122,7 +212,7 @@ def trace_file(tmp_path_factory):
     path = tmp / "trace.tsv"
     proc = _cli(
         ["trace", *_ECO, "--preset", "rbn2", "--scale", "0.0001",
-         "--out", str(path)],
+         "--out", str(path), "--tls-out", str(tmp / "tls.tsv")],
         tmp,
     )
     assert proc.returncode == 0, proc.stderr

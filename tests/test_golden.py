@@ -26,6 +26,7 @@ from repro.http.log import read_log
 from repro.parallel import ParallelRun
 from repro.robustness import ErrorPolicy, PipelineHealth, QuarantineWriter
 from repro.robustness.runstate import ClassifySink, classification_row
+from tests.conftest import RowCollector
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 TRACE = GOLDEN / "trace.tsv"
@@ -59,21 +60,21 @@ def _serial_outputs(pipeline) -> dict[str, bytes]:
     }
 
 
-def _parallel_outputs(pipeline, workers: int) -> dict[str, bytes]:
-    rows: list[str] = []
-    sidecar = io.BytesIO()
+def _parallel_outputs(pipeline, workers: int, tmp_path) -> dict[str, bytes]:
+    sink = RowCollector()
+    sidecar = tmp_path / "quarantine.tsv"
     outcome = ParallelRun(
         workers=workers,
         input_path=str(TRACE),
         pipeline_factory=lambda: pipeline,
         on_error=ErrorPolicy.QUARANTINE,
-        on_row=lambda row, is_ad, is_whitelisted: rows.append(row),
-        quarantine=QuarantineWriter(sidecar),
+        quarantine_path=str(sidecar),
+        sink=sink,
     ).run()
-    body = "".join(row + "\n" for row in rows)
+    body = "".join(row + "\n" for row in sink.rows)
     return {
         "classified": (ClassifySink.HEADER + body).encode("utf-8"),
-        "quarantine": sidecar.getvalue(),
+        "quarantine": sidecar.read_bytes(),
         "health": (outcome.health.summary() + "\n").encode("utf-8"),
     }
 
@@ -97,8 +98,8 @@ def test_serial_output_matches_golden(pipeline):
 
 
 @pytest.mark.parametrize("workers", [2, 4])
-def test_parallel_output_matches_golden(pipeline, workers):
-    outputs = _parallel_outputs(pipeline, workers)
+def test_parallel_output_matches_golden(pipeline, workers, tmp_path):
+    outputs = _parallel_outputs(pipeline, workers, tmp_path)
     for name, path in _EXPECTATIONS.items():
         assert outputs[name] == path.read_bytes(), (
             f"{path.name} differs with --workers {workers}: the parallel "

@@ -36,6 +36,7 @@ from repro.robustness import (
 )
 from repro.robustness.runstate import classification_row
 from repro.trace.corruption import TraceCorruptor
+from tests.conftest import RowCollector
 
 
 # ---------------------------------------------------------------------------
@@ -67,11 +68,8 @@ def _serial_classify(pipeline, path, policy, reorder_window):
 
 
 def _parallel_classify(pipeline, path, policy, reorder_window, workers):
-    rows: list[str] = []
-    sidecar = io.BytesIO()
-    quarantine = (
-        QuarantineWriter(sidecar) if policy is ErrorPolicy.QUARANTINE else None
-    )
+    sink = RowCollector()
+    sidecar = path + ".quarantine"
     outcome = ParallelRun(
         workers=workers,
         input_path=path,
@@ -79,11 +77,15 @@ def _parallel_classify(pipeline, path, policy, reorder_window, workers):
         # pipeline is inherited — no per-example engine rebuild.
         pipeline_factory=lambda: pipeline,
         on_error=policy,
+        quarantine_path=sidecar,
         reorder_window=reorder_window,
-        on_row=lambda row, is_ad, is_whitelisted: rows.append(row),
-        quarantine=quarantine,
+        sink=sink,
     ).run()
-    return rows, sidecar.getvalue(), outcome.health.summary()
+    quarantined = b""
+    if policy is ErrorPolicy.QUARANTINE:
+        with open(sidecar, "rb") as stream:
+            quarantined = stream.read()
+    return sink.rows, quarantined, outcome.health.summary()
 
 
 @settings(max_examples=6, deadline=None)

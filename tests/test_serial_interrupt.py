@@ -18,6 +18,8 @@ import time
 
 import pytest
 
+from repro.robustness import CheckpointStore
+
 _ECO = ["--publishers", "80", "--eco-seed", "99"]
 
 
@@ -40,12 +42,12 @@ def _cli(args, cwd):
     )
 
 
-def _classify_args(trace, out, ckpt):
+def _classify_args(trace, out, ckpt, checkpoint_every=500):
     # checkpoint-every is small so the first checkpoint lands early in
     # the ~2s serial run, leaving a wide window for the signal.
     return [
         "classify", *_ECO, "--trace", str(trace), "--out", str(out),
-        "--checkpoint-dir", str(ckpt), "--checkpoint-every", "500",
+        "--checkpoint-dir", str(ckpt), "--checkpoint-every", str(checkpoint_every),
     ]
 
 
@@ -70,14 +72,14 @@ def serial_golden(tmp_path_factory, serial_trace):
     return out.read_bytes()
 
 
-def _interrupt_mid_run(tmp_path, serial_trace, signum):
+def _interrupt_mid_run(tmp_path, serial_trace, signum, checkpoint_every=500):
     """Start a serial durable classify, signal it after the first
     checkpoint, return (proc, stdout, stderr, out, ckpt)."""
     out = tmp_path / "out.tsv"
     ckpt = tmp_path / "ckpt"
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.cli",
-         *_classify_args(serial_trace, out, ckpt)],
+         *_classify_args(serial_trace, out, ckpt, checkpoint_every)],
         cwd=str(tmp_path), env=_env(),
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )
@@ -133,3 +135,24 @@ class TestSerialInterrupt:
         assert "durable state kept" in stderr
         assert not out.exists()
         assert any(name.startswith("ckpt-") for name in os.listdir(ckpt))
+
+    def test_interrupt_on_a_checkpoint_boundary_cuts_one_generation(
+        self, tmp_path, serial_trace, serial_golden
+    ):
+        """With --checkpoint-every 1 every record is a boundary, so the
+        signal is certain to land on one.  The periodic cut is then the
+        interrupt's cut: a second, identical generation would spend one
+        of the three retained slots on a duplicate."""
+        proc, stdout, stderr, out, ckpt = _interrupt_mid_run(
+            tmp_path, serial_trace, signal.SIGINT, checkpoint_every=1
+        )
+        assert proc.returncode == 130, stdout + stderr
+        store = CheckpointStore(ckpt)
+        fed = [store.load(g).payload["records_fed"] for g in store.generations()]
+        assert fed and len(set(fed)) == len(fed), fed
+
+        resumed = _cli(
+            _classify_args(serial_trace, out, ckpt) + ["--resume"], tmp_path
+        )
+        assert resumed.returncode == 0, resumed.stderr
+        assert out.read_bytes() == serial_golden

@@ -41,6 +41,7 @@ from repro.robustness.crash import (
     parse_chaos,
 )
 from repro.robustness.retry import RetryExhausted, RetryPolicy
+from tests.conftest import RowCollector
 
 
 # ---------------------------------------------------------------------------
@@ -411,19 +412,19 @@ def chaos_trace(tmp_path_factory, rbn_trace):
 
 def _pool_rows(pipeline, path, *, chaos=None, retry="on", on_failure="abort",
                worker_timeout=0.5):
-    rows: list[str] = []
+    sink = RowCollector()
     outcome = ParallelRun(
         workers=2,
         input_path=path,
         pipeline_factory=lambda: pipeline,  # forked: engine inherited
         on_error=ErrorPolicy.SKIP,
-        on_row=lambda row, is_ad, is_whitelisted: rows.append(row),
+        sink=sink,
         worker_timeout=worker_timeout,
         retry=RetryPolicy(max_attempts=3, jitter=0.0) if retry == "on" else None,
         on_worker_failure=on_failure,
         chaos=chaos,
     ).run()
-    return rows, outcome
+    return sink.rows, outcome
 
 
 @pytest.fixture(scope="module")
