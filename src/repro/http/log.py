@@ -13,7 +13,9 @@ from __future__ import annotations
 import io
 import zlib
 from dataclasses import dataclass, fields
-from typing import Iterable, Iterator, TextIO
+from math import isfinite
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, TextIO
 
 from repro.http.message import HttpTransaction
 from repro.robustness import ErrorPolicy, LogParseError, PipelineHealth, QuarantineWriter
@@ -22,6 +24,7 @@ __all__ = [
     "HttpLogRecord",
     "transaction_to_record",
     "write_log",
+    "encode_field",
     "read_log",
     "SeekableLogReader",
     "shard_of",
@@ -92,11 +95,10 @@ def transaction_to_record(txn: HttpTransaction) -> HttpLogRecord:
 _FIELD_NAMES = [f.name for f in fields(HttpLogRecord)]
 
 
-def _encode(value: object) -> str:
-    if value is None:
-        return _UNSET
-    text = str(value)
-    return text.replace("\t", "%09").replace("\n", "%0A")
+def encode_field(value: object) -> str:
+    """``value`` as one TSV token: ``None`` is ``-``, and a value's own TAB
+    and LF are spelled ``%09``/``%0A``, so one row is always one line."""
+    return _UNSET if value is None else str(value).replace("\t", "%09").replace("\n", "%0A")
 
 
 # Bro-style cap on a single field; anything longer is capture damage
@@ -104,18 +106,23 @@ def _encode(value: object) -> str:
 _MAX_FIELD_LEN = 8192
 
 
-def _decode(name: str, token: str) -> object:
-    if token == _UNSET:
-        return None
-    token = token.replace("%09", "\t").replace("%0A", "\n")
-    if name in ("ts", "tcp_handshake_ms", "http_handshake_ms"):
-        value = float(token)
-        if value != value or value in (float("inf"), float("-inf")):
-            raise ValueError(f"non-finite {name}")
-        return value
-    if name in ("status", "content_length", "flow_id"):
-        return int(token)
-    return token
+def _float(token: str) -> float:
+    value = float(token)
+    if not isfinite(value):
+        raise ValueError("non-finite")
+    return value
+
+
+# The numeric columns; every other column is text and kept as it is.
+_CONVERTERS: dict[str, Callable[[str], object]] = {
+    "ts": _float, "tcp_handshake_ms": _float, "http_handshake_ms": _float,
+    "status": int, "content_length": int, "flow_id": int,
+}
+
+# Columns where ``-`` means "no value"; in any other it is damage.
+_NULLABLE = frozenset(
+    "referrer user_agent status content_type content_length location http_handshake_ms".split()
+)
 
 
 def write_log(records: Iterable[HttpLogRecord], stream: TextIO) -> int:
@@ -123,7 +130,7 @@ def write_log(records: Iterable[HttpLogRecord], stream: TextIO) -> int:
     stream.write("#" + "\t".join(_FIELD_NAMES) + "\n")
     count = 0
     for record in records:
-        row = [_encode(getattr(record, name)) for name in _FIELD_NAMES]
+        row = [encode_field(getattr(record, name)) for name in _FIELD_NAMES]
         stream.write("\t".join(row) + "\n")
         count += 1
     return count
@@ -139,7 +146,6 @@ _REASON_CATEGORIES = [
     ("oversized field", "oversized-field"),
     ("bad value", "bad-value"),
     ("missing fields", "missing-fields"),
-    ("unknown fields", "unknown-fields"),
     ("damaged block", "damaged-block"),
     ("unreadable binlog", "damaged-file"),
 ]
@@ -150,30 +156,6 @@ def _categorize(reason: str) -> str:
         if reason.startswith(prefix):
             return category
     return "other"
-
-
-def _decode_line(line: str, header: list[str]) -> HttpLogRecord:
-    """Decode one data line against ``header``; raises ValueError on damage."""
-    tokens = line.split("\t")
-    if len(tokens) != len(header):
-        raise ValueError(f"expected {len(header)} fields, got {len(tokens)}")
-    values: dict[str, object] = {}
-    for name, token in zip(header, tokens):
-        if len(token) > _MAX_FIELD_LEN:
-            raise ValueError(f"oversized field '{name}' ({len(token)} chars)")
-        try:
-            values[name] = _decode(name, token)
-        except ValueError:
-            raise ValueError(f"bad value for field '{name}': {token[:80]!r}") from None
-    for name, default in _OPTIONAL_DEFAULTS.items():
-        values.setdefault(name, default)
-    missing = [name for name in _FIELD_NAMES if name not in values]
-    if missing:
-        raise ValueError(f"missing fields: {', '.join(missing)}")
-    unknown = [name for name in values if name not in _FIELD_NAMES]
-    if unknown:
-        raise ValueError(f"unknown fields: {', '.join(unknown)}")
-    return HttpLogRecord(**values)  # type: ignore[arg-type]
 
 
 def shard_of(client: str, user_agent: str, workers: int) -> int:
@@ -206,6 +188,10 @@ class _LineHandler:
     :class:`SeekableLogReader`: header adoption, decoding, and the
     error-policy routing (strict raise / skip / quarantine).
 
+    The row decoder is compiled per header (:meth:`adopt`), applied per
+    line (:meth:`handle`), and only a refused line pays for finding out
+    why (:meth:`_reason`) — DESIGN.md §16, "TSV decode".
+
     With ``shard=(k, W)`` the handler still *parses* every line — all
     workers must agree on global record positions — but accounts for a
     parsed record only if shard ``k`` owns its user, and for a malformed
@@ -215,7 +201,8 @@ class _LineHandler:
     says whether this shard owns it.
     """
 
-    __slots__ = ("header", "on_error", "health", "quarantine", "shard", "owned")
+    __slots__ = ("header", "on_error", "health", "quarantine", "shard", "owned",
+                 "_columns", "_numeric", "_nullable", "_defaults", "_pick", "_defect")
 
     def __init__(
         self,
@@ -223,18 +210,56 @@ class _LineHandler:
         on_error: ErrorPolicy,
         health: PipelineHealth | None,
         quarantine: QuarantineWriter | None,
-        header: list[str] | None = None,
         shard: tuple[int, int] | None = None,
     ):
-        self.header = header
+        self.adopt(None)
         self.on_error = on_error
         self.health = health
         self.quarantine = quarantine
         self.shard = shard
         self.owned = True
 
+    def adopt(self, header: list[str] | None) -> None:
+        """Decode later lines under ``header`` (``None``: the schema's own order)."""
+        self.header = header
+        self._columns = columns = _FIELD_NAMES if header is None else header
+        self._numeric = [(i, _CONVERTERS[n]) for i, n in enumerate(columns) if n in _CONVERTERS]
+        self._nullable = [i for i, n in enumerate(columns) if n in _NULLABLE]
+        absent = [name for name in _OPTIONAL_DEFAULTS if name not in columns]
+        self._defaults = [_OPTIONAL_DEFAULTS[name] for name in absent]
+        # Where each name's value is in a line's tokens + defaults (a repeated name: the last).
+        column = {name: i for i, name in enumerate(columns + absent)}
+        self._pick = itemgetter(*(column[name] for name in _FIELD_NAMES if name in column))
+        # A header lacking a required column refuses every line, after the line's own damage.
+        missing = [name for name in _FIELD_NAMES if name not in column]
+        self._defect = f"missing fields: {', '.join(missing)}" if missing else ""
+
+    def _reason(self, line: str) -> str:
+        """Why :meth:`handle` refused ``line``: the first failing column
+        in header order decides, so the fast path need not keep track."""
+        tokens = line.split("\t")
+        if len(tokens) != len(self._columns):
+            return f"expected {len(self._columns)} fields, got {len(tokens)}"
+        for name, token in zip(self._columns, tokens):
+            if len(token) > _MAX_FIELD_LEN:
+                return f"oversized field '{name}' ({len(token)} chars)"
+            try:
+                if token != _UNSET:
+                    _CONVERTERS.get(name, str)(token.replace("%09", "\t").replace("%0A", "\n"))
+                elif name not in _NULLABLE:
+                    raise ValueError("unset")
+            except ValueError:
+                return f"bad value for field '{name}': {token[:80]!r}"
+        return self._defect
+
     def handle(self, line: str, line_no: int) -> HttpLogRecord | None:
-        """Parse one newline-stripped line; ``None`` for non-records."""
+        """Parse one line as read, terminator and all; ``None`` for non-records."""
+        # One terminator, ``\n`` or ``\r\n``: left on, ``\r`` poisons the last field
+        # of every record of a CRLF log; ``rstrip("\r\n")`` would eat a value's own.
+        if line.endswith("\n"):
+            line = line[:-1]
+        if line.endswith("\r"):
+            line = line[:-1]
         if not line:
             return None
         if line.startswith("#"):
@@ -242,12 +267,26 @@ class _LineHandler:
             # Adopt a header only if its names are plausible; a garbled
             # comment must not poison the parse of every later line.
             if set(candidate) <= set(_FIELD_NAMES):
-                self.header = candidate
+                self.adopt(candidate)
             return None
+        tokens: list = line.split("\t")
         try:
-            record = _decode_line(line, self.header if self.header is not None else _FIELD_NAMES)
-        except ValueError as exc:
-            reason = str(exc)
+            oversized = len(line) > _MAX_FIELD_LEN and max(map(len, tokens)) > _MAX_FIELD_LEN
+            if oversized or len(tokens) != len(self._columns) or self._defect:
+                raise ValueError
+            if "%0" in line:
+                tokens = [token.replace("%09", "\t").replace("%0A", "\n") for token in tokens]
+            for i in self._nullable:
+                if tokens[i] == _UNSET:
+                    tokens[i] = None
+            for i, convert in self._numeric:
+                if tokens[i] is not None:
+                    tokens[i] = convert(tokens[i])
+            if _UNSET in tokens:  # only text that must be set can still read so
+                raise ValueError
+            record = HttpLogRecord(*self._pick(tokens + self._defaults))
+        except ValueError:
+            reason = self._reason(line)
             if self.on_error is ErrorPolicy.STRICT:
                 raise LogParseError(line_no, reason, line) from None
             if self.shard is not None and not claims_line(line_no, *self.shard):
@@ -282,69 +321,36 @@ def read_log(
     """
     handler = _LineHandler(on_error=on_error, health=health, quarantine=quarantine)
     for line_no, line in enumerate(stream, start=1):
-        record = handler.handle(_strip_eol(line), line_no)
+        record = handler.handle(line, line_no)
         if record is not None:
             yield record
 
 
-def _strip_eol(line: str) -> str:
-    """Strip one line terminator — ``\\n`` or ``\\r\\n``.
-
-    ``rstrip("\\n")`` alone let a CRLF log poison the last field of
-    every record with a trailing ``\\r``; stripping characterwise (not
-    ``rstrip("\\r\\n")``, which would eat a value's own trailing
-    newlines) normalizes both conventions.
-    """
-    if line.endswith("\n"):
-        line = line[:-1]
-    if line.endswith("\r"):
-        line = line[:-1]
-    return line
-
-
-class _TextLogReader:
+class _TextLogReader(_LineHandler):
     """TSV backend of :class:`SeekableLogReader`: line-at-a-time binary
     reads with the coordinates (`offset`/`line_no`/`header`) a durable
     checkpoint stores."""
 
     format = "tsv"
 
-    def __init__(
-        self,
-        file,
-        *,
-        on_error: ErrorPolicy = ErrorPolicy.STRICT,
-        health: PipelineHealth | None = None,
-        quarantine: QuarantineWriter | None = None,
-        shard: tuple[int, int] | None = None,
-    ):
+    def __init__(self, file, **policy):
+        super().__init__(**policy)
         self._file = file
-        self._handler = _LineHandler(
-            on_error=on_error, health=health, quarantine=quarantine, shard=shard
-        )
         self.offset = 0
         self.line_no = 0
-
-    @property
-    def header(self) -> list[str] | None:
-        return self._handler.header
-
-    @property
-    def owned(self) -> bool:
-        return self._handler.owned
 
     def seek(self, *, offset: int, line_no: int, header: list[str] | None) -> None:
         self._file.seek(offset)
         self.offset = offset
         self.line_no = line_no
-        self._handler.header = header
+        self.adopt(header)
 
     def __iter__(self) -> Iterator[HttpLogRecord]:
+        handle = self.handle
         for raw in self._file:
             self.offset += len(raw)
             self.line_no += 1
-            line = _strip_eol(raw.decode("utf-8", errors="replace"))
-            record = self._handler.handle(line, self.line_no)
+            record = handle(raw.decode("utf-8", errors="replace"), self.line_no)
             if record is not None:
                 yield record
 
@@ -393,19 +399,13 @@ class SeekableLogReader:
         try:
             magic = file.read(len(binlog.BINLOG_MAGIC))
             file.seek(0)
-            impl: _TextLogReader | binlog.BinLogReader
-            if magic == binlog.BINLOG_MAGIC:
-                impl = binlog.BinLogReader(
-                    file, on_error=on_error, health=health, quarantine=quarantine, shard=shard
-                )
-            else:
-                impl = _TextLogReader(
-                    file, on_error=on_error, health=health, quarantine=quarantine, shard=shard
-                )
+            backend = binlog.BinLogReader if magic == binlog.BINLOG_MAGIC else _TextLogReader
+            self._impl: _TextLogReader | binlog.BinLogReader = backend(
+                file, on_error=on_error, health=health, quarantine=quarantine, shard=shard
+            )
         except BaseException:  # staticcheck: ok[RC002] cleanup-and-reraise, nothing swallowed
             file.close()
             raise
-        self._impl = impl
 
     @property
     def format(self) -> str:

@@ -47,7 +47,7 @@ from repro.core.pipeline import (
     StreamingClassifier,
 )
 from repro.core.users import UserKey, UserStats
-from repro.http.log import SeekableLogReader
+from repro.http.log import SeekableLogReader, encode_field
 from repro.robustness.atomic import atomic_writer, replace_atomic
 from repro.robustness.checkpoint import CheckpointStore
 from repro.robustness.crash import CrashInjector
@@ -85,17 +85,25 @@ def classification_row(entry: ClassifiedRequest) -> str:
     identical output across execution plans" (DESIGN.md §10) cannot
     drift into three subtly different formatters.
     """
-    return "\t".join(
-        [
-            str(entry.record.ts),
-            entry.record.client,
-            entry.record.url,
-            entry.page_url,
-            "1" if entry.is_ad else "0",
-            entry.blacklist_name or "-",
-            "1" if entry.is_whitelisted else "0",
-        ]
-    )
+    cells = [
+        str(entry.record.ts),
+        entry.record.client,
+        entry.record.url,
+        entry.page_url,
+        "1" if entry.is_ad else "0",
+        entry.blacklist_name or "-",
+        "1" if entry.is_whitelisted else "0",
+    ]
+    row = "\t".join(cells)
+    if row.count("\t") != len(cells) - 1 or "\n" in row:
+        # A value read from the trace holds a TAB or LF of its own (the
+        # reader turns a URI's literal %09/%0A into one): spell it the
+        # way the log does, so one entry stays one line.  Tested on the
+        # joined row because almost no row needs it.
+        cells[1:4] = [encode_field(cell) for cell in cells[1:4]]
+        row = "\t".join(cells)
+    return row
+
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_VERSION = 1
@@ -348,7 +356,11 @@ class ClassifySink(RunSink):
         if self._file is not None:
             self._file.close()
             self._file = None
-            if not self.resumable:
+        if self.part_path is not None and not self.resumable:
+            # Also without a handle: ^C can land in begin() between
+            # creating the staging file and keeping it.  After a publish
+            # the file is gone (renamed) and this is a no-op.
+            with contextlib.suppress(FileNotFoundError):
                 os.unlink(self.part_path)
 
 

@@ -189,6 +189,31 @@ class TestDegradedOperation:
         out = capsys.readouterr().out
         assert "dropped:           0" in out
 
+    def test_unset_required_columns_and_escaped_uris(self, trace_files, tmp_path, capsys):
+        """``-`` for ts / client / uri used to decode to ``None`` and end
+        in an untyped traceback three layers later; a URI's literal
+        ``%0A`` used to split its output row in three."""
+        http_path, _ = trace_files
+        lines = http_path.read_text().splitlines()
+        for line_no, column in ((10, 0), (20, 1), (30, 5)):
+            tokens = lines[line_no].split("\t")
+            tokens[column] = "-"
+            lines[line_no] = "\t".join(tokens)
+        tokens = lines[40].split("\t")
+        tokens[5] = "/q?next=%0Ahttp://x.example/%09y"
+        lines[40] = "\t".join(tokens)
+        damaged, out_path = tmp_path / "unset.tsv", tmp_path / "out.tsv"
+        damaged.write_text("\n".join(lines) + "\n")
+        code = main(
+            ["classify", *_ECO, "--trace", str(damaged), "--out", str(out_path),
+             "--on-error", "skip", "--reorder-window", "2.0"]
+        )
+        assert code == 3
+        assert "read_log/bad-value: 3" in capsys.readouterr().out
+        rows = out_path.read_text().splitlines()
+        assert len(rows) == len(lines) - 3  # the header, and one row per surviving record
+        assert sum("/q?next=%0Ahttp://x.example/%09y" in row for row in rows) == 1
+
     def test_max_users_flag(self, trace_files, capsys):
         http_path, _ = trace_files
         code = main(

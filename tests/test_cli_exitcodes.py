@@ -191,6 +191,19 @@ def test_interrupted_plain_run_exits_130_and_leaves_no_output(
     assert os.listdir(out_dir) == []
 
 
+def test_plain_sink_close_removes_a_staging_file_it_kept_no_handle_to(tmp_path):
+    """The test above flaked about once in fifteen runs: ^C could land in
+    ``ClassifySink.begin`` after ``open()`` had created ``out.tsv.part``
+    and before the handle was kept, and ``close()`` then removed nothing."""
+    from repro.robustness.runstate import ClassifySink
+
+    sink = ClassifySink(final_path=str(tmp_path / "out.tsv"))
+    (tmp_path / "out.tsv.part").write_bytes(b"")  # where the interrupted begin() leaves things
+    sink.close()
+    assert os.listdir(tmp_path) == []
+    sink.close()  # and again, as after a publish: nothing to remove, no error
+
+
 def test_usage_health_format_json_ends_in_the_health_document(tmp_path, trace_file):
     args = ["usage", *_ECO, "--trace", str(trace_file),
             "--tls", str(trace_file.with_name("tls.tsv")), "--min-requests", "50"]

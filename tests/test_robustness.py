@@ -3,6 +3,7 @@ reorder buffer, bounded per-user state, and degraded CLI runs."""
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import random
 
@@ -18,6 +19,7 @@ from repro.robustness import (
     QuarantineWriter,
     read_quarantine,
 )
+from repro.robustness.runstate import classification_row
 from repro.trace.corruption import CorruptionConfig, TraceCorruptor
 
 
@@ -393,6 +395,123 @@ class TestGoldenDegradedTrace:
         assert health.records_seen == len(records)
         ratio = sum(1 for e in entries if e.is_ad) / len(entries)
         assert abs(ratio - clean_ratio) < 0.05
+
+
+# ---------------------------------------------------------------------------
+# The row decoder against the per-token interpreter it replaced
+
+_NAMES = [f.name for f in dataclasses.fields(HttpLogRecord)]
+_REQUIRED = ("ts", "client", "server", "method", "host", "uri", "tcp_handshake_ms", "flow_id")
+
+
+def _reference_decode_line(line: str, header: list[str]) -> HttpLogRecord:
+    """``http/log.py::_decode_line`` and ``_decode`` as they read before
+    the decoder was compiled per header, transcribed as the oracle.  The
+    one rule added since is marked."""
+    tokens = line.split("\t")
+    if len(tokens) != len(header):
+        raise ValueError(f"expected {len(header)} fields, got {len(tokens)}")
+    values: dict[str, object] = {}
+    for name, token in zip(header, tokens):
+        if len(token) > 8192:
+            raise ValueError(f"oversized field '{name}' ({len(token)} chars)")
+        try:
+            if token == "-" and name in _REQUIRED:  # added: unset is damage here
+                raise ValueError("unset")
+            value: object = token.replace("%09", "\t").replace("%0A", "\n")
+            if token == "-":
+                value = None
+            elif name in ("ts", "tcp_handshake_ms", "http_handshake_ms"):
+                value = float(value)
+                if value != value or value in (float("inf"), float("-inf")):
+                    raise ValueError(f"non-finite {name}")
+            elif name in ("status", "content_length", "flow_id"):
+                value = int(value)
+            values[name] = value
+        except ValueError:
+            raise ValueError(f"bad value for field '{name}': {token[:80]!r}") from None
+    values.setdefault("tcp_handshake_ms", 0.0)
+    values.setdefault("flow_id", 0)
+    missing = [name for name in _NAMES if name not in values]
+    if missing:
+        raise ValueError(f"missing fields: {', '.join(missing)}")
+    return HttpLogRecord(**values)
+
+
+def _reference_read(text: str):
+    header, records, refused = _NAMES, [], []
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        if line.startswith("#"):
+            if set(line[1:].split("\t")) <= set(_NAMES):
+                header = line[1:].split("\t")
+        elif line:
+            try:
+                records.append(_reference_decode_line(line, header))
+            except ValueError as exc:
+                refused.append((line_no, str(exc)))
+    return records, refused
+
+
+def _with_columns(text: str, columns: list[str]) -> str:
+    """``text`` (schema-order TSV) rewritten under the header ``columns``."""
+    index = [_NAMES.index(name) for name in columns]
+    rows = [line.split("\t") for line in text.splitlines()[1:]]
+    body = ["\t".join(row[i] for i in index) for row in rows]
+    return "\n".join(["#" + "\t".join(columns), *body]) + "\n"
+
+
+class TestDecoderDifferential:
+    @pytest.mark.parametrize(
+        "columns",
+        [_NAMES, _NAMES[::-1], _NAMES[:12] + _NAMES[13:14], _NAMES[1:]],
+        ids=["schema-order", "reversed", "no-optional-columns", "ts-missing"],
+    )
+    def test_same_records_and_reasons_on_a_damaged_trace(self, rbn_trace, columns):
+        records = rbn_trace.http[:4000] + [
+            _record(user_agent="tab\tand\nnewline", uri="/q?x=%0A", flow_id=i) for i in range(40)
+        ]
+        text = _with_columns(records_to_text(records), columns)
+        damaged = TraceCorruptor(rate=0.10, duplicate_rate=0.01, seed=24).corrupt_text(text)
+        # "-" where a value is required: garbling makes too few of those.
+        lines = damaged.split("\n")
+        for n, name in enumerate(columns):
+            tokens = lines[50 + n].split("\t")
+            tokens[n] = "-"
+            lines[50 + n] = "\t".join(tokens)
+        damaged = "\n".join(lines)
+
+        sidecar = io.StringIO()
+        decoded = list(read_log(io.StringIO(damaged), on_error=ErrorPolicy.QUARANTINE,
+                                quarantine=QuarantineWriter(sidecar)))
+        refused = [(n, why) for n, why, _ in read_quarantine(io.StringIO(sidecar.getvalue()))]
+        expected_records, expected_refused = _reference_read(damaged)
+        assert refused == expected_refused
+        assert decoded == expected_records
+        categories = {why.split(" ")[0] for _, why in refused}
+        if "ts" in columns:
+            assert len(decoded) > 3000 and {"expected", "oversized", "bad"} <= categories
+        else:
+            assert decoded == [] and "missing" in categories
+
+
+class TestClassificationRowIsOneLine:
+    """A URI's literal ``%0A``/``%09`` reaches the pipeline as a raw LF or
+    TAB (the reader unescapes it); the output row spells it back."""
+
+    def test_row_with_embedded_newline_and_tab(self, pipeline):
+        text = records_to_text([_record(uri="/x?next=%0Ahttp://t.example/%09z")])
+        [record] = read_log(io.StringIO(text))
+        assert "\n" in record.uri and "\t" in record.uri
+        [entry] = pipeline.process([record])
+        row = classification_row(entry)
+        assert "\n" not in row and row.count("\t") == 6
+        assert row.split("\t")[2] == "http://site.example/x?next=%0Ahttp://t.example/%09z"
+
+    def test_ordinary_row_is_untouched(self, pipeline):
+        [entry] = pipeline.process([_record()])
+        assert classification_row(entry).split("\t")[:4] == [
+            "1000.5", "anon-1", "http://site.example/x?y=1", "http://site.example/",
+        ]  # fmt: skip
 
 
 # ---------------------------------------------------------------------------
