@@ -21,7 +21,13 @@ from __future__ import annotations
 from repro.filterlist.options import ContentType
 from repro.http.url import path_extension, split_url
 
-__all__ = ["infer_content_type", "type_from_extension", "type_from_mime", "mime_class"]
+__all__ = [
+    "infer_content_type",
+    "type_from_extension",
+    "type_from_mime",
+    "type_from_path",
+    "mime_class",
+]
 
 _EXTENSION_TYPES: dict[str, ContentType] = {
     "png": ContentType.IMAGE,
@@ -47,11 +53,12 @@ _EXTENSION_TYPES: dict[str, ContentType] = {
 
 def type_from_extension(url: str) -> ContentType | None:
     """Infer the ABP content type from the URL path extension."""
-    parts = split_url(url)
-    extension = path_extension(parts.path)
-    if not extension:
-        return None
-    return _EXTENSION_TYPES.get(extension)
+    return type_from_path(split_url(url).path)
+
+
+def type_from_path(path: str) -> ContentType | None:
+    """Infer the ABP content type from the extension of an already-split path."""
+    return _EXTENSION_TYPES.get(path_extension(path))
 
 
 def type_from_mime(mime: str | None, *, is_page_root: bool = False) -> ContentType | None:

@@ -22,6 +22,7 @@ __all__ = [
     "SplitUrl",
     "URL_CACHE_SIZE",
     "split_url",
+    "split_url_uncached",
     "join_url",
     "hostname_of",
     "registrable_domain",
@@ -157,6 +158,12 @@ def split_url(url: str) -> SplitUrl:
         path, query = path_query[:qmark], path_query[qmark + 1 :]
 
     return SplitUrl(scheme=scheme, host=host.lower(), port=port, path=path, query=query)
+
+
+#: :func:`split_url` without the memo, for a caller that splits each URL
+#: once and keeps the parts: memoising a stream of one-off URLs (the
+#: daemon's request URLs) only retains them.
+split_url_uncached = split_url.__wrapped__
 
 
 def join_url(parts: SplitUrl) -> str:

@@ -301,8 +301,9 @@ _SERVE_DEFAULT_RECORDS = 100
 class ServeFault:
     """One armed serve fault, counted in admitted classify requests.
 
-    ``slow-handler`` is active for requests ``after < n <= after+records``;
-    the periodic modes fire on every ``every``-th request in that window.
+    A fault covers requests ``after < n <= after+records`` and fires on
+    every ``every``-th request in that window (``every=1``, the default:
+    each one) — ``slow-handler:every=2`` stalls every other request.
     """
 
     mode: ServeFaultMode
@@ -314,8 +315,6 @@ class ServeFault:
     def active(self, seen: int) -> bool:
         if not self.after < seen <= self.after + self.records:
             return False
-        if self.mode is ServeFaultMode.SLOW_HANDLER:
-            return True
         return (seen - self.after) % max(1, self.every) == 0
 
 

@@ -8,9 +8,9 @@ once and classified against over HTTP.  The serving layers are:
 * :mod:`repro.serve.http11` — a dependency-free asyncio HTTP/1.1
   transport (aiohttp is not a hard dependency of this repo; the daemon
   must run on a bare python toolchain);
-* :mod:`repro.serve.admission` — the bounded admission queue with
-  explicit backpressure (429 + ``Retry-After``) and per-request
-  deadlines (503);
+* :mod:`repro.serve.admission` — inline answers while a worker slot is
+  free, else the bounded admission queue with explicit backpressure
+  (429 + ``Retry-After``) and per-request deadlines (503);
 * :mod:`repro.serve.reload` — hot filter-list reload with atomic
   engine swap, keyed by the engine fingerprint so the decision cache
   invalidates exactly when the list actually changed;

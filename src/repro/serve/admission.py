@@ -10,25 +10,35 @@ request is *exactly one* of
 * **timed out** — admitted but not answered within its deadline (503).
 
 The chaos tests sum these against the request total and require
-equality; nothing may be double-counted or dropped on the floor, which
-is why ticket resolution is single-owner (:meth:`Ticket.claim`): the
-waiting request handler and the worker that eventually processes the
-ticket race politely, and exactly one of them books the outcome.
+equality; nothing may be double-counted or dropped on the floor.
+
+A request is answered *inline* — on the caller's stack, no queue hop —
+when the daemon is not draining, nothing is queued, a worker slot is
+free and no chaos delay applies: it is then accepted and served (or
+failed) in one synchronous call, so nothing can interleave between its
+bookings.  Every other request takes the queue, where ticket resolution
+is single-owner (:meth:`Ticket.claim`): the waiting request handler and
+the worker that eventually processes the ticket race politely, and
+exactly one of them books the outcome.
 """
 
 from __future__ import annotations
 
 import asyncio
+import inspect
 from dataclasses import dataclass
-from typing import Any, Awaitable, Callable
+from typing import Any, Callable
 
 from repro.serve.metrics import ServeMetrics
 
-__all__ = ["AdmissionQueue", "DeadlineExceeded", "Shed", "Ticket"]
+__all__ = ["QUEUED", "AdmissionQueue", "DeadlineExceeded", "Shed", "Ticket"]
 
 DEFAULT_QUEUE_DEPTH = 1024
 DEFAULT_TIMEOUT_S = 5.0
 DEFAULT_CONCURRENCY = 8
+
+#: What :meth:`AdmissionQueue.try_inline` returns when the request must queue.
+QUEUED = object()
 
 
 class Shed(Exception):
@@ -50,6 +60,7 @@ class Ticket:
 
     payload: Any
     future: asyncio.Future
+    delay_s: float = 0.0  # injected handler latency, slept before the handler runs
     claimed: bool = False
 
     def claim(self) -> bool:
@@ -63,17 +74,19 @@ class Ticket:
 class AdmissionQueue:
     """Bounded queue + worker pool between the HTTP layer and the engine.
 
-    ``handler`` is the application's classify function; workers await it
-    for each admitted ticket.  The queue depth bounds memory and tail
-    latency; admission failure is immediate and explicit (429), and the
-    per-request deadline is enforced by the *waiter* (the HTTP handler
-    coroutine), which is the only place that can still answer the
-    client — a worker discovering a stale ticket just drops it.
+    ``handler`` is the application's synchronous classify function; the
+    inline path and the workers both call it.  (A coroutine function is
+    accepted too: the workers await it, and it never runs inline.)  The
+    queue depth bounds memory and tail latency; admission failure is
+    immediate and explicit (429), and the per-request deadline is
+    enforced by the *waiter* (the HTTP handler coroutine), which is the
+    only place that can still answer the client — a worker discovering
+    a stale ticket just drops it.
     """
 
     def __init__(
         self,
-        handler: Callable[[Any], Awaitable[Any]],
+        handler: Callable[[Any], Any],
         metrics: ServeMetrics,
         *,
         depth: int = DEFAULT_QUEUE_DEPTH,
@@ -85,6 +98,7 @@ class AdmissionQueue:
         if concurrency < 1:
             raise ValueError("concurrency must be >= 1")
         self._handler = handler
+        self._awaits = inspect.iscoroutinefunction(handler)
         self._metrics = metrics
         self._timeout_s = timeout_s
         self._depth = depth
@@ -92,6 +106,7 @@ class AdmissionQueue:
         self._queue: asyncio.Queue[Ticket] = asyncio.Queue(maxsize=depth)
         self._workers: list[asyncio.Task[None]] = []
         self._pending = 0  # queued + in service, not yet claimed
+        self._in_service = 0  # tickets a worker has taken and not finished
         self._idle = asyncio.Event()
         self._idle.set()
         self.draining = False
@@ -118,17 +133,45 @@ class AdmissionQueue:
 
     # -- admission ---------------------------------------------------------
 
-    async def submit(self, payload: Any) -> Any:
-        """Admit, await the outcome, enforce the deadline.
+    def try_inline(self, payload: Any, delay_s: float = 0.0) -> Any:
+        """Answer ``payload`` now if a worker slot is free, else :data:`QUEUED`.
+
+        An inline request is booked ``accepted`` (and ``inline``) and
+        then ``served`` — or ``internal_errors``, re-raising the
+        handler's exception — before this returns.  A request that
+        returns :data:`QUEUED` was not booked and goes to :meth:`submit`.
+        """
+        if (
+            self.draining
+            or delay_s > 0.0
+            or self._awaits
+            or self._in_service >= self._concurrency
+            or not self._queue.empty()
+        ):
+            return QUEUED
+        metrics = self._metrics
+        metrics.book_inline()
+        try:
+            result = self._handler(payload)
+        except Exception:  # staticcheck: ok[RC002] booked, then re-raised to the caller
+            metrics.book_internal_error()
+            raise
+        metrics.book_served()
+        return result
+
+    async def submit(self, payload: Any, delay_s: float = 0.0) -> Any:
+        """Admit through the queue, await the outcome, enforce the deadline.
 
         Raises :class:`Shed` without enqueueing when the queue is full
         or the daemon is draining; raises :class:`DeadlineExceeded` when
-        the ticket was admitted but not processed in time.
+        the ticket was admitted but not processed in time.  ``delay_s``
+        is slept by the worker before it calls the handler.
         """
         if self.draining:
             self._metrics.shed_draining += 1
             raise Shed("draining", retry_after_s=1.0)
-        ticket = Ticket(payload=payload, future=asyncio.get_running_loop().create_future())
+        future = asyncio.get_running_loop().create_future()
+        ticket = Ticket(payload=payload, future=future, delay_s=delay_s)
         try:
             self._queue.put_nowait(ticket)
         except asyncio.QueueFull:
@@ -138,15 +181,13 @@ class AdmissionQueue:
         self._pending += 1
         self._idle.clear()
         try:
-            return await asyncio.wait_for(
-                asyncio.shield(ticket.future), timeout=self._timeout_s
-            )
+            return await asyncio.wait_for(asyncio.shield(future), timeout=self._timeout_s)
         except asyncio.TimeoutError:
             if ticket.claim():
                 self._book_done(self._metrics.book_timeout)
             raise DeadlineExceeded from None
         except asyncio.CancelledError:
-            if ticket.future.cancelled():
+            if future.cancelled():
                 # Drain force-resolution: the canceller already claimed
                 # and booked this ticket as timed out — answer 503.
                 raise DeadlineExceeded from None
@@ -170,8 +211,13 @@ class AdmissionQueue:
             ticket = await self._queue.get()
             if ticket.claimed:
                 continue  # deadline fired while queued; already booked
+            self._in_service += 1
             try:
-                result = await self._handler(ticket.payload)
+                if ticket.delay_s > 0.0:
+                    await asyncio.sleep(ticket.delay_s)
+                result = self._handler(ticket.payload)
+                if self._awaits:
+                    result = await result
             except asyncio.CancelledError:
                 # Drain cancellation: resolve rather than drop, so the
                 # waiter books the timeout instead of hanging.
@@ -187,6 +233,8 @@ class AdmissionQueue:
                     # warning if the waiter already timed out racing us.
                     ticket.future.exception()
                 continue
+            finally:
+                self._in_service -= 1
             if ticket.claim():
                 self._book_done(self._metrics.book_served)
                 ticket.future.set_result(result)

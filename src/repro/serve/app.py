@@ -6,6 +6,9 @@
                        └───► POST /classify ─► AdmissionQueue ─► engine
                        └───► POST /-/reload ─► ReloadManager ─► EngineHolder
 
+(``_route`` answers synchronously wherever it can — health, metrics,
+routing errors, and a classify the admission queue runs inline — and
+returns a coroutine only for a reload or a classify that must queue)
 and owns the graceful-drain sequence (DESIGN.md §13.4):
 
 1. a shutdown signal flips the admission queue to draining — new
@@ -28,19 +31,21 @@ import asyncio
 import json
 import signal
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Awaitable, Callable
 
-from repro.core.content_type import infer_content_type, type_from_mime
+from repro.core.content_type import type_from_mime, type_from_path
 from repro.exitcodes import EXIT_CLEAN as EXIT_OK
 from repro.exitcodes import EXIT_INTERRUPTED
 from repro.filterlist.cache import DEFAULT_CACHE_SIZE
 from repro.filterlist.engine import RequestContext
 from repro.filterlist.options import ContentType
+from repro.http.url import split_url_uncached
 from repro.robustness.crash import ServeFaultInjector
 from repro.serve.admission import (
     DEFAULT_CONCURRENCY,
     DEFAULT_QUEUE_DEPTH,
     DEFAULT_TIMEOUT_S,
+    QUEUED,
     AdmissionQueue,
     DeadlineExceeded,
     Shed,
@@ -81,13 +86,18 @@ class ServeConfig:
         return max(1, int(self.queue_depth * self.ready_high_water))
 
 
+# One encoder for every reply: ``json.dumps`` with non-default
+# separators would build a new one per call.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def _json_response(status: int, data: dict, **headers: str) -> Response:
-    body = json.dumps(data, sort_keys=False, separators=(",", ":")).encode() + b"\n"
-    return Response(status=status, body=body, headers=dict(headers))
+    body = _ENCODER.encode(data).encode() + b"\n"
+    return Response(status=status, body=body, headers=headers)
 
 
-def _parse_content_type(value: str | None, url: str) -> ContentType:
-    """ABP type name, MIME string, or (absent) inference from the URL."""
+def _parse_content_type(value: str | None, path: str) -> ContentType:
+    """ABP type name, MIME string, or (absent) inference from the URL path."""
     if value:
         member = ContentType.__members__.get(value.upper().replace("-", "_"))
         if member is not None:
@@ -97,7 +107,7 @@ def _parse_content_type(value: str | None, url: str) -> ContentType:
             if from_mime is not None:
                 return from_mime
         raise ValueError(f"unknown content type {value!r}")
-    return infer_content_type(url, None)
+    return type_from_path(path) or ContentType.OTHER
 
 
 class _BadBody(Exception):
@@ -126,7 +136,7 @@ class ServeApp:
         self.metrics = ServeMetrics()
         self.manager = ReloadManager(source, holder, log=log)
         self.admission = AdmissionQueue(
-            self._classify_ticket,
+            self._classify_payload,
             self.metrics,
             depth=config.queue_depth,
             timeout_s=config.timeout_s,
@@ -199,7 +209,11 @@ class ServeApp:
 
     # -- routing -----------------------------------------------------------
 
-    async def _route(self, request: Request) -> Response:
+    def _route(self, request: Request) -> Response | Awaitable[Response]:
+        if request.path == "/classify":
+            if request.method != "POST":
+                return _json_response(405, {"error": "method not allowed"})
+            return self._classify(request)
         if request.path == "/healthz":
             if request.method != "GET":
                 return _json_response(405, {"error": "method not allowed"})
@@ -212,17 +226,16 @@ class ServeApp:
             if request.method != "GET":
                 return _json_response(405, {"error": "method not allowed"})
             return _json_response(200, self._metrics_document())
-        if request.path == "/classify":
-            if request.method != "POST":
-                return _json_response(405, {"error": "method not allowed"})
-            return await self._classify(request)
         if request.path == "/-/reload":
             if request.method != "POST":
                 return _json_response(405, {"error": "method not allowed"})
-            outcome = await self._reload("http")
-            status = 200 if outcome.status in ("swapped", "noop") else 503
-            return _json_response(status, outcome.to_dict())
+            return self._reload_response()
         return _json_response(404, {"error": f"no route {request.path}"})
+
+    async def _reload_response(self) -> Response:
+        outcome = await self._reload("http")
+        status = 200 if outcome.status in ("swapped", "noop") else 503
+        return _json_response(status, outcome.to_dict())
 
     def _readyz(self) -> Response:
         reasons: list[str] = []
@@ -251,7 +264,7 @@ class ServeApp:
 
     # -- /classify ---------------------------------------------------------
 
-    async def _classify(self, request: Request) -> Response:
+    def _classify(self, request: Request) -> Response | Awaitable[Response]:
         body = request.body
         delay_s = 0.0
         if self.injector is not None:
@@ -262,7 +275,16 @@ class ServeApp:
                 body = self.injector.mangle(body)
             delay_s = actions.delay_s
         try:
-            status, result = await self.admission.submit((body, delay_s))
+            outcome = self.admission.try_inline(body, delay_s)
+        except Exception as exc:  # staticcheck: ok[RC002] handler bugs must answer 500, not kill the connection
+            return self._internal_error(exc)
+        if outcome is QUEUED:
+            return self._classify_queued(body, delay_s)
+        return self._classify_response(*outcome)
+
+    async def _classify_queued(self, body: bytes, delay_s: float) -> Response:
+        try:
+            status, result = await self.admission.submit(body, delay_s)
         except Shed as shed:
             http_status = 503 if shed.reason == "draining" else 429
             return _json_response(
@@ -273,22 +295,26 @@ class ServeApp:
         except DeadlineExceeded:
             return _json_response(503, {"error": "deadline exceeded"})
         except Exception as exc:  # staticcheck: ok[RC002] handler bugs must answer 500, not kill the connection
-            self.log(f"classify failed: {exc!r}")
-            return _json_response(500, {"error": "internal error"})
+            return self._internal_error(exc)
+        return self._classify_response(status, result)
+
+    def _classify_response(self, status: int, result: dict) -> Response:
         if status != 200:
             self.metrics.client_errors += 1
         return _json_response(status, result)
 
-    async def _classify_ticket(self, payload: tuple[bytes, float]) -> tuple[int, dict]:
-        """Admission worker handler: parse, classify, shape the response.
+    def _internal_error(self, exc: Exception) -> Response:
+        self.log(f"classify failed: {exc!r}")
+        return _json_response(500, {"error": "internal error"})
+
+    def _classify_payload(self, body: bytes) -> tuple[int, dict]:
+        """Admission handler, inline and in the workers: parse, classify, shape.
 
         Client mistakes come back as ``(400, body)`` rather than an
-        exception — the ticket *was* answered, so the worker books it
-        served and the waiter adds it to the ``client_errors`` subset.
+        exception — the request *was* answered, so admission books it
+        served and :meth:`_classify_response` adds it to the
+        ``client_errors`` subset.
         """
-        body, delay_s = payload
-        if delay_s > 0.0:
-            await asyncio.sleep(delay_s)
         try:
             return 200, self._classify_body(body)
         except _BadBody as bad:
@@ -333,8 +359,11 @@ class ServeApp:
         if raw_type is not None and not isinstance(raw_type, str):
             self.metrics.health.record_error("serve", "bad content_type")
             raise _BadBody('"content_type" must be a string')
+        # Split once, unmemoised: request URLs are mostly one-off, and the
+        # engine takes the host instead of splitting the URL again.
+        parts = split_url_uncached(url)
         try:
-            content_type = _parse_content_type(raw_type, url)
+            content_type = _parse_content_type(raw_type, parts.path)
         except ValueError as exc:
             self.metrics.health.record_error("serve", "bad content_type")
             raise _BadBody(str(exc)) from None
@@ -343,7 +372,7 @@ class ServeApp:
             self.metrics.health.record_error("serve", "bad page_url")
             raise _BadBody('"page_url" must be a string')
         context = RequestContext(content_type=content_type, page_url=page_url)
-        classification = engine.classify(url, context)
+        classification = engine.classify(url, context, request_host=parts.host)
         self.metrics.health.record_ok()
         return {
             "url": url,

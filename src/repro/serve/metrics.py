@@ -11,7 +11,9 @@ structure::
                (+ in_flight, zero at quiescence)
 
 ``client_errors`` (400s for bodies the handler rejected) is an
-informational *subset* of ``served`` — the request was answered.
+informational *subset* of ``served`` — the request was answered — and
+``inline`` (requests answered on the caller's stack without a queue
+hop) an informational subset of ``accepted``.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ class ServeMetrics:
     """Counters for one daemon process (all transient by nature)."""
 
     accepted: int = 0
+    inline: int = 0
     served: int = 0
     client_errors: int = 0
     internal_errors: int = 0
@@ -42,6 +45,10 @@ class ServeMetrics:
     health: PipelineHealth = field(default_factory=PipelineHealth)
 
     # -- admission bookkeeping (single-owner, via Ticket.claim) ------------
+
+    def book_inline(self) -> None:
+        self.accepted += 1
+        self.inline += 1
 
     def book_served(self) -> None:
         self.served += 1
@@ -88,6 +95,7 @@ class ServeMetrics:
             "serve": {
                 "requests": self.requests,
                 "accepted": self.accepted,
+                "inline": self.inline,
                 "served": self.served,
                 "client_errors": self.client_errors,
                 "internal_errors": self.internal_errors,

@@ -22,6 +22,8 @@ from repro.filterlist.engine import FilterEngine, RequestContext
 from repro.filterlist.lists import FilterList
 from repro.filterlist.options import ContentType
 from repro.serve import EngineHolder, EngineSource, ServeApp, ServeConfig
+from repro.serve.app import CONNECTION_GRACE_S
+from repro.serve.http11 import MAX_HEADERS, MAX_LINE
 
 LIST_V1 = """! serve test list v1
 ||ads.example.com^
@@ -44,33 +46,54 @@ URLS = [
 # A tiny dependency-free async HTTP client
 
 
-async def http(
-    port: int, method: str, path: str, body: bytes | None = None
-) -> tuple[int, dict[str, str], bytes]:
+async def exchange(
+    port: int, *chunks: bytes, pause_s: float = 0.0, half_close: bool = False
+) -> bytes:
+    """Write ``chunks`` (pausing between them), then read until the daemon closes."""
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
     try:
-        payload = body or b""
-        head = (
-            f"{method} {path} HTTP/1.1\r\nHost: t\r\n"
-            f"Content-Length: {len(payload)}\r\nConnection: close\r\n\r\n"
-        )
-        writer.write(head.encode() + payload)
-        await writer.drain()
-        raw = await reader.read()
+        for chunk in chunks:
+            writer.write(chunk)
+            await writer.drain()
+            if pause_s:
+                await asyncio.sleep(pause_s)
+        if half_close:
+            writer.write_eof()
+        return await asyncio.wait_for(reader.read(), timeout=10)
     finally:
         writer.close()
         try:
             await writer.wait_closed()
         except (ConnectionError, OSError):
             pass
-    head_block, _, body_bytes = raw.partition(b"\r\n\r\n")
-    lines = head_block.decode("latin-1").split("\r\n")
-    status = int(lines[0].split()[1])
-    headers = {}
-    for line in lines[1:]:
-        name, _, value = line.partition(":")
-        headers[name.strip().lower()] = value.strip()
-    return status, headers, body_bytes
+
+
+def split_responses(raw: bytes) -> list[tuple[int, dict[str, str], bytes]]:
+    """Every response in ``raw``, in order, framed by ``Content-Length``."""
+    responses = []
+    while raw:
+        head, _, rest = raw.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        headers = {}
+        for line in lines[1:]:
+            name, _, value = line.partition(":")
+            headers[name.strip().lower()] = value.strip()
+        length = int(headers["content-length"])
+        responses.append((int(lines[0].split()[1]), headers, rest[:length]))
+        raw = rest[length:]
+    return responses
+
+
+async def http(
+    port: int, method: str, path: str, body: bytes | None = None
+) -> tuple[int, dict[str, str], bytes]:
+    payload = body or b""
+    head = (
+        f"{method} {path} HTTP/1.1\r\nHost: t\r\n"
+        f"Content-Length: {len(payload)}\r\nConnection: close\r\n\r\n"
+    )
+    [response] = split_responses(await exchange(port, head.encode() + payload))
+    return response
 
 
 async def classify(port: int, record: dict) -> tuple[int, dict]:
@@ -78,20 +101,13 @@ async def classify(port: int, record: dict) -> tuple[int, dict]:
     return status, json.loads(body)
 
 
-def raw_socket_exchange(payload: bytes):
-    """Send raw bytes, return (status, body) of whatever comes back."""
-
-    async def _once(port: int) -> tuple[int, bytes]:
-        reader, writer = await asyncio.open_connection("127.0.0.1", port)
-        writer.write(payload)
-        await writer.drain()
-        raw = await reader.read()
-        writer.close()
-        await writer.wait_closed()
-        head, _, body = raw.partition(b"\r\n\r\n")
-        return int(head.split()[1]), body
-
-    return _once
+def classify_request(url: str, *, close: bool = False, eol: bytes = b"\r\n") -> bytes:
+    """A raw ``POST /classify`` for ``url``, lines ending in ``eol``."""
+    body = json.dumps({"url": url}).encode()
+    lines = [b"POST /classify HTTP/1.1", b"Host: t", b"Content-Length: %d" % len(body)]
+    if close:
+        lines.append(b"Connection: close")
+    return eol.join(lines) + eol + eol + body
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +259,8 @@ class TestTransportRobustness:
         async def scenario():
             app = make_app(tmp_path)
             port = await start(app)
-            status, _ = await raw_socket_exchange(b"GARBAGE\r\n\r\n")(port)
-            assert status == 400
+            raw = await exchange(port, b"GARBAGE\r\n\r\n")
+            assert [status for status, _, _ in split_responses(raw)] == [400]
             await stop(app)
 
         asyncio.run(scenario())
@@ -254,8 +270,8 @@ class TestTransportRobustness:
             app = make_app(tmp_path)
             port = await start(app)
             huge = b"GET / HTTP/1.1\r\nX-Big: " + b"a" * 9000 + b"\r\n\r\n"
-            status, _ = await raw_socket_exchange(huge)(port)
-            assert status == 431
+            raw = await exchange(port, huge)
+            assert [status for status, _, _ in split_responses(raw)] == [431]
             await stop(app)
 
         asyncio.run(scenario())
@@ -265,9 +281,242 @@ class TestTransportRobustness:
             app = make_app(tmp_path)
             port = await start(app)
             head = b"POST /classify HTTP/1.1\r\nContent-Length: 9999999\r\n\r\n"
-            status, _ = await raw_socket_exchange(head)(port)
-            assert status == 413
+            raw = await exchange(port, head)
+            assert [status for status, _, _ in split_responses(raw)] == [413]
             await stop(app)
+
+        asyncio.run(scenario())
+
+    def test_request_in_one_byte_writes(self, tmp_path):
+        async def scenario():
+            app = make_app(tmp_path)
+            port = await start(app)
+            request = classify_request(URLS[0], close=True)
+            raw = await exchange(
+                port, *(request[i : i + 1] for i in range(len(request))), pause_s=0.001
+            )
+            [(status, _, body)] = split_responses(raw)
+            assert status == 200
+            assert json.loads(body)["result"] == expected_result(LIST_V1, URLS[0])
+            await stop(app)
+
+        asyncio.run(scenario())
+
+    def test_body_split_across_writes(self, tmp_path):
+        async def scenario():
+            app = make_app(tmp_path)
+            port = await start(app)
+            request = classify_request(URLS[1], close=True)
+            cut = request.index(b"{") + 5
+            raw = await exchange(port, request[:cut], request[cut:], pause_s=0.05)
+            [(status, _, body)] = split_responses(raw)
+            assert status == 200
+            assert json.loads(body)["result"] == expected_result(LIST_V1, URLS[1])
+            await stop(app)
+
+        asyncio.run(scenario())
+
+    def test_pipelined_requests_answered_in_order(self, tmp_path):
+        async def scenario():
+            app = make_app(tmp_path)
+            port = await start(app)
+            raw = await exchange(
+                port,
+                classify_request(URLS[0])
+                + b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n"
+                + classify_request(URLS[4], close=True),
+            )
+            responses = split_responses(raw)
+            assert [status for status, _, _ in responses] == [200, 200, 200]
+            assert [headers["connection"] for _, headers, _ in responses] == [
+                "keep-alive",
+                "keep-alive",
+                "close",
+            ]
+            assert json.loads(responses[0][2])["result"]["url"] == URLS[0]
+            assert json.loads(responses[1][2]) == {"status": "ok"}
+            assert json.loads(responses[2][2])["result"]["url"] == URLS[4]
+            await stop(app)
+            assert app.metrics.served == 2
+            check_accounting(app)
+
+        asyncio.run(scenario())
+
+    def test_pipelined_request_after_close_gets_no_answer(self, tmp_path):
+        async def scenario():
+            app = make_app(tmp_path)
+            port = await start(app)
+            raw = await exchange(
+                port, classify_request(URLS[0], close=True) + classify_request(URLS[1])
+            )
+            [(status, headers, _)] = split_responses(raw)
+            assert status == 200 and headers["connection"] == "close"
+            await stop(app)
+            assert app.metrics.requests == 1
+
+        asyncio.run(scenario())
+
+    def test_bare_newline_heads(self, tmp_path):
+        async def scenario():
+            app = make_app(tmp_path)
+            port = await start(app)
+            raw = await exchange(
+                port,
+                classify_request(URLS[0], eol=b"\n")
+                + classify_request(URLS[2], close=True, eol=b"\n"),
+            )
+            responses = split_responses(raw)
+            assert [status for status, _, _ in responses] == [200, 200]
+            assert json.loads(responses[1][2])["result"] == expected_result(LIST_V1, URLS[2])
+            await stop(app)
+
+        asyncio.run(scenario())
+
+    def test_truncated_body_then_eof_is_400(self, tmp_path):
+        async def scenario():
+            app = make_app(tmp_path)
+            port = await start(app)
+            raw = await exchange(
+                port,
+                b'POST /classify HTTP/1.1\r\nContent-Length: 100\r\n\r\n{"url"',
+                half_close=True,
+            )
+            assert [status for status, _, _ in split_responses(raw)] == [400]
+            await stop(app)
+            assert app.metrics.requests == 0  # never reached admission
+
+        asyncio.run(scenario())
+
+    def test_header_count_cap(self, tmp_path):
+        def request_with(count: int) -> bytes:
+            extra = b"".join(b"X-Field-%d: v\r\n" % i for i in range(count - 1))
+            return b"GET /healthz HTTP/1.1\r\n" + extra + b"Connection: close\r\n\r\n"
+
+        async def scenario():
+            app = make_app(tmp_path)
+            port = await start(app)
+            raw = await exchange(port, request_with(MAX_HEADERS))
+            assert [status for status, _, _ in split_responses(raw)] == [200]
+            raw = await exchange(port, request_with(MAX_HEADERS + 1))
+            assert [status for status, _, _ in split_responses(raw)] == [431]
+            await stop(app)
+
+        asyncio.run(scenario())
+
+    def test_oversized_unterminated_line_is_431(self, tmp_path):
+        async def scenario():
+            app = make_app(tmp_path)
+            port = await start(app)
+            # No line ending ever arrives: the cap alone must end the wait.
+            raw = await exchange(port, b"GET /" + b"a" * (MAX_LINE + 16))
+            assert [status for status, _, _ in split_responses(raw)] == [431]
+            raw = await exchange(port, b"GET / HTTP/1.1\r\nX-Big: " + b"a" * (MAX_LINE + 16))
+            assert [status for status, _, _ in split_responses(raw)] == [431]
+            await stop(app)
+
+        asyncio.run(scenario())
+
+    def test_transfer_encoding_is_501_once(self, tmp_path):
+        async def scenario():
+            app = make_app(tmp_path)
+            port = await start(app)
+            raw = await exchange(
+                port,
+                b"POST /classify HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+                b'e\r\n{"url":"http:"}\r\n0\r\n\r\n',
+            )
+            [(status, headers, _)] = split_responses(raw)
+            assert status == 501 and headers["connection"] == "close"
+            await stop(app)
+            assert app.metrics.requests == 0
+            assert app.metrics.health.records_dropped == 0
+
+        asyncio.run(scenario())
+
+    def test_conflicting_content_length_is_400(self, tmp_path):
+        async def scenario():
+            app = make_app(tmp_path)
+            port = await start(app)
+            raw = await exchange(
+                port,
+                b"POST /classify HTTP/1.1\r\nContent-Length: 2\r\n"
+                b"Content-Length: 12\r\n\r\n{}GET / HTTP/1.1\r\n\r\n",
+            )
+            assert [status for status, _, _ in split_responses(raw)] == [400]
+            await stop(app)
+            assert app.metrics.requests == 0
+
+        asyncio.run(scenario())
+
+    def test_connection_close_spellings_close(self, tmp_path):
+        async def scenario():
+            app = make_app(tmp_path)
+            port = await start(app)
+            # Each exchange reads until the daemon closes: one that kept
+            # the connection open would time out instead.
+            for head in (
+                b"GET /healthz HTTP/1.1\r\nConnection: Close\r\n\r\n",
+                b"GET /healthz HTTP/1.1\r\nconnection: CLOSE\r\n\r\n",
+                b"GET /healthz HTTP/1.0\r\n\r\n",
+            ):
+                raw = await exchange(port, head)
+                [(status, headers, _)] = split_responses(raw)
+                assert status == 200 and headers["connection"] == "close"
+            # HTTP/1.0 that asks for keep-alive gets it.
+            raw = await exchange(
+                port,
+                b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"
+                b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+            )
+            assert [status for status, _, _ in split_responses(raw)] == [200, 200]
+            await stop(app)
+
+        asyncio.run(scenario())
+
+    def test_idle_keepalive_connection_times_out(self, tmp_path):
+        async def scenario():
+            app = make_app(tmp_path)
+            app.server.idle_timeout_s = 0.2
+            port = await start(app)
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(b"GET /healthz HTTP/1.1\r\n\r\n")
+            head = await reader.readuntil(b"\r\n\r\n")
+            assert b"Connection: keep-alive" in head
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            # The body, then EOF once the connection has idled out.
+            assert await asyncio.wait_for(reader.read(), timeout=5) == b'{"status":"ok"}\n'
+            assert loop.time() - started < 2.0
+            writer.close()
+            await stop(app)
+
+        asyncio.run(scenario())
+
+    def test_drain_closes_keepalive_and_cuts_idle_connections(self, tmp_path):
+        async def scenario():
+            app = make_app(tmp_path)
+            port = await start(app)
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            idle_reader, idle_writer = await asyncio.open_connection("127.0.0.1", port)
+            request = b"GET /healthz HTTP/1.1\r\n\r\n"
+            writer.write(request)
+            assert b"Connection: keep-alive" in await reader.readuntil(b"\r\n\r\n")
+            await reader.readuntil(b"\n")  # the body
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            app.begin_shutdown(0)
+            drain = asyncio.ensure_future(app.drain())
+            await asyncio.sleep(0.1)
+            writer.write(request)
+            raw = await asyncio.wait_for(reader.read(), timeout=5)
+            [(status, headers, _)] = split_responses(raw)
+            assert status == 200 and headers["connection"] == "close"
+            # The idle connection is cut at the grace, not at its idle timeout.
+            await asyncio.wait_for(drain, timeout=5)
+            assert loop.time() - started < CONNECTION_GRACE_S + 1.0
+            assert await asyncio.wait_for(idle_reader.read(), timeout=5) == b""
+            writer.close()
+            idle_writer.close()
 
         asyncio.run(scenario())
 
@@ -357,6 +606,7 @@ class TestHealthEndpoints:
             assert status == 200
             doc = json.loads(body)
             assert doc["serve"]["served"] == 1
+            assert doc["serve"]["inline"] == 1  # a free worker slot: no queue hop
             assert doc["engine"]["generation"] == 1
             assert doc["cache"]["lookups"] == 1
             assert doc["health"]["records_ok"] == 1
@@ -642,6 +892,53 @@ class TestServeChaos:
             assert metrics.requests == 30
             assert statuses.count(429) == metrics.shed_queue_full
             assert statuses.count(503) == metrics.timed_out + metrics.shed_draining
+            check_accounting(app)
+
+        asyncio.run(scenario())
+
+    def test_inline_and_queued_paths_account_exactly(self, tmp_path):
+        """Every other request is delayed, so it must queue; the rest run
+        inline whenever the one worker is free.  Both paths book into the
+        same identities."""
+
+        async def scenario():
+            app = make_app(
+                tmp_path,
+                queue_depth=8,
+                concurrency=1,
+                timeout_s=0.5,
+                chaos="slow-handler:every=2:delay=0.02:for=1000000",
+            )
+            port = await start(app)
+            results = await asyncio.gather(
+                *(classify(port, {"url": URLS[i % len(URLS)]}) for i in range(50))
+            )
+            statuses = [status for status, _ in results]
+            assert all(status in (200, 429, 503) for status in statuses), statuses
+            await asyncio.sleep(0.3)
+            await stop(app)
+            metrics = app.metrics
+            assert metrics.requests == 50
+            assert 0 < metrics.inline < metrics.accepted
+            assert statuses.count(200) == metrics.served
+            check_accounting(app)
+
+        asyncio.run(scenario())
+
+    def test_inline_handler_exception_is_500_and_booked(self, tmp_path):
+        async def scenario():
+            app = make_app(tmp_path)
+            port = await start(app)
+
+            def broken(body: bytes) -> dict:
+                raise RuntimeError("handler bug")
+
+            app._classify_body = broken  # type: ignore[method-assign]
+            status, doc = await classify(port, {"url": URLS[0]})
+            assert status == 500 and doc == {"error": "internal error"}
+            await stop(app)
+            assert app.metrics.inline == 1
+            assert app.metrics.internal_errors == 1
             check_accounting(app)
 
         asyncio.run(scenario())
