@@ -19,8 +19,8 @@ still wins, narrowly.  Not built: a memory-mapped, lazily materialised
 filter table.  It could only remove the 0.1 s of decode and object
 building above, 2 % of a 4.5 s list-scale run.
 
-The framing is deliberately paranoid, mirroring the checkpoint format
-(:mod:`repro.robustness.checkpoint`): magic, container version, payload
+The file is the container checkpoints use too
+(:class:`repro.robustness.atomic.Framing`): magic, container version, payload
 length and a SHA-256 digest precede the JSON payload, so truncated or
 bit-flipped files are *detected* — :class:`SnapshotCorrupt` — rather
 than decoded into a silently different matcher, and decoding runs no
@@ -44,14 +44,11 @@ differential harness (``tests/test_engine_differential.py``).
 
 from __future__ import annotations
 
-import hashlib
-import json
-import struct
 from dataclasses import dataclass
 
 from repro.filterlist.actrie import ACTrieEngine
 from repro.filterlist.engine import SNAPSHOT_STATE_VERSION, FilterEngine
-from repro.robustness.atomic import atomic_writer
+from repro.robustness.atomic import Framing
 
 __all__ = [
     "SNAPSHOT_VERSION",
@@ -67,9 +64,6 @@ __all__ = [
 ]
 
 SNAPSHOT_VERSION = 2  # 1 framed a pickle of the same state
-
-_MAGIC = b"RPROSNAP"
-_HEADER = struct.Struct("<8sIQ32s")  # magic, version, payload length, sha256
 
 
 class SnapshotError(Exception):
@@ -100,6 +94,9 @@ class SnapshotFingerprintMismatch(SnapshotError):
         )
         self.expected = expected
         self.actual = actual
+
+
+_FRAMING = Framing(b"RPROSNAP", SNAPSHOT_VERSION, "snapshot", SnapshotCorrupt, SnapshotVersionError)
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,20 +136,12 @@ def write_snapshot(
     for identical engine state, so re-compiling unchanged lists yields
     an identical artifact.
     """
-    state = engine.export_snapshot_state()
     payload = {
-        "state": state,
+        "state": engine.export_snapshot_state(),
         "lists_fingerprint": lists_fingerprint,
         "source": source,
     }
-    # ensure_ascii (the default) escapes the lone surrogates filter text
-    # can carry, so they round-trip; dicts keep insertion order, so
-    # identical state gives identical bytes.
-    blob = json.dumps(payload, separators=(",", ":")).encode("ascii")
-    header = _HEADER.pack(_MAGIC, SNAPSHOT_VERSION, len(blob), hashlib.sha256(blob).digest())
-    with atomic_writer(path, mode="wb") as stream:
-        stream.write(header)
-        stream.write(blob)
+    _FRAMING.write(path, payload)
     return _info_from_payload(payload)
 
 
@@ -170,33 +159,9 @@ def _info_from_payload(payload: dict) -> SnapshotInfo:
 
 
 def _read_payload(path: str) -> dict:
-    """Read and validate the framing; raises :class:`SnapshotError`."""
-    try:
-        with open(path, "rb") as stream:
-            data = stream.read()
-    except FileNotFoundError:
-        raise  # missing input, not damage — callers map it to exit 2
-    except OSError as exc:
-        raise SnapshotCorrupt(f"{path}: {exc}") from None
-    if len(data) < _HEADER.size:
-        raise SnapshotCorrupt(f"{path}: truncated header ({len(data)} bytes)")
-    magic, version, length, digest = _HEADER.unpack_from(data)
-    if magic != _MAGIC:
-        raise SnapshotCorrupt(f"{path}: bad magic {magic!r}")
-    if version != SNAPSHOT_VERSION:
-        raise SnapshotVersionError(
-            f"{path}: unsupported snapshot version {version} (expected {SNAPSHOT_VERSION})"
-        )
-    blob = data[_HEADER.size :]
-    if len(blob) != length:
-        raise SnapshotCorrupt(f"{path}: torn payload ({len(blob)}/{length} bytes)")
-    if hashlib.sha256(blob).digest() != digest:
-        raise SnapshotCorrupt(f"{path}: checksum mismatch")
-    try:
-        payload = json.loads(blob)
-    except (ValueError, RecursionError) as exc:
-        raise SnapshotCorrupt(f"{path}: undecodable payload: {exc}") from None
-    state = payload.get("state") if isinstance(payload, dict) else None
+    """Read and validate the file; raises :class:`SnapshotError` (or FileNotFoundError)."""
+    payload = _FRAMING.read(path)
+    state = payload.get("state")
     if not isinstance(state, dict):
         raise SnapshotCorrupt(f"{path}: unexpected payload shape")
     if state.get("state_version") != SNAPSHOT_STATE_VERSION:

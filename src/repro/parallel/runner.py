@@ -473,7 +473,7 @@ class ParallelRun:
         if self.sink is not None:
             self.sink.consume_row(row, is_ad, is_whitelisted)
         if self.checkpointing is not None and self.checkpointing.crash_injector is not None:
-            self.checkpointing.crash_injector.tick()
+            self.checkpointing.crash_injector.tick(1)
 
     def _save_parent_checkpoint(
         self,

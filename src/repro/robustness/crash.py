@@ -77,21 +77,26 @@ class CrashMode(str, enum.Enum):
 
 @dataclass(slots=True)
 class CrashInjector:
-    """Aborts the process after ``after_records`` ticks.
+    """Aborts the process once ``after_records`` records are counted.
 
-    The durable runner ticks once per input record *after* that
-    record's effects (output rows, possible checkpoint) have been
-    applied, so ``after_records=N`` means "die with exactly N records
-    processed" — which may be mid-interval or exactly on a checkpoint
-    boundary, both of which resume must survive.
+    The durable runner ticks with each batch's record count *after* its
+    effects (output rows, possible checkpoint) are applied, and ends a
+    batch at :attr:`remaining`, so ``after_records=N`` means "die with
+    exactly N records processed" — mid-interval or exactly on a
+    checkpoint boundary, both of which resume must survive.
     """
 
     after_records: int
     mode: CrashMode = CrashMode.HARD
     seen: int = field(default=0, init=False)
 
-    def tick(self) -> None:
-        self.seen += 1
+    @property
+    def remaining(self) -> int:
+        """Records left before the crash (at least 1: it fires after one)."""
+        return max(1, self.after_records - self.seen)
+
+    def tick(self, records: int) -> None:
+        self.seen += records
         if self.seen >= self.after_records:
             if self.mode is CrashMode.HARD:
                 os._exit(CRASH_EXIT_CODE)

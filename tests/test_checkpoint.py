@@ -11,7 +11,11 @@ validation, torn-file fallback, manifest refusal on config/input drift.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
 import os
+import pickle
 import subprocess
 import sys
 
@@ -21,6 +25,7 @@ from repro.core.pipeline import StreamingClassifier
 from repro.exitcodes import EXIT_MANIFEST_MISMATCH
 from repro.http.log import write_log
 from repro.robustness import (
+    CHECKPOINT_VERSION,
     CRASH_EXIT_CODE,
     CheckpointError,
     CheckpointStore,
@@ -30,7 +35,8 @@ from repro.robustness import (
     InjectedCrash,
     atomic_writer,
 )
-from repro.robustness.checkpoint import _HEADER, _MAGIC
+from repro.robustness.atomic import _HEADER
+from repro.robustness.checkpoint import _FRAMING
 from repro.robustness.runstate import (
     Checkpointing,
     ClassifySink,
@@ -77,6 +83,16 @@ class TestAtomicWriter:
 # CheckpointStore
 
 
+class _CreatesFile:
+    """Unpickling this object opens ``path`` for writing."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))
+
+
 class TestCheckpointStore:
     def test_round_trip_and_generation_numbering(self, tmp_path):
         store = CheckpointStore(tmp_path)
@@ -121,7 +137,7 @@ class TestCheckpointStore:
 
     def test_load_rejects_unsupported_version(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        header = _HEADER.pack(_MAGIC, 9999, 0, b"\x00" * 32)
+        header = _HEADER.pack(_FRAMING.magic, 9999, 0, b"\x00" * 32)
         open(store.path_for(1), "wb").write(header)
         with pytest.raises(CheckpointError, match="version"):
             store.load(1)
@@ -131,6 +147,23 @@ class TestCheckpointStore:
         assert store.latest() is None
         open(store.path_for(1), "wb").write(b"junk")
         assert store.latest() is None
+
+    def test_pickle_payload_is_refused_undecoded(self, tmp_path):
+        """A current-version frame with a valid digest around a pickle
+        that would create a file when loaded: refused, nothing runs."""
+        control, victim = tmp_path / "control", tmp_path / "victim"
+        pickle.loads(pickle.dumps(_CreatesFile(str(control)))).close()
+        assert control.exists()  # the payload is live
+        blob = pickle.dumps({"records_fed": _CreatesFile(str(victim))})
+        header = _HEADER.pack(
+            _FRAMING.magic, CHECKPOINT_VERSION, len(blob), hashlib.sha256(blob).digest()
+        )
+        store = CheckpointStore(tmp_path)
+        open(store.path_for(1), "wb").write(header + blob)
+        with pytest.raises(CheckpointError, match="undecodable payload"):
+            store.load(1)
+        assert store.latest() is None
+        assert not victim.exists()
 
     def test_keep_must_be_positive(self, tmp_path):
         with pytest.raises(ValueError):
@@ -166,6 +199,40 @@ class TestRunManifest:
         with pytest.raises(ManifestMismatch, match="nothing to resume"):
             RunManifest.load(str(tmp_path))
 
+    @pytest.mark.parametrize(
+        "edit, diagnostic",
+        [
+            pytest.param(lambda raw: {}, "bad or missing .*'command'", id="empty-object"),
+            pytest.param(lambda raw: [1], "not a JSON object", id="list"),
+            pytest.param(lambda raw: "manifest", "not a JSON object", id="string"),
+            pytest.param(
+                lambda raw: {k: v for k, v in raw.items() if k != "input_size"},
+                "bad or missing .*'input_size'",
+                id="missing-field",
+            ),
+            pytest.param(
+                lambda raw: {**raw, "params": "seed=1"}, "bad or missing .*'params'", id="wrong-type"
+            ),
+            pytest.param(
+                lambda raw: {**raw, "output_path": 7},
+                "bad or missing .*'output_path'",
+                id="wrong-nullable",
+            ),
+        ],
+    )
+    def test_load_malformed_manifest_raises(self, tmp_path, lists, edit, diagnostic):
+        """Each defect is a refusal (exit 4), not a TypeError traceback."""
+        trace = tmp_path / "in.tsv"
+        trace.write_text("data\n")
+        RunManifest.build(
+            command="classify", params={"seed": 1}, lists=lists,
+            input_path=str(trace), output_path=None, quarantine_path=None,
+        ).save(str(tmp_path))
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        with pytest.raises(ManifestMismatch, match=f"malformed manifest.*{diagnostic}"):
+            RunManifest.load(str(tmp_path))
+
     def test_mismatch_names_the_changed_param(self, tmp_path, lists):
         trace = tmp_path / "in.tsv"
         trace.write_text("data\n")
@@ -196,17 +263,54 @@ class TestRunManifest:
 
 def _keys(entries):
     return [
-        (e.record.ts, e.record.url, e.page_url, int(e.content_type),
+        (e.record.to_row(), e.page_url, int(e.content_type),
          e.is_ad, e.blacklist_name, e.is_whitelisted)
         for e in entries
     ]
 
 
+def _none_vs_empty(records, split):
+    """Nullable fields alternate None and "" in the records the cut holds."""
+    edited = list(records)
+    for i in range(split - 40, split):
+        if i % 2:
+            edited[i] = dataclasses.replace(
+                edited[i], referrer=None, user_agent=None, status=None, content_type=None,
+                content_length=None, location=None, http_handshake_ms=None,
+            )
+        else:
+            edited[i] = dataclasses.replace(
+                edited[i], referrer="", user_agent="", content_type="", location="",
+            )
+    return edited
+
+
+def _uri_with_newline(records, split):
+    """URIs carrying a literal ``%0A`` and the LF the reader decodes it to."""
+    edited = list(records)
+    for i in range(split - 40, split, 3):
+        edited[i] = dataclasses.replace(edited[i], uri=edited[i].uri + "?a=%0A&b=\nc")
+    return edited
+
+
 class TestStreamingClassifierState:
-    @pytest.mark.parametrize("reorder_window", [None, 5.0])
-    def test_split_restore_equivalence(self, pipeline, rbn_trace, reorder_window):
+    @pytest.mark.parametrize(
+        "reorder_window, split, edit",
+        [
+            pytest.param(None, 1234, None, id="None"),
+            pytest.param(5.0, 1234, None, id="5.0"),
+            # Cut before the first record: empty heap, max_ts still -inf.
+            pytest.param(5.0, 0, None, id="empty-reorder-heap"),
+            pytest.param(None, 1234, _none_vs_empty, id="none-vs-empty"),
+            pytest.param(5.0, 1234, _uri_with_newline, id="uri-with-newline"),
+        ],
+    )
+    def test_split_restore_equivalence(
+        self, tmp_path, pipeline, rbn_trace, reorder_window, split, edit
+    ):
         records = rbn_trace.http[:3000]
-        split = 1234
+        if edit is not None:
+            records = edit(records, split)
 
         whole = StreamingClassifier(pipeline, fixup_window=64, reorder_window=reorder_window)
         golden = []
@@ -218,7 +322,10 @@ class TestStreamingClassifierState:
         out = []
         for record in records[:split]:
             out.extend(first.feed(record))
-        state = first.export_state()
+        # Through a checkpoint file, as a resumed run reads it back.
+        store = CheckpointStore(tmp_path)
+        store.save({"classifier": first.export_state()})
+        state = store.latest().payload["classifier"]
 
         second = StreamingClassifier(pipeline, fixup_window=64, reorder_window=reorder_window)
         second.restore_state(state)
@@ -329,6 +436,24 @@ class TestDurableRunInProcess:
         assert result.health.summary() == golden_result.health.summary()
         assert result.resumed_generation is not None or crash_after < 500
 
+    # 1000: on a checkpoint boundary; 1030: mid-batch; 1: the first record.
+    @pytest.mark.parametrize("crash_after", [1000, 1030, 1])
+    def test_crash_after_feeds_exactly_n_records(
+        self, tmp_path, monkeypatch, pipeline, lists, durable_traces, crash_after
+    ):
+        fed = []
+        feed = StreamingClassifier.feed
+
+        def counting_feed(classifier, record):
+            fed.append(record)
+            return feed(classifier, record)
+
+        monkeypatch.setattr(StreamingClassifier, "feed", counting_feed)
+        clean, _ = durable_traces
+        with pytest.raises(InjectedCrash):
+            _durable_classify(tmp_path, pipeline, lists, clean, crash_after=crash_after)
+        assert len(fed) == crash_after
+
     def test_completed_run_cleans_up_checkpoints(
         self, tmp_path, pipeline, lists, durable_traces
     ):
@@ -391,10 +516,18 @@ def _cli(args, cwd):
     )
 
 
-def _health_summary(stdout: str) -> str:
+def _resumable_stdout(stdout: str) -> str:
+    """What a resumed run must print byte-identically: stdout without
+    the resume note, the lines naming per-run paths and the
+    process-local cache block before the health marker."""
     marker = "-- pipeline health --"
     assert marker in stdout
-    return stdout[stdout.index(marker):]
+    notes = ("resuming from checkpoint", "quarantined ", "wrote classification to")
+    text = "".join(
+        line for line in stdout.splitlines(keepends=True) if not line.startswith(notes)
+    )
+    head, _, _ = text.partition("-- decision cache --")
+    return head + text[text.index(marker):]
 
 
 @pytest.fixture(scope="module")
@@ -402,7 +535,8 @@ def cli_trace(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("crashcli")
     clean = tmp / "trace.tsv"
     proc = _cli(
-        ["trace", *_ECO, "--preset", "rbn2", "--scale", "0.0002", "--out", str(clean)],
+        ["trace", *_ECO, "--preset", "rbn2", "--scale", "0.0002", "--out", str(clean),
+         "--tls-out", str(tmp / "tls.tsv")],
         tmp,
     )
     assert proc.returncode == 0, proc.stderr
@@ -416,46 +550,103 @@ def cli_trace(tmp_path_factory):
     return dirty
 
 
-def _classify_args(trace, out, ckpt_dir, *extra):
+def _durable_args(command, trace, out, ckpt_dir, *extra):
+    """A durable classify/usage/report; ``out`` names the classify
+    output and, for every command, the quarantine sidecar beside it."""
+    outputs = {
+        "classify": ["--out", str(out)],
+        "usage": ["--tls", str(trace.parent / "tls.tsv"), "--min-requests", "20"],
+        "report": [],
+    }[command]
     return [
-        "classify", *_ECO, "--trace", str(trace), "--out", str(out),
+        command, *_ECO, "--trace", str(trace), *outputs,
         "--on-error", "quarantine", "--quarantine-out", str(out) + ".quarantine",
         "--checkpoint-dir", str(ckpt_dir), "--checkpoint-every", "2000", *extra,
     ]
 
 
+def _classify_args(trace, out, ckpt_dir, *extra):
+    return _durable_args("classify", trace, out, ckpt_dir, *extra)
+
+
 class TestCrashRecoveryCli:
     @pytest.fixture(scope="class")
     def golden(self, tmp_path_factory, cli_trace):
-        tmp = tmp_path_factory.mktemp("cligolden")
-        out = tmp / "golden.tsv"
-        proc = _cli(_classify_args(cli_trace, out, tmp / "ckpt"), tmp)
-        assert proc.returncode in (0, 3), proc.stderr
-        return (
-            out.read_bytes(),
-            (tmp / "golden.tsv.quarantine").read_bytes(),
-            _health_summary(proc.stdout),
-        )
+        """Uninterrupted outputs per command, computed on first use."""
+        runs = {}
 
-    @pytest.mark.parametrize("crash_after", [3000, 6000, 11000])
-    def test_hard_kill_and_resume(self, tmp_path, cli_trace, golden, crash_after):
-        golden_out, golden_quarantine, golden_health = golden
+        def outputs(command):
+            if command not in runs:
+                tmp = tmp_path_factory.mktemp(f"cligolden-{command}")
+                out = tmp / "golden.tsv"
+                proc = _cli(_durable_args(command, cli_trace, out, tmp / "ckpt"), tmp)
+                assert proc.returncode in (0, 3), proc.stderr
+                runs[command] = (
+                    out.read_bytes() if command == "classify" else None,
+                    (tmp / "golden.tsv.quarantine").read_bytes(),
+                    _resumable_stdout(proc.stdout),
+                )
+            return runs[command]
+
+        return outputs
+
+    # Checkpoints fall every 2000 records and batches are 64 long: 3000
+    # and 11000 land mid-batch, 6000 on a checkpoint boundary, 4001 one
+    # record past one.
+    @pytest.mark.parametrize(
+        "command, crash_after",
+        [
+            pytest.param("classify", 3000, id="3000"),
+            pytest.param("classify", 6000, id="6000"),
+            pytest.param("classify", 11000, id="11000"),
+            pytest.param("classify", 4001, id="4001"),
+            pytest.param("usage", 7001, id="usage-7001"),
+            pytest.param("report", 5000, id="report-5000"),
+        ],
+    )
+    def test_hard_kill_and_resume(self, tmp_path, cli_trace, golden, command, crash_after):
+        golden_out, golden_quarantine, golden_stdout = golden(command)
         out = tmp_path / "out.tsv"
         crashed = _cli(
-            _classify_args(cli_trace, out, tmp_path / "ckpt",
-                           "--crash-after", str(crash_after)),
+            _durable_args(command, cli_trace, out, tmp_path / "ckpt",
+                          "--crash-after", str(crash_after)),
             tmp_path,
         )
         assert crashed.returncode == CRASH_EXIT_CODE, crashed.stderr
         assert not out.exists()  # final outputs never published by a crashed run
         resumed = _cli(
-            _classify_args(cli_trace, out, tmp_path / "ckpt", "--resume"), tmp_path
+            _durable_args(command, cli_trace, out, tmp_path / "ckpt", "--resume"), tmp_path
         )
         assert resumed.returncode in (0, 3), resumed.stderr
         assert "resuming from checkpoint" in resumed.stdout
-        assert out.read_bytes() == golden_out
+        if golden_out is not None:
+            assert out.read_bytes() == golden_out
         assert (tmp_path / "out.tsv.quarantine").read_bytes() == golden_quarantine
-        assert _health_summary(resumed.stdout) == golden_health
+        assert _resumable_stdout(resumed.stdout) == golden_stdout
+
+    def test_resume_of_a_pickle_era_checkpoint_directory_exits_4(self, tmp_path, cli_trace):
+        """A directory written while checkpoints were pickles: a
+        version-1 manifest and version-1 generations.  Refused with a
+        diagnostic, not read as "no valid checkpoint" and restarted."""
+        out, ckpt = tmp_path / "out.tsv", tmp_path / "ckpt"
+        crashed = _cli(_classify_args(cli_trace, out, ckpt, "--crash-after", "5000"), tmp_path)
+        assert crashed.returncode == CRASH_EXIT_CODE
+        store = CheckpointStore(ckpt)
+        assert store.generations()
+        for generation in store.generations():
+            blob = pickle.dumps(store.load(generation).payload)
+            header = _HEADER.pack(_FRAMING.magic, 1, len(blob), hashlib.sha256(blob).digest())
+            open(store.path_for(generation), "wb").write(header + blob)
+        manifest_path = ckpt / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["version"] = 1
+        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        proc = _cli(_classify_args(cli_trace, out, ckpt, "--resume"), tmp_path)
+        assert proc.returncode == EXIT_MANIFEST_MISMATCH, proc.stdout + proc.stderr
+        assert "manifest version 1 != 2" in proc.stderr
+        assert "config changed" not in proc.stderr
+        assert "restarting from the beginning" not in proc.stdout
+        assert not out.exists()
 
     def test_resume_with_changed_config_exits_4(self, tmp_path, cli_trace):
         out = tmp_path / "out.tsv"

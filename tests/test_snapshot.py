@@ -37,6 +37,7 @@ from repro.filterlist.snapshot import (
     load_snapshot,
     write_snapshot,
 )
+from repro.robustness import CheckpointError, CheckpointStore
 from repro.serve.reload import EngineSource
 from repro.trace.corruption import BYTE_PATHOLOGIES, ByteCorruptor
 
@@ -213,12 +214,33 @@ class TestLazyVerificationRegexes:
 class TestFaultInjection:
     """Every storage pathology is detected, never a wrong decision."""
 
-    @pytest.mark.parametrize("pathology", BYTE_PATHOLOGIES)
-    @pytest.mark.parametrize("seed", [1, 1337, 9009])
-    def test_byte_damage_is_detected(self, snapshot_path, pathology, seed):
-        ByteCorruptor(seed=seed).corrupt_file(snapshot_path, snapshot_path, pathology)
-        with pytest.raises(SnapshotError):
-            load_snapshot(snapshot_path)
+    @pytest.mark.parametrize(
+        "artifact, seed, pathology",
+        [
+            pytest.param(artifact, seed, pathology, id=f"{prefix}{seed}-{pathology}")
+            for artifact, prefix in (("snapshot", ""), ("checkpoint", "checkpoint-"))
+            for seed in (1, 1337, 9009)
+            for pathology in BYTE_PATHOLOGIES
+        ],
+    )
+    def test_byte_damage_is_detected(self, snapshot_path, tmp_path, artifact, seed, pathology):
+        """Snapshots and checkpoints share one container, so the same
+        damage is detected in both; a checkpoint store then falls back
+        to the older generation."""
+        if artifact == "snapshot":
+            ByteCorruptor(seed=seed).corrupt_file(snapshot_path, snapshot_path, pathology)
+            with pytest.raises(SnapshotError):
+                load_snapshot(snapshot_path)
+            return
+        store = CheckpointStore(tmp_path / "ckpt")
+        state = {"records_fed": 500, "max_ts": float("-inf"), "rows": [[1.5, "a\nb", None]] * 40}
+        store.save(state)
+        newest = store.save({**state, "records_fed": 1000})
+        path = store.path_for(newest.generation)
+        ByteCorruptor(seed=seed).corrupt_file(path, path, pathology)
+        with pytest.raises(CheckpointError):
+            store.load(newest.generation)
+        assert store.latest().payload == state
 
     def test_damage_never_reaches_decisions(self, snapshot_path, tmp_path):
         """Exhaustive single-bit flips over a prefix: detect or refuse,
