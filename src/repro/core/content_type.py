@@ -23,6 +23,7 @@ from repro.http.url import path_extension, split_url
 
 __all__ = [
     "infer_content_type",
+    "resolve_content_type",
     "type_from_extension",
     "type_from_mime",
     "type_from_path",
@@ -115,8 +116,27 @@ def infer_content_type(
     ``extension_first=False`` flips the priority — kept for the
     ablation benchmark on inference order (DESIGN.md §5).
     """
-    from_extension = type_from_extension(url)
-    from_header = type_from_mime(mime, is_page_root=is_page_root)
+    return resolve_content_type(
+        type_from_extension(url),
+        type_from_mime(mime),
+        is_page_root=is_page_root,
+        extension_first=extension_first,
+    )
+
+
+def resolve_content_type(
+    from_extension: ContentType | None,
+    from_mime: ContentType | None,
+    *,
+    is_page_root: bool,
+    extension_first: bool,
+) -> ContentType:
+    """:func:`infer_content_type` from its two readings, for a caller
+    that has them already: ``type_from_path`` of the URL's path, and
+    ``type_from_mime`` of the header as read for a non-root request."""
+    from_header = from_mime
+    if is_page_root and from_mime is ContentType.SUBDOCUMENT:
+        from_header = ContentType.DOCUMENT  # what type_from_mime(is_page_root=True) says
     if extension_first:
         inferred = from_extension or from_header
     else:

@@ -16,7 +16,7 @@ import re
 from typing import Iterable
 
 from repro.filterlist.filter import Filter
-from repro.http.url import SplitUrl, format_query, join_url, parse_query, split_url
+from repro.http.url import SplitUrl, format_query, parse_query, split_url
 
 __all__ = ["ProtectedValues", "collect_protected_values", "normalize_url"]
 
@@ -62,14 +62,19 @@ def collect_protected_values(filters: Iterable[Filter]) -> ProtectedValues:
     return ProtectedValues(pairs)
 
 
-def normalize_url(url: str, protected: ProtectedValues | None = None) -> str:
+def normalize_url(
+    url: str, protected: ProtectedValues | None = None, *, parts: SplitUrl | None = None
+) -> str:
     """Replace dynamic query-string values with a fixed placeholder.
 
     Keys are preserved (filters routinely match ``&ad_slot=``); values
     are replaced unless protected by a filter rule.  Valueless
-    components are left untouched.
+    components are left untouched.  A URL without a query string comes
+    back as ``url`` itself.  ``parts`` is ``split_url(url)`` when the
+    caller already has it.
     """
-    parts: SplitUrl = split_url(url)
+    if parts is None:
+        parts = split_url(url)
     if not parts.query:
         return url
     normalized: list[tuple[str, str]] = []
@@ -80,12 +85,10 @@ def normalize_url(url: str, protected: ProtectedValues | None = None) -> str:
             normalized.append((key, value))
         else:
             normalized.append((key, _PLACEHOLDER))
-    return join_url(
-        SplitUrl(
-            scheme=parts.scheme,
-            host=parts.host,
-            port=parts.port,
-            path=parts.path,
-            query=format_query(normalized),
-        )
-    )
+    # join_url's output for these parts with the new query, without
+    # building a second SplitUrl to get it.
+    prefix = f"{parts.scheme}://" if parts.scheme else "//"
+    query = format_query(normalized)
+    if query:
+        return f"{prefix}{parts.netloc}{parts.path}?{query}"
+    return f"{prefix}{parts.netloc}{parts.path}"

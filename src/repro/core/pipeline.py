@@ -24,7 +24,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from repro.core.content_type import infer_content_type, type_from_mime
+from repro.core.content_type import resolve_content_type, type_from_mime, type_from_path
 from repro.core.normalize import ProtectedValues, collect_protected_values, normalize_url
 from repro.core.referrer_map import ReferrerMap
 from repro.filterlist.actrie import ACTrieEngine
@@ -33,7 +33,7 @@ from repro.filterlist.engine import Classification, FilterEngine, RequestContext
 from repro.filterlist.lists import FilterList
 from repro.filterlist.options import ContentType
 from repro.http.log import HttpLogRecord
-from repro.http.url import split_url
+from repro.http.url import split_url, split_url_uncached
 from repro.robustness import PipelineHealth
 
 __all__ = [
@@ -257,11 +257,14 @@ class StreamingClassifier:
         else:
             self.users.move_to_end(user)
 
+        # Split the request URL once, unmemoised (most request URLs are
+        # one-off), and hand every step the part it reads.
         url = record.url
-        looks_like_document = type_from_mime(record.content_type) in (
-            ContentType.DOCUMENT,
-            ContentType.SUBDOCUMENT,
-        )
+        parts = split_url_uncached(url)
+        # Read without is_page_root: HTML is SUBDOCUMENT here, and
+        # resolve_content_type promotes it for a page root.
+        from_mime = type_from_mime(record.content_type)
+        looks_like_document = from_mime is ContentType.SUBDOCUMENT
 
         if config.use_referrer_map:
             attribution = state.referrer_map.observe(
@@ -269,15 +272,16 @@ class StreamingClassifier:
                 record.referrer,
                 looks_like_document=looks_like_document,
                 location=record.location if config.use_location_repair else None,
+                query=parts.query,
             )
             page_url, is_page_root = attribution.page_url, attribution.is_page_root
         else:
             # URL-only ablation: every request is its own context.
             page_url, is_page_root = url, looks_like_document
 
-        content_type = infer_content_type(
-            url,
-            record.content_type,
+        content_type = resolve_content_type(
+            type_from_path(parts.path),
+            from_mime,
             is_page_root=is_page_root,
             extension_first=config.extension_first,
         )
@@ -304,13 +308,14 @@ class StreamingClassifier:
             content_type=content_type,
             is_page_root=is_page_root,
             normalized_url=(
-                normalize_url(url, self.pipeline._protected)
+                normalize_url(url, self.pipeline._protected, parts=parts)
                 if config.use_normalization
                 else url
             ),
             classification=None,  # type: ignore[arg-type]
         )
-        entry.classification = self.pipeline._classify(entry)
+        # Normalization rewrites only the query, so the host is the request's.
+        entry.classification = self.pipeline._classify(entry, request_host=parts.host)
         self.buffer[index] = entry
         if self.next_index <= index:
             self.next_index = index + 1
@@ -585,10 +590,13 @@ class AdClassificationPipeline:
             yield from classifier.feed(record)
         yield from classifier.finish()
 
-    def _classify(self, entry: ClassifiedRequest) -> Classification:
+    def _classify(
+        self, entry: ClassifiedRequest, *, request_host: str | None = None
+    ) -> Classification:
         context = RequestContext(content_type=entry.content_type, page_url=entry.page_url)
-        # Split once here; the engine would otherwise re-split per call.
-        request_host = split_url(entry.normalized_url).host
+        if request_host is None:
+            # Rare paths (redirect fix-up, restore, merge) split it here.
+            request_host = split_url(entry.normalized_url).host
         return self._engine.classify(
             entry.normalized_url, context, request_host=request_host
         )

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.http.url import embedded_urls
+from repro.http.url import embedded_urls_in_query, split_url
 
 __all__ = ["Attribution", "ReferrerMap"]
 
@@ -55,6 +55,7 @@ class ReferrerMap:
         *,
         looks_like_document: bool,
         location: str | None = None,
+        query: str | None = None,
     ) -> Attribution:
         """Attribute one request and update the map.
 
@@ -64,6 +65,7 @@ class ReferrerMap:
             looks_like_document: whether the *response* looks like an
                 HTML document (candidate page root).
             location: the Location header of a redirect response.
+            query: ``url``'s query string, when the caller has split it.
         """
         attribution = self._attribute(url, referer, looks_like_document)
         self._remember(url, attribution.page_url)
@@ -73,7 +75,9 @@ class ReferrerMap:
             # keep it attached to this request's page (§3.1).
             self._pending_redirects[location] = attribution.page_url
         if self._track_embedded:
-            for embedded in embedded_urls(url):
+            if query is None:
+                query = split_url(url).query
+            for embedded in embedded_urls_in_query(query):
                 self._embedded[embedded] = attribution.page_url
         self._prune()
         return attribution

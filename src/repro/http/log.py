@@ -18,6 +18,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, TextIO
 
 from repro.http.message import HttpTransaction
+from repro.http.url import absolute_url
 from repro.robustness import ErrorPolicy, LogParseError, PipelineHealth, QuarantineWriter
 
 __all__ = [
@@ -56,9 +57,7 @@ class HttpLogRecord:
 
     @property
     def url(self) -> str:
-        if self.uri.startswith("http://") or self.uri.startswith("https://"):
-            return self.uri
-        return f"http://{self.host}{self.uri}"
+        return absolute_url(self.host, self.uri)
 
     def to_row(self) -> tuple:
         """Field values in schema order — the checkpoint wire form."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.http.url import SplitUrl, split_url
+from repro.http.url import SplitUrl, absolute_url, split_url
 
 __all__ = ["Headers", "HttpRequest", "HttpResponse", "HttpTransaction"]
 
@@ -94,9 +94,7 @@ class HttpRequest:
     @property
     def url(self) -> str:
         """Absolute URL reassembled from Host + request target."""
-        if self.uri.startswith("http://") or self.uri.startswith("https://"):
-            return self.uri
-        return f"http://{self.host}{self.uri}"
+        return absolute_url(self.host, self.uri)
 
     def split(self) -> SplitUrl:
         return split_url(self.url)

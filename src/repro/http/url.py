@@ -15,8 +15,8 @@ HTTP(S) URLs observed on the wire.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 __all__ = [
     "SplitUrl",
@@ -24,6 +24,7 @@ __all__ = [
     "split_url",
     "split_url_uncached",
     "join_url",
+    "absolute_url",
     "hostname_of",
     "registrable_domain",
     "is_subdomain_of",
@@ -32,6 +33,7 @@ __all__ = [
     "parse_query",
     "format_query",
     "embedded_urls",
+    "embedded_urls_in_query",
 ]
 
 # Multi-label public suffixes we recognize in addition to plain TLDs.
@@ -60,9 +62,12 @@ _MULTI_LABEL_SUFFIXES = frozenset(
 )
 
 
-@dataclass(frozen=True, slots=True)
-class SplitUrl:
+class SplitUrl(NamedTuple):
     """A URL decomposed into the pieces the pipeline cares about.
+
+    A named tuple rather than a frozen dataclass: it is as immutable and
+    hashable, and building one costs a third as much, which matters to
+    callers that split every record's URL unmemoised.
 
     Attributes:
         scheme: ``http`` or ``https`` (lower-cased); empty for
@@ -104,12 +109,13 @@ class SplitUrl:
 
 
 #: Bound on the ``split_url`` memo.  Tuned by a size sweep over the RBN-2
-#: classify stream (``http.url.cache_hit_rate`` in ``benchmarks/perf``
-#: reads the result today): page URLs and
-#: referrers repeat heavily while request URLs are near-unique, so the
-#: hit rate climbs until the working set of repeated URLs fits and is
-#: flat beyond 32Ki entries; 64Ki buys <1pt over 32Ki at twice the
-#: retained memory, and an unbounded memo would grow with trace length.
+#: classify stream when every layer of the fold still split the request
+#: URL through it: page URLs and referrers repeat heavily while request
+#: URLs are near-unique, so the hit rate climbs until the working set of
+#: repeated URLs fits and is flat beyond 32Ki entries.  The fold now
+#: splits each request URL once with :func:`split_url_uncached`; what
+#: still goes through the memo is page URLs (the engine's page-host
+#: lookup) and callers outside the fold.
 URL_CACHE_SIZE = 32768
 
 
@@ -122,9 +128,8 @@ def split_url(url: str) -> SplitUrl:
     Fragments are dropped; they never appear on the wire.
 
     Results are memoized: traffic is massively repetitive (the same ad
-    and CDN URLs recur across users and pageviews) and the pipeline
-    historically re-split each URL at several layers.  :class:`SplitUrl`
-    is frozen, so sharing one instance across callers is safe.
+    and CDN URLs recur across users and pageviews).  :class:`SplitUrl`
+    is immutable, so sharing one instance across callers is safe.
     """
     scheme = ""
     rest = url
@@ -157,12 +162,12 @@ def split_url(url: str) -> SplitUrl:
     else:
         path, query = path_query[:qmark], path_query[qmark + 1 :]
 
-    return SplitUrl(scheme=scheme, host=host.lower(), port=port, path=path, query=query)
+    return SplitUrl(scheme, host.lower(), port, path, query)
 
 
 #: :func:`split_url` without the memo, for a caller that splits each URL
 #: once and keeps the parts: memoising a stream of one-off URLs (the
-#: daemon's request URLs) only retains them.
+#: daemon's request URLs, the fold's record URLs) only retains them.
 split_url_uncached = split_url.__wrapped__
 
 
@@ -170,6 +175,18 @@ def join_url(parts: SplitUrl) -> str:
     """Inverse of :func:`split_url`."""
     prefix = f"{parts.scheme}://" if parts.scheme else "//"
     return f"{prefix}{parts.netloc}{parts.path_and_query}"
+
+
+def absolute_url(host: str, uri: str) -> str:
+    """The URL of a request for ``uri`` sent to ``host``.
+
+    An absolute-form ``uri`` (``http://…``/``https://…``, the scheme in
+    any case, as a proxy receives it) is the URL itself; an origin-form
+    one is glued onto the host.
+    """
+    if uri[:8].lower().startswith(("http://", "https://")):
+        return uri
+    return f"http://{host}{uri}"
 
 
 def hostname_of(url: str) -> str:
@@ -267,11 +284,15 @@ def embedded_urls(url: str) -> list[str]:
     referrer map uses these to repair chains broken by redirects.
     Both percent-encoded and literal ``http(s)://`` payloads are found.
     """
+    return embedded_urls_in_query(split_url(url).query)
+
+
+def embedded_urls_in_query(query: str) -> list[str]:
+    """:func:`embedded_urls` for an already-split query string."""
     found: list[str] = []
-    parts = split_url(url)
-    if not parts.query:
+    if not query:
         return found
-    for _key, value in parse_query(parts.query):
+    for _key, value in parse_query(query):
         candidate = value
         if "%3A%2F%2F" in candidate or "%3a%2f%2f" in candidate:
             candidate = (

@@ -98,7 +98,9 @@ class PipelineHealth:
         """Fold ``split_url`` memo counters (one process's or one shard's).
 
         Transient like the decision-cache counters: hit rates describe
-        this process's parse-path effectiveness, never the output.
+        this process's parse-path effectiveness, never the output.  The
+        fold splits each request URL once without the memo, so these
+        count page URLs and engine-side lookups only.
         """
         self.url_cache_hits += hits
         self.url_cache_misses += misses
@@ -209,6 +211,8 @@ class PipelineHealth:
                 "\n".join(
                     [
                         "-- url-split cache --",
+                        # The fold splits each request URL once, outside the memo.
+                        "serves:            page URLs and engine-side lookups",
                         f"lookups:           {url_lookups}",
                         f"hits:              {self.url_cache_hits} ({url_rate:.1f}%)",
                         f"misses:            {self.url_cache_misses}",

@@ -407,6 +407,7 @@ def cli_traces(tmp_path_factory):
     return tsv, bin_path
 
 
+@pytest.mark.slow
 class TestCliEquivalence:
     def test_convert_round_trips_bytes(self, tmp_path, cli_traces):
         tsv, bin_path = cli_traces

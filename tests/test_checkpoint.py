@@ -569,6 +569,7 @@ def _classify_args(trace, out, ckpt_dir, *extra):
     return _durable_args("classify", trace, out, ckpt_dir, *extra)
 
 
+@pytest.mark.slow
 class TestCrashRecoveryCli:
     @pytest.fixture(scope="class")
     def golden(self, tmp_path_factory, cli_trace):

@@ -45,6 +45,7 @@ def _cli(args, cwd):
     )
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("workers", [None, 2])
 @pytest.mark.parametrize("command", ["classify", "report"])
 def test_missing_input_exits_2(tmp_path, command, workers):
@@ -60,6 +61,7 @@ def test_missing_input_exits_2(tmp_path, command, workers):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.slow
 def test_resume_without_manifest_exits_4(tmp_path, trace_file):
     (tmp_path / "ckpt").mkdir()
     proc = _cli(
@@ -72,6 +74,7 @@ def test_resume_without_manifest_exits_4(tmp_path, trace_file):
     assert "nothing to resume" in proc.stderr
 
 
+@pytest.mark.slow
 def test_workers_zero_is_a_usage_error(tmp_path, trace_file):
     proc = _cli(
         ["classify", *_ECO, "--trace", str(trace_file),
@@ -82,6 +85,7 @@ def test_workers_zero_is_a_usage_error(tmp_path, trace_file):
     assert "--workers" in proc.stderr
 
 
+@pytest.mark.slow
 def test_workers_refuses_max_users(tmp_path, trace_file):
     proc = _cli(
         ["classify", *_ECO, "--trace", str(trace_file),
@@ -94,6 +98,7 @@ def test_workers_refuses_max_users(tmp_path, trace_file):
     assert "--workers" in proc.stderr
 
 
+@pytest.mark.slow
 def test_report_refuses_durable_parallel(tmp_path, trace_file):
     proc = _cli(
         ["report", *_ECO, "--trace", str(trace_file),
@@ -104,6 +109,7 @@ def test_report_refuses_durable_parallel(tmp_path, trace_file):
     assert "only supported for classify" in proc.stderr
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("workers", [None, 2])
 def test_strict_abort_exits_1_with_line_diagnostic(tmp_path, trace_file, workers):
     dirty = tmp_path / "dirty.tsv"
@@ -145,6 +151,7 @@ _DYING_POOL = ["--workers", "2", "--worker-timeout", "4", "--worker-retries", "0
                      "output is a partial prefix", id="degraded-pool"),
     ],
 )
+@pytest.mark.slow
 def test_failed_plain_pool_run_leaves_no_output(tmp_path, trace_file, extra, code, message):
     out_dir = tmp_path / "published"
     out_dir.mkdir()
@@ -158,6 +165,7 @@ def test_failed_plain_pool_run_leaves_no_output(tmp_path, trace_file, extra, cod
     assert os.listdir(out_dir) == []
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("workers", [None, 2])
 def test_interrupted_plain_run_exits_130_and_leaves_no_output(
     tmp_path, trace_file, workers
@@ -204,6 +212,7 @@ def test_plain_sink_close_removes_a_staging_file_it_kept_no_handle_to(tmp_path):
     sink.close()  # and again, as after a publish: nothing to remove, no error
 
 
+@pytest.mark.slow
 def test_usage_health_format_json_ends_in_the_health_document(tmp_path, trace_file):
     args = ["usage", *_ECO, "--trace", str(trace_file),
             "--tls", str(trace_file.with_name("tls.tsv")), "--min-requests", "50"]
@@ -242,6 +251,7 @@ def snapshot_file(tmp_path_factory):
     return path
 
 
+@pytest.mark.slow
 class TestSnapshotExitCodes:
     """Snapshot failure classes: 2 missing, 4 identity, 6 damage,
     0 under --snapshot-policy rebuild (see README exit-code table)."""

@@ -24,6 +24,8 @@ from repro.core import (
 from repro.trace import RBNTraceGenerator, abp_server_ips, easylist_download_clients, rbn2_config
 from repro.web import Ecosystem, EcosystemConfig
 
+pytestmark = pytest.mark.slow
+
 
 @pytest.fixture(scope="module")
 def study():

@@ -70,6 +70,26 @@ class TestRoundTrip:
         assert len(list(read_log(io.StringIO(text)))) == 1
 
 
+class TestRecordUrl:
+    """Regression: an absolute-form URI whose scheme is not lower-case
+    was glued onto the Host (``http://site.exampleHTTP://x/y``)."""
+
+    @pytest.mark.parametrize("uri", ["HTTP://x.example/y", "Https://x.example/y?q=1",
+                                     "http://x.example/y", "hTtPs://X.example"])
+    def test_absolute_form_is_the_url_in_any_case(self, uri):
+        assert _record(uri=uri).url == uri
+
+    @pytest.mark.parametrize("uri", ["/x?y=1", "/http://x.example/", "httpx://x/", "http:/x"])
+    def test_origin_form_is_glued_onto_the_host(self, uri):
+        assert _record(uri=uri).url == f"http://site.example{uri}"
+
+    def test_split_sees_the_absolute_host(self):
+        from repro.http.url import split_url
+
+        parts = split_url(_record(uri="HTTP://Ads.Example:8080/a.gif").url)
+        assert (parts.scheme, parts.host, parts.port, parts.path) == ("http", "ads.example", 8080, "/a.gif")
+
+
 class TestCrlfHandling:
     """Regression: a CRLF-terminated log must not poison the last field
     (``rstrip("\\n")`` alone left a trailing ``\\r`` on ``flow_id``)."""

@@ -216,6 +216,7 @@ def _classify_args(trace, out, ckpt_dir, *extra):
     ]
 
 
+@pytest.mark.slow
 class TestPoolCrashRecoveryCli:
     @pytest.fixture(scope="class")
     def golden(self, tmp_path_factory, pool_trace):

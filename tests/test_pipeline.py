@@ -3,16 +3,20 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.core.pipeline import AdClassificationPipeline, PipelineConfig
+from repro.core.content_type import type_from_extension, type_from_mime
+from repro.core.pipeline import AdClassificationPipeline, ClassifiedRequest, PipelineConfig
+from repro.core.referrer_map import ReferrerMap
+from repro.filterlist.engine import RequestContext
 from repro.filterlist.options import ContentType
 from repro.http.log import HttpLogRecord
+from repro.http.url import SplitUrl, format_query, join_url, parse_query, split_url
 
 
 def _record(url, *, referrer=None, mime=None, ts=0.0, status=200, location=None,
             client="10.0.0.1", ua="UA", size=100):
-    from repro.http.url import split_url
-
     parts = split_url(url)
     return HttpLogRecord(
         ts=ts, client=client, server="101.0.0.1", method="GET",
@@ -229,3 +233,181 @@ class TestAgainstGroundTruth:
                     misses += 1
         if hits + misses:
             assert hits / (hits + misses) > 0.9
+
+
+# ---------------------------------------------------------------------------
+# Fold differential: the fold against a transcription of its per-layer form
+
+
+def _reference_infer(url, mime, *, is_page_root, extension_first):
+    """Content-type inference as written per layer: split the URL, read
+    the header with the page-root flag."""
+    from_extension = type_from_extension(url)
+    from_header = type_from_mime(mime, is_page_root=is_page_root)
+    inferred = (from_extension or from_header) if extension_first else (from_header or from_extension)
+    if inferred is None:
+        return ContentType.DOCUMENT if is_page_root else ContentType.OTHER
+    return inferred
+
+
+def _reference_normalize(url, protected):
+    """Query normalization as written per layer: split, rewrite, rejoin."""
+    parts = split_url(url)
+    if not parts.query:
+        return url
+    pairs = [
+        (key, value if not value or protected.protects(key, value) else "X")
+        for key, value in parse_query(parts.query)
+    ]
+    return join_url(SplitUrl(parts.scheme, parts.host, parts.port, parts.path, format_query(pairs)))
+
+
+def _reference_fold(pipeline, records):
+    """``pipeline.process(records)`` with every layer splitting the URL
+    itself, and the engine re-splitting the normalized URL for its host."""
+    config = pipeline.config
+
+    def classify(entry):
+        context = RequestContext(entry.content_type, entry.page_url)
+        host = split_url(entry.normalized_url).host
+        return pipeline.engine.classify(entry.normalized_url, context, request_host=host)
+
+    maps, waiting, entries = {}, {}, []
+    for index, record in enumerate(records):
+        user = (record.client, record.user_agent or "")
+        url = record.url
+        looks_like_document = type_from_mime(record.content_type) in (
+            ContentType.DOCUMENT, ContentType.SUBDOCUMENT,
+        )
+        if config.use_referrer_map:
+            referrer_map = maps.setdefault(user, ReferrerMap(track_embedded=config.use_embedded_urls))
+            attribution = referrer_map.observe(
+                url, record.referrer, looks_like_document=looks_like_document,
+                location=record.location if config.use_location_repair else None,
+            )
+            page_url, is_page_root = attribution.page_url, attribution.is_page_root
+        else:
+            page_url, is_page_root = url, looks_like_document
+        content_type = _reference_infer(
+            url, record.content_type, is_page_root=is_page_root,
+            extension_first=config.extension_first,
+        )
+        if config.redirect_type_fixup:
+            pending = waiting.setdefault(user, {})
+            source_index = pending.pop(url, None)
+            if source_index is not None and entries[source_index].content_type != content_type:
+                entries[source_index].content_type = content_type
+                entries[source_index].classification = classify(entries[source_index])
+            if record.location is not None:
+                pending[record.location] = index
+        normalized = _reference_normalize(url, pipeline._protected) if config.use_normalization else url
+        entry = ClassifiedRequest(record, user, page_url, content_type, is_page_root, normalized, None)
+        entry.classification = classify(entry)
+        entries.append(entry)
+    return entries
+
+
+def _fields(entry):
+    return (entry.user, entry.page_url, entry.content_type, entry.is_page_root,
+            entry.normalized_url, entry.classification)
+
+
+_ABLATIONS = {
+    "default": {},
+    "no-referrer-map": {"use_referrer_map": False},
+    "no-embedded-urls": {"use_embedded_urls": False},
+    "no-location-repair": {"use_location_repair": False},
+    "no-normalization": {"use_normalization": False},
+    "header-first": {"extension_first": False},
+    "no-redirect-fixup": {"redirect_type_fixup": False},
+    "no-decision-cache": {"use_decision_cache": False},
+}
+
+
+# Rules whose key=value fragments normalization must keep; the generated
+# lists have none.
+_PROTECTING = "@@*jsp?callback=aslHandleAds*\n/adserver/*&ad_slot=1\n"
+
+
+@pytest.fixture(scope="module", params=sorted(_ABLATIONS))
+def ablated(request, lists):
+    from repro.filterlist.lists import FilterList
+
+    protecting = {**lists, "protecting": FilterList.from_text(_PROTECTING, "protecting")}
+    return AdClassificationPipeline(protecting, PipelineConfig(**_ABLATIONS[request.param]))
+
+
+_PATHS = ["", "/", "/x.gif", "/a/B.PNG", "/adserver/click", "/banner/1.jpg", "/lib.js",
+          "/s.css", "/v.mp4", "/index.html", "/adtag/show.js", "/n\nl.js", "/t\tab", "/a.jsp"]
+_QUERIES = ["", "?", "?&", "?ad_slot=1", "?b=2&ad_slot=1", "?a=1&b", "?x=%0A",
+            "?next=\nhttp://t.example/\tz",
+            "?redirect=http%3A%2F%2Ftarget.example%2Fx.gif", "?u=http://target.example/y.png&cb=9",
+            "?callback=aslHandleAds", "?a=b?c=d"]
+_FRAGMENTS = ["", "#frag", "#a?b=1"]
+_MIMES = [None, "text/html", "text/html; charset=utf-8", "application/xhtml+xml", "image/gif",
+          "application/javascript", "application/json", "video/mp4", "text/css",
+          "application/x-shockwave-flash", "weird/thing"]
+_HOSTS = ["news.example", "News.EXAMPLE", "target.example", "cdn.example:8080", "cdn.example:",
+          "user@ads.example", "[2001:db8::1]", "[2001:db8::1]:81", "2001:db8::1"]
+
+
+@st.composite
+def _traces(draw, ad_host):
+    """Records of two users: origin- and absolute-form URIs (any scheme
+    case), odd hosts, fragments, raw LF/TAB, referrers to earlier
+    requests, redirects whose Location is the next request, and
+    referer-less requests for a URL an earlier query embedded."""
+    hosts = _HOSTS + [ad_host, ad_host.upper(), f"{ad_host}:8080"]
+    specs = draw(st.lists(st.tuples(
+        st.sampled_from(hosts),
+        st.sampled_from(["", "http", "HTTP", "https", "Https"]),  # "": origin-form
+        st.sampled_from(_PATHS), st.sampled_from(_QUERIES), st.sampled_from(_FRAGMENTS),
+        st.sampled_from(_MIMES),
+        st.one_of(st.none(), st.integers(0, 24), st.just("http://news.example/"),
+                  st.just(f"http://{ad_host}/")),
+        st.booleans(),  # redirect to the next request
+        st.sampled_from(["10.0.0.1", "10.0.0.2"]),
+        st.sampled_from([None, None, "/x.gif", "/y.png"]),  # an embedded target instead
+    ), min_size=1, max_size=25))
+    records = []
+    for i, (host, scheme, path, query, fragment, mime, referrer, _, client, embedded) in enumerate(specs):
+        target = path + query + fragment
+        uri = f"{scheme}://{host}{target}" if scheme else (target or "/")
+        if embedded is not None:
+            host, uri, referrer = "target.example", embedded, None
+        if isinstance(referrer, int):
+            referrer = records[referrer].url if referrer < i else None
+        records.append(HttpLogRecord(
+            ts=float(i), client=client, server="101.0.0.1", method="GET", host=host, uri=uri,
+            referrer=referrer, user_agent="UA", status=200, content_type=mime,
+            content_length=100, location=None, tcp_handshake_ms=1.0,
+            http_handshake_ms=1.0, flow_id=i,
+        ))
+    for i, spec in enumerate(specs[:-1]):
+        if spec[7]:
+            records[i].status, records[i].location = 302, records[i + 1].url
+    return records
+
+
+class TestFoldDifferential:
+    """The fold splits each record's URL once and threads the parts
+    through every step; what it produces must be what the per-layer
+    calls it replaced produce.  ``benchmarks/perf`` builds its oracle
+    with this fold, so a drift here would not show there."""
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_same_entries_as_per_layer_calls(self, ablated, ecosystem, data):
+        ad_host = data.draw(st.sampled_from(ecosystem.ad_networks[0].serving_domains))
+        records = data.draw(_traces(ad_host))
+        expected = _reference_fold(ablated, records)
+        assert [_fields(entry) for entry in ablated.process(records)] == [
+            _fields(entry) for entry in expected
+        ]
+
+    def test_same_entries_on_the_generated_trace(self, ablated, rbn_trace):
+        records = rbn_trace.http[:4000]
+        expected = _reference_fold(ablated, records)
+        actual = ablated.process(records)
+        assert [_fields(entry) for entry in actual] == [_fields(entry) for entry in expected]
+        assert sum(entry.is_ad for entry in actual) > 100

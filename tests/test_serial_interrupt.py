@@ -20,6 +20,8 @@ import pytest
 
 from repro.robustness import CheckpointStore
 
+pytestmark = pytest.mark.slow  # every test here drives the CLI in a subprocess
+
 _ECO = ["--publishers", "80", "--eco-seed", "99"]
 
 

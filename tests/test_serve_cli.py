@@ -20,6 +20,8 @@ from http.client import HTTPConnection
 
 import pytest
 
+pytestmark = pytest.mark.slow  # every test here drives the CLI in a subprocess
+
 LIST_V1 = "||ads.example.com^\n/banner/*\n@@||good.example.com^\n"
 LIST_V2 = LIST_V1 + "||tracker.example.net^\n"
 

@@ -446,6 +446,7 @@ _MATRIX = [
 
 
 class TestChaosMatrix:
+    @pytest.mark.slow
     @pytest.mark.parametrize("spec, mode", _MATRIX, ids=[m.value for _, m in _MATRIX])
     def test_with_retries_output_is_identical(
         self, pipeline, chaos_trace, baseline_rows, spec, mode
@@ -458,6 +459,7 @@ class TestChaosMatrix:
             assert outcome.worker_restarts >= 1
             assert outcome.health.worker_restarts == outcome.worker_restarts
 
+    @pytest.mark.slow
     @pytest.mark.parametrize("spec, mode", _MATRIX, ids=[m.value for _, m in _MATRIX])
     def test_without_retries_faults_are_terminal(
         self, pipeline, chaos_trace, baseline_rows, spec, mode
@@ -469,6 +471,7 @@ class TestChaosMatrix:
         with pytest.raises(WorkerFailure, match="worker 1"):
             _pool_rows(pipeline, chaos_trace, chaos=spec, retry="off")
 
+    @pytest.mark.slow
     def test_permanent_fault_degrades_to_a_partial_prefix(
         self, pipeline, chaos_trace, baseline_rows
     ):
@@ -550,6 +553,7 @@ def cli_golden(tmp_path_factory, cli_trace):
     return out.read_bytes()
 
 
+@pytest.mark.slow
 class TestSupervisionCli:
     def test_chaos_run_is_byte_identical_to_fault_free(
         self, tmp_path, cli_trace, cli_golden
