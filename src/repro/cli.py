@@ -240,6 +240,11 @@ def _check_parallel_args(args: argparse.Namespace) -> None:
         raise SystemExit("error: --worker-timeout must be >= 0")
     if args.worker_retries < 0:
         raise SystemExit("error: --worker-retries must be >= 0")
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        raise SystemExit("error: --workers needs the 'fork' start method, "
+                         "which this platform does not offer")
     if getattr(args, "max_users", None) is not None:
         raise SystemExit("error: --workers is incompatible with --max-users "
                          "(the LRU eviction order is global, not shardable)")
@@ -260,22 +265,6 @@ def _supervision_kwargs(args: argparse.Namespace) -> dict:
         "on_worker_failure": args.on_worker_failure,
         "chaos": args.chaos,
     }
-
-
-def _pipeline_factory(args: argparse.Namespace):
-    """Picklable per-worker pipeline builder from the ecosystem flags."""
-    import functools
-
-    from repro.parallel import build_ecosystem_pipeline
-
-    return functools.partial(
-        build_ecosystem_pipeline,
-        args.publishers,
-        args.eco_seed,
-        not args.no_decision_cache,
-        getattr(args, "engine_snapshot", None),
-        getattr(args, "snapshot_policy", "refuse"),
-    )
 
 
 def _lists_factory(args: argparse.Namespace):
@@ -366,11 +355,11 @@ def _run(
             resume=args.resume,
             crash_injector=CrashInjector(args.crash_after) if args.crash_after else None,
         )
+    expected = None
+    if checkpointing is not None and args.engine_snapshot:
+        expected = _expected_engine_fingerprint(get_lists())
+    pipeline = _resolve_pipeline(args, get_lists, expected_fingerprint=expected)
     if workers is None:
-        expected = None
-        if checkpointing is not None and args.engine_snapshot:
-            expected = _expected_engine_fingerprint(get_lists())
-        pipeline = _resolve_pipeline(args, get_lists, expected_fingerprint=expected)
         result = run_serial(
             args.trace,
             pipeline,
@@ -389,7 +378,7 @@ def _run(
         result = ParallelRun(
             workers=workers,
             input_path=args.trace,
-            pipeline_factory=_pipeline_factory(args),
+            pipeline=pipeline,
             on_error=policy,
             quarantine_path=quarantine_path,
             reorder_window=reorder_window,

@@ -81,6 +81,9 @@ class ClassifiedRequest:
     is_page_root: bool
     normalized_url: str
     classification: Classification
+    # Position in the serial ingest order (StreamingClassifier sets it);
+    # shard workers tag their output rows with it.
+    index: int = -1
 
     @property
     def is_ad(self) -> bool:
@@ -160,85 +163,58 @@ class StreamingClassifier:
         self.buffer: "OrderedDict[int, ClassifiedRequest]" = OrderedDict()
         self.next_index = 0
         # Reorder-buffer state (active when reorder_window is not None).
-        self._heap: list[tuple[float, int, HttpLogRecord]] = []
+        # Rows are (ts, arrival seq, record), the record None for a
+        # record another shard owns.
+        self._heap: list[tuple[float, int, HttpLogRecord | None]] = []
         self._seq = 0
         self._max_ts = float("-inf")
 
     # -- streaming --------------------------------------------------------
 
-    def feed(self, record: HttpLogRecord) -> list[ClassifiedRequest]:
-        """Push one record; return the entries released by it."""
-        released: list[tuple[int, ClassifiedRequest]] = []
+    def feed(self, record: HttpLogRecord, owned: bool = True) -> list[ClassifiedRequest]:
+        """Push one record; return the entries released by it.
+
+        A shard worker (DESIGN.md §10) feeds every record of the stream
+        but classifies only the users it owns.  A record with
+        ``owned=False`` is a placeholder: it takes its place in the
+        reorder heap and, when popped, one ingest index — so indexes,
+        reorder pops and fix-up releases happen at exactly the serial
+        moments, and each released entry's ``index`` is its position in
+        the serial output.
+        """
+        released: list[ClassifiedRequest] = []
         if self.reorder_window is None:
-            self._ingest(record, released)
-            return [entry for _, entry in released]
-        if record.ts < self._max_ts and self.health is not None:
+            self._ingest(record if owned else None, released)
+            return released
+        if owned and record.ts < self._max_ts and self.health is not None:
             self.health.records_reordered += 1
         self._max_ts = max(self._max_ts, record.ts)
-        heapq.heappush(self._heap, (record.ts, self._seq, record))
+        heapq.heappush(self._heap, (record.ts, self._seq, record if owned else None))
         self._seq += 1
         horizon = self._max_ts - self.reorder_window
         while self._heap and self._heap[0][0] <= horizon:
             self._ingest(heapq.heappop(self._heap)[2], released)
-        return [entry for _, entry in released]
-
-    def feed_at(self, record: HttpLogRecord, index: int) -> list[tuple[int, ClassifiedRequest]]:
-        """Ingest ``record`` at an explicit global entry index.
-
-        Shard-parallel workers (DESIGN.md §10) see only the records
-        their shard owns, but the fix-up buffer's release horizon and
-        the redirect fix-up reach-back are defined over *global* ingest
-        indexes — the position the record holds in the serial ingest
-        order.  The caller supplies that index; records owned by other
-        shards advance the horizon through :meth:`tick`.  Released
-        entries come back with their indexes so the parallel merge can
-        re-interleave shards into the exact serial emission order.
-
-        The reorder buffer must be off — parallel workers replicate the
-        global reorder heap externally, where non-owned records are
-        placeholders, and drive this method with already-ordered pops.
-        """
-        if self.reorder_window is not None:
-            raise ValueError("feed_at() requires reorder_window=None")
-        released: list[tuple[int, ClassifiedRequest]] = []
-        self._ingest(record, released, index=index)
-        return released
-
-    def tick(self, index: int) -> list[tuple[int, ClassifiedRequest]]:
-        """Advance the global ingest index past a non-owned record.
-
-        Releases (and returns) buffered entries that fall outside the
-        fix-up window once position ``index`` is consumed, exactly as a
-        serial classifier would when ingesting the record held by
-        another shard.
-        """
-        released: list[tuple[int, ClassifiedRequest]] = []
-        if self.next_index <= index:
-            self.next_index = index + 1
-        self._release(index, released)
         return released
 
     def finish(self) -> list[ClassifiedRequest]:
         """Drain the reorder heap and the fix-up buffer; end of stream."""
-        return [entry for _, entry in self.finish_indexed()]
-
-    def finish_indexed(self) -> list[tuple[int, ClassifiedRequest]]:
-        """:meth:`finish`, with each entry's global ingest index."""
-        released: list[tuple[int, ClassifiedRequest]] = []
+        released: list[ClassifiedRequest] = []
         while self._heap:
             self._ingest(heapq.heappop(self._heap)[2], released)
-        while self.buffer:
-            released.append(self.buffer.popitem(last=False))
+        released.extend(self.buffer.values())
+        self.buffer.clear()
         return released
 
-    def _ingest(
-        self,
-        record: HttpLogRecord,
-        released: list[tuple[int, ClassifiedRequest]],
-        index: int | None = None,
-    ) -> None:
-        if index is None:
-            index = self.next_index
+    def _ingest(self, record: HttpLogRecord | None, released: list[ClassifiedRequest]) -> None:
+        """Consume the next ingest index; classify ``record`` unless it
+        is another shard's placeholder."""
+        index = self.next_index
+        self.next_index = index + 1
+        if record is not None:
+            self.buffer[index] = self._classify_record(record, index)
+        self._release(index, released)
+
+    def _classify_record(self, record: HttpLogRecord, index: int) -> ClassifiedRequest:
         config = self.pipeline.config
         health = self.health
         user = (record.client, record.user_agent or "")
@@ -313,19 +289,17 @@ class StreamingClassifier:
                 else url
             ),
             classification=None,  # type: ignore[arg-type]
+            index=index,
         )
         # Normalization rewrites only the query, so the host is the request's.
         entry.classification = self.pipeline._classify(entry, request_host=parts.host)
-        self.buffer[index] = entry
-        if self.next_index <= index:
-            self.next_index = index + 1
-        self._release(index, released)
+        return entry
 
-    def _release(self, index: int, released: list[tuple[int, ClassifiedRequest]]) -> None:
+    def _release(self, index: int, released: list[ClassifiedRequest]) -> None:
         # Release everything at or below `index - fixup_window`.  For
-        # the serial path (contiguous indexes) this is exactly the old
+        # the serial path (contiguous indexes) this is exactly the
         # "pop while len(buffer) > fixup_window" rule; for a shard (a
-        # subset of the global indexes) it releases precisely the owned
+        # subset of the indexes) it releases precisely the owned
         # entries the serial run would have released by this point.
         if self.fixup_window is None:
             return
@@ -334,7 +308,7 @@ class StreamingClassifier:
             oldest = next(iter(self.buffer))
             if oldest > horizon:
                 break
-            released.append(self.buffer.popitem(last=False))
+            released.append(self.buffer.popitem(last=False)[1])
 
     # -- checkpoint wire form (DESIGN.md §8) -------------------------------
 
@@ -370,7 +344,10 @@ class StreamingClassifier:
                 for index, entry in self.buffer.items()
             ],
             "reorder": {
-                "heap": [(ts, seq, record.to_row()) for ts, seq, record in self._heap],
+                "heap": [
+                    (ts, seq, record.to_row() if record is not None else None)
+                    for ts, seq, record in self._heap
+                ],
                 "seq": self._seq,
                 "max_ts": self._max_ts,
             },
@@ -401,75 +378,18 @@ class StreamingClassifier:
                 is_page_root=is_page_root,
                 normalized_url=normalized_url,
                 classification=None,  # type: ignore[arg-type]
+                index=index,
             )
             entry.classification = self.pipeline._classify(entry)
             self.buffer[index] = entry
         reorder = state["reorder"]
         self._heap = [
-            (ts, seq, HttpLogRecord.from_row(row)) for ts, seq, row in reorder["heap"]
+            (ts, seq, HttpLogRecord.from_row(row) if row is not None else None)
+            for ts, seq, row in reorder["heap"]
         ]
         heapq.heapify(self._heap)
         self._seq = reorder["seq"]
         self._max_ts = reorder["max_ts"]
-
-    def merge_state(self, state: dict) -> None:
-        """Fold another classifier's exported state into this one.
-
-        Shard-parallel runs (DESIGN.md §10) give every worker its own
-        classifier over a disjoint slice of users and entry indexes, so
-        the fold is a disjoint union of per-user state and buffered
-        entries.  The merge stays total on overlap anyway, resolving
-        deterministically and order-insensitively: referrer maps union
-        key-wise, a pending fix-up shared by two states keeps the larger
-        entry index (the later redirect — what serial overwrite keeps),
-        and a buffer index present in both keeps the already-held entry.
-        """
-        version = state.get("version")
-        if version != _STATE_VERSION:
-            raise ValueError(f"unsupported classifier state version {version!r}")
-        config = self.pipeline.config
-        self.next_index = max(self.next_index, state["next_index"])
-        for user, referrer_state, pending in state["users"]:
-            key = (user[0], user[1])
-            mine = self.users.get(key)
-            if mine is None:
-                self.users[key] = _UserState(
-                    referrer_map=ReferrerMap.from_state(
-                        referrer_state, track_embedded=config.use_embedded_urls
-                    ),
-                    pending_type_fixup=OrderedDict(pending),
-                )
-            else:
-                mine.referrer_map.merge_state(referrer_state)
-                fixups = mine.pending_type_fixup
-                for url, fixup_index in pending:
-                    held = fixups.get(url)
-                    if held is None or fixup_index > held:
-                        fixups[url] = fixup_index
-        changed = False
-        for index, row, page_url, content_type, is_page_root, normalized_url in state["buffer"]:
-            if index in self.buffer:
-                continue
-            entry = ClassifiedRequest(
-                record=HttpLogRecord.from_row(row),
-                user=(row[1], row[7] or ""),  # (client, user_agent)
-                page_url=page_url,
-                content_type=ContentType(content_type),
-                is_page_root=is_page_root,
-                normalized_url=normalized_url,
-                classification=None,  # type: ignore[arg-type]
-            )
-            entry.classification = self.pipeline._classify(entry)
-            self.buffer[index] = entry
-            changed = True
-        if changed:
-            # Interleave shard indexes back into global release order.
-            self.buffer = OrderedDict(sorted(self.buffer.items()))
-        reorder = state["reorder"]
-        for ts, seq, row in reorder["heap"]:
-            heapq.heappush(self._heap, (ts, seq, HttpLogRecord.from_row(row)))
-        self._seq = max(self._seq, reorder["seq"])
-        self._max_ts = max(self._max_ts, reorder["max_ts"])
 
 
 _ENGINES: dict[str, type[FilterEngine]] = {"actrie": ACTrieEngine, "buckets": FilterEngine}
@@ -595,7 +515,7 @@ class AdClassificationPipeline:
     ) -> Classification:
         context = RequestContext(content_type=entry.content_type, page_url=entry.page_url)
         if request_host is None:
-            # Rare paths (redirect fix-up, restore, merge) split it here.
+            # Rare paths (redirect fix-up, restore) split it here.
             request_host = split_url(entry.normalized_url).host
         return self._engine.classify(
             entry.normalized_url, context, request_host=request_host

@@ -107,26 +107,6 @@ class ReferrerMap:
         instance._embedded = dict(state["embedded"])
         return instance
 
-    def merge_state(self, state: dict) -> None:
-        """Fold another map's exported state into this one.
-
-        Shard-parallel folds (DESIGN.md §10) merge maps of *different*
-        users' requests only when the same user was split by a resharded
-        run, so key sets are disjoint in practice.  A key present on
-        both sides keeps the lexicographically smaller attribution —
-        an arbitrary but commutative/associative tie-break, so the fold
-        is insensitive to shard order.
-        """
-        for target, shard in (
-            (self._page_root, state["page_root"]),
-            (self._pending_redirects, state["pending_redirects"]),
-            (self._embedded, state["embedded"]),
-        ):
-            for url, root in shard:
-                held = target.get(url)
-                if held is None or root < held:
-                    target[url] = root
-
     # ------------------------------------------------------------------
 
     def _attribute(self, url: str, referer: str | None, looks_like_document: bool) -> Attribution:

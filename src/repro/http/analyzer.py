@@ -82,7 +82,7 @@ class HttpAnalyzer:
         for _response in responses:
             response_offsets.append(cursor)
             end = server_data.find(b"\r\n\r\n", cursor)
-            cursor = len(server_data) if end < 0 else _advance_past_body(
+            cursor = len(server_data) if end < 0 else _offset_past_body(
                 server_data, end + 4, responses[len(response_offsets) - 1].body_length
             )
 
@@ -111,7 +111,7 @@ class HttpAnalyzer:
         return transactions
 
 
-def _advance_past_body(data: bytes, offset: int, body_length: int) -> int:
+def _offset_past_body(data: bytes, offset: int, body_length: int) -> int:
     """Advance ``offset`` past a response body of known parsed length."""
     return min(len(data), offset + body_length)
 

@@ -1,10 +1,10 @@
 """Parent-side orchestration of the shard worker pool (DESIGN.md §10).
 
-The parent never parses or classifies.  It spawns one worker per shard,
-then folds their message streams back into the single serial-order
-output: rows re-interleave by global ingest index, rejected lines by
-line number, health counters and traffic accumulators by
-``merge_state()`` in shard order.
+The parent never parses or classifies.  It forks one worker per shard,
+each inheriting the parent's pipeline, then folds their message streams
+back into the single serial-order output: rows re-interleave by ingest
+index, rejected lines by line number, health counters and traffic
+accumulators by ``merge_state()`` in shard order.
 
 Durable runs extend the DESIGN.md §8 model with *per-shard* checkpoint
 stores.  Each worker autonomously saves generation ``n`` when its
@@ -59,7 +59,6 @@ __all__ = [
     "ParallelRun",
     "RunInterrupted",
     "WorkerFailure",
-    "build_ecosystem_pipeline",
 ]
 
 PARENT_STATE_VERSION = 1
@@ -69,47 +68,6 @@ _POLL_TIMEOUT_S = 1.0
 # How long finished workers get to exit before being reported as
 # stragglers (and then terminated by the cleanup path).
 _STRAGGLER_GRACE_S = 10.0
-
-
-def build_ecosystem_pipeline(
-    publishers: int,
-    eco_seed: int,
-    use_decision_cache: bool = True,
-    snapshot_path: str | None = None,
-    snapshot_policy: str = "refuse",
-) -> AdClassificationPipeline:
-    """Picklable pipeline factory for ecosystem-backed CLI runs.
-
-    Each worker process rebuilds the ecosystem, filter lists and engine
-    itself — the compiled engine is far bigger than the two integers
-    that determine it, and the rebuild is deterministic.  Each worker
-    therefore also gets its own decision cache (when enabled), which is
-    naturally coherent: sharding is per-user, and a cache is pure
-    memoization of a deterministic engine anyway.
-
-    With ``snapshot_path``, workers skip the rebuild entirely and
-    deserialize the precompiled engine in milliseconds (DESIGN.md §15)
-    — the spin-up win multiplies by the pool size.  Validation failures
-    propagate (``refuse``) so the supervisor surfaces them instead of
-    shards silently diverging; ``rebuild`` falls back to the
-    deterministic list build, which is decision-identical anyway.
-    """
-    from repro.core.pipeline import PipelineConfig
-    from repro.filterlist import build_lists
-    from repro.filterlist.snapshot import SnapshotError, load_snapshot
-    from repro.web import Ecosystem, EcosystemConfig
-
-    config = PipelineConfig(use_decision_cache=use_decision_cache)
-    if snapshot_path:
-        try:
-            loaded = load_snapshot(snapshot_path)
-        except (SnapshotError, FileNotFoundError):
-            if snapshot_policy == "refuse":
-                raise
-        else:
-            return AdClassificationPipeline.from_engine(loaded.engine, config)
-    ecosystem = Ecosystem.generate(EcosystemConfig(n_publishers=publishers, seed=eco_seed))
-    return AdClassificationPipeline(build_lists(ecosystem.list_spec()), config)
 
 
 class ParallelRun:
@@ -123,6 +81,9 @@ class ParallelRun:
     ``quarantine_path`` for the sidecar, and optionally a
     :class:`Checkpointing`, which adds the run manifest, the parent
     checkpoint store and one store per shard under its directory.
+
+    Workers are forked and inherit ``pipeline`` as it stands: the engine
+    is built (or restored from a snapshot) once, in the parent.
     """
 
     def __init__(
@@ -130,7 +91,7 @@ class ParallelRun:
         *,
         workers: int,
         input_path: str,
-        pipeline_factory: "Callable[[], AdClassificationPipeline]",
+        pipeline: AdClassificationPipeline,
         on_error: ErrorPolicy = ErrorPolicy.STRICT,
         quarantine_path: str | None = None,
         reorder_window: float | None = None,
@@ -151,7 +112,7 @@ class ParallelRun:
             raise ValueError("durable parallel runs only support classify output")
         self.workers = workers
         self.input_path = input_path
-        self.pipeline_factory = pipeline_factory
+        self.pipeline = pipeline
         self.on_error = on_error
         self.quarantine_path = quarantine_path
         self.reorder_window = reorder_window
@@ -257,7 +218,7 @@ class ParallelRun:
         )
         process = context.Process(
             target=run_worker,
-            args=(config, self.pipeline_factory, out_queue),
+            args=(config, self.pipeline, out_queue),
             daemon=True,
         )
         process.start()
@@ -320,8 +281,7 @@ class ParallelRun:
             flushed_line=payload["flushed_line"] if payload else 0,
         )
 
-        methods = multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+        context = multiprocessing.get_context("fork")
         out_queue = context.Queue(maxsize=_QUEUE_SLOTS_PER_WORKER * self.workers + 8)
         supervisor = WorkerSupervisor(
             workers=self.workers,
@@ -489,12 +449,12 @@ class ParallelRun:
         must agree exactly — a mismatch means the replication invariant
         broke and resuming would corrupt output.
         """
-        cuts = {(message["line_no"], message["g"]) for message in group.values()}
+        cuts = {(message["line_no"], message["next_index"]) for message in group.values()}
         if len(cuts) != 1:
             raise WorkerFailure(
                 f"shard checkpoints disagree on the generation-{generation} cut: {sorted(cuts)}"
             )
-        cut_line, _cut_g = cuts.pop()
+        cut_line, _cut_index = cuts.pop()
         if quarantine is not None:
             # Everything at or below the cut line has arrived (workers
             # flush before their marker), so it is safe — and necessary,

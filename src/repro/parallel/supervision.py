@@ -45,10 +45,10 @@ __all__ = ["ShardSlot", "WorkerFailure", "RunInterrupted", "WorkerSupervisor"]
 # flight through the queue pipe before its silence counts as a crash.
 _DEAD_WORKER_GRACE_S = 1.0
 
-# Until its first real (non-heartbeat) message, a worker is rebuilding
-# its filter engine — one opaque call it cannot heartbeat from — so its
-# silence budget is this multiple of ``worker_timeout``.  A worker hung
-# in startup is still caught, just on a longer fuse.
+# Until its first real (non-heartbeat) message, a worker may be
+# restoring its shard checkpoint — one opaque call it cannot heartbeat
+# from — so its silence budget is this multiple of ``worker_timeout``.
+# A worker hung in startup is still caught, just on a longer fuse.
 _WARMUP_FACTOR = 10.0
 
 # How long terminate() gets before escalating to kill().  Generous on
@@ -71,7 +71,7 @@ class ShardSlot:
     attempt: int = 0
     last_seen: float = 0.0
     dead_since: float | None = None
-    warmed: bool = False  # first non-heartbeat message seen (engine built)
+    warmed: bool = False  # first non-heartbeat message seen (startup done)
     done: bool = False
     failed: bool = False
     fail_reason: str | None = None
@@ -137,7 +137,7 @@ class WorkerSupervisor:
         slot.process = self.spawn(slot.worker_id, slot.attempt)
         slot.last_seen = self.clock()
         slot.dead_since = None
-        slot.warmed = False  # every incarnation rebuilds its engine
+        slot.warmed = False  # every incarnation starts up anew
 
     @property
     def finished(self) -> bool:

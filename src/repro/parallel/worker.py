@@ -2,22 +2,18 @@
 
 One worker owns one shard of the user space (DESIGN.md §10).  It reads
 and parses the *entire* input file itself — parsing is cheap relative
-to classification and reparsing removes all input IPC — but classifies
-only the records whose user hashes to its shard.  Everything that
-defines the *global* serial order is replicated identically in every
-worker from the full parsed stream:
-
-* the **global ingest index** ``g`` — the position a record holds in
-  the serial ingest order — which gates the fix-up buffer's release
-  horizon and the redirect fix-up reach-back;
-* the **reorder min-heap** — non-owned records ride along as
-  placeholders so pops happen at exactly the serial moments;
-* the reader's line/offset coordinates.
+to classification and reparsing removes all input IPC — and feeds every
+record to the same :class:`~repro.core.pipeline.StreamingClassifier`
+the serial path drives, flagging whether its shard owns the record's
+user.  The classifier classifies owned records and lets the others pass
+as placeholders, so its ingest index, reorder pops and fix-up releases
+follow the serial order exactly.  The pipeline is the parent's,
+inherited through ``fork``.
 
 Released entries leave the worker as pre-rendered output rows tagged
-with their global index; the parent merely interleaves shards back
-into index order, which is what makes parallel output byte-identical
-to the serial path.
+with their ``index``; the parent merely interleaves shards back into
+index order, which is what makes parallel output byte-identical to the
+serial path.
 
 Supervision (DESIGN.md §12) adds three obligations on this side:
 
@@ -33,7 +29,6 @@ Supervision (DESIGN.md §12) adds three obligations on this side:
 
 from __future__ import annotations
 
-import heapq
 import io
 import os
 import queue
@@ -44,9 +39,13 @@ import traceback
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.core.pipeline import AdClassificationPipeline, StreamingClassifier
+from repro.core.pipeline import (
+    AdClassificationPipeline,
+    ClassifiedRequest,
+    StreamingClassifier,
+)
 from repro.exitcodes import EXIT_WORKER_ORPHANED, EXIT_WORKER_TERMINATED
-from repro.http.log import HttpLogRecord, SeekableLogReader
+from repro.http.log import SeekableLogReader
 from repro.http.url import split_url
 from repro.robustness.checkpoint import CheckpointStore
 from repro.robustness.crash import CRASH_EXIT_CODE, FaultAction, WorkerFaultInjector
@@ -60,7 +59,7 @@ if TYPE_CHECKING:
 
 __all__ = ["WorkerConfig", "run_worker", "SHARD_STATE_VERSION"]
 
-SHARD_STATE_VERSION = 1
+SHARD_STATE_VERSION = 2
 
 # Rows per "batch" message; bounds both message size and the arrival
 # lag of the parent's contiguous-prefix emitter.
@@ -124,7 +123,7 @@ class _QuarantineBuffer(QuarantineWriter):
 
 def run_worker(
     config: WorkerConfig,
-    pipeline_factory: "Callable[[], AdClassificationPipeline]",
+    pipeline: AdClassificationPipeline,
     out_queue: Any,
 ) -> None:
     """Process entry point: run one shard, stream results to the parent.
@@ -147,11 +146,12 @@ def run_worker(
         pass
     _start_orphan_watchdog(parent_pid)
     try:
-        # First heartbeat before the (potentially slow) engine rebuild,
-        # so the supervisor's silence clock starts from a real signal.
+        # First heartbeat before the (potentially slow) checkpoint
+        # restore, so the supervisor's silence clock starts from a real
+        # signal.
         if config.heartbeat_interval_s is not None:
             _put(out_queue, parent_pid, (worker_id, attempt, "hb", {"arrivals": 0}))
-        _ShardWorker(config, pipeline_factory(), out_queue, parent_pid).run()
+        _ShardWorker(config, pipeline, out_queue, parent_pid).run()
     except LogParseError as exc:
         _put(
             out_queue,
@@ -248,13 +248,8 @@ class _ShardWorker:
         )
         self.quarantine = _QuarantineBuffer()
         self.health = PipelineHealth()
-        # Replicated global stream state (identical in every worker).
-        self._g = 0  # next global ingest index
         self._arrivals = 0  # parsed records seen, in arrival order
-        self._heap: list[tuple[float, int, HttpLogRecord | None]] = []
-        self._seq = 0
-        self._max_ts = float("-inf")
-        # Outbound row batch: (global index, rendered row, is_ad, is_wl).
+        # Outbound row batch: (index, rendered row, is_ad, is_wl).
         self._rows: list[tuple[int, str, bool, bool]] = []
         self.accumulator: TrafficAccumulator | None = None
         if config.emit == "fold":
@@ -292,7 +287,7 @@ class _ShardWorker:
         self.classifier = StreamingClassifier(
             self.pipeline,
             fixup_window=config.fixup_window,
-            reorder_window=None,  # replicated externally, see _arrive()
+            reorder_window=config.reorder_window,
             health=self.health,
         )
         if payload is not None:
@@ -315,29 +310,19 @@ class _ShardWorker:
                 f"not {self.config.worker_id}/{self.config.workers}"
             )
         self.health = PipelineHealth.from_state(payload["health"])
-        self._g = payload["g"]
         self._arrivals = payload["arrivals"]
-        reorder = payload["heap"]
-        self._heap = [
-            (ts, seq, HttpLogRecord.from_row(row) if row is not None else None)
-            for ts, seq, row in reorder["entries"]
-        ]
-        heapq.heapify(self._heap)
-        self._seq = reorder["seq"]
-        self._max_ts = reorder["max_ts"]
 
     # -- the run loop -----------------------------------------------------
 
     def _loop(self) -> None:
         config = self.config
         every = config.checkpoint_every
-        assert self.reader is not None
+        assert self.reader is not None and self.classifier is not None
+        feed = self.classifier.feed
         for record, owned in self.reader.iter_shard():
             self._arrivals += 1
-            if config.reorder_window is None:
-                self._advance(record if owned else None)
-            else:
-                self._arrive(record, owned)
+            for entry in feed(record, owned):
+                self._emit(entry)
             if self.store is not None and every and self._arrivals % every == 0:
                 self._checkpoint()
             # Supervision duties, after this record's effects (rows,
@@ -365,11 +350,8 @@ class _ShardWorker:
                 if now >= self._next_beat:
                     self._send("hb", {"arrivals": self._arrivals})
                     self._next_beat = now + self._hb_interval
-        while self._heap:
-            self._advance(heapq.heappop(self._heap)[2])
-        assert self.classifier is not None
-        for index, entry in self.classifier.finish_indexed():
-            self._emit(index, entry)
+        for entry in self.classifier.finish():
+            self._emit(entry)
         self._flush()
         cache_stats = self.pipeline.decision_cache_stats
         url_info = split_url.cache_info()
@@ -389,42 +371,12 @@ class _ShardWorker:
         }
         self._send("done", done)
 
-    def _arrive(self, record: HttpLogRecord, owned: bool) -> None:
-        """Replicate the serial reorder buffer over the *full* stream.
-
-        Every worker pushes every parsed record (placeholder ``None``
-        when not owned) with the same global arrival sequence number,
-        so pops — and therefore ingest indexes — happen in exactly the
-        serial order in every worker.
-        """
-        if owned and record.ts < self._max_ts:
-            self.health.records_reordered += 1
-        self._max_ts = max(self._max_ts, record.ts)
-        heapq.heappush(self._heap, (record.ts, self._seq, record if owned else None))
-        self._seq += 1
-        assert self.config.reorder_window is not None
-        horizon = self._max_ts - self.config.reorder_window
-        while self._heap and self._heap[0][0] <= horizon:
-            self._advance(heapq.heappop(self._heap)[2])
-
-    def _advance(self, record: HttpLogRecord | None) -> None:
-        """Consume one global ingest index; classify if owned."""
-        index = self._g
-        self._g = index + 1
-        assert self.classifier is not None
-        if record is None:
-            pairs = self.classifier.tick(index)
-        else:
-            pairs = self.classifier.feed_at(record, index)
-        for released_index, entry in pairs:
-            self._emit(released_index, entry)
-
-    def _emit(self, index: int, entry) -> None:
+    def _emit(self, entry: ClassifiedRequest) -> None:
         if self.accumulator is not None:
             self.accumulator.add(entry)
             return
         self._rows.append(
-            (index, classification_row(entry), entry.is_ad, entry.is_whitelisted)
+            (entry.index, classification_row(entry), entry.is_ad, entry.is_whitelisted)
         )
         if len(self._rows) >= _ROW_BATCH:
             self._flush()
@@ -466,25 +418,20 @@ class _ShardWorker:
             "workers": self.config.workers,
             "generation": generation,
             "arrivals": self._arrivals,
-            "g": self._g,
             "reader": {
                 "offset": self.reader.offset,
                 "line_no": self.reader.line_no,
                 "header": self.reader.header,
             },
             "classifier": self.classifier.export_state(),
-            "heap": {
-                "entries": [
-                    (ts, seq, record.to_row() if record is not None else None)
-                    for ts, seq, record in self._heap
-                ],
-                "seq": self._seq,
-                "max_ts": self._max_ts,
-            },
             "health": self.health.export_state(),
         }
         self.store.save(payload, generation=generation)
         self._send(
             "ckpt",
-            {"generation": generation, "line_no": self.reader.line_no, "g": self._g},
+            {
+                "generation": generation,
+                "line_no": self.reader.line_no,
+                "next_index": self.classifier.next_index,
+            },
         )

@@ -105,17 +105,6 @@ class QuarantineWriter:
         self.count = state["count"]
         self._wrote_header = state["wrote_header"]
 
-    def merge_state(self, state: dict) -> None:
-        """Fold a shard's exported accounting into this writer.
-
-        Shard-parallel runs (DESIGN.md §10) route every rejected line
-        through the parent's single sidecar, so only the *accounting*
-        merges: counts add, and "a header has been written" holds if it
-        holds on either side.
-        """
-        self.count += state["count"]
-        self._wrote_header = self._wrote_header or state["wrote_header"]
-
 
 def read_quarantine(stream: IO) -> Iterator[tuple[int, str, str]]:
     """Yield ``(line_no, reason, raw_line)`` from a sidecar stream."""

@@ -106,7 +106,10 @@ def classification_row(entry: ClassifiedRequest) -> str:
 
 
 MANIFEST_NAME = "manifest.json"
-MANIFEST_VERSION = 2  # a version-1 directory holds pickled checkpoints: refused
+# Version 1 directories hold pickled checkpoints; version 2 pool
+# directories keep the reorder heap outside the shard classifier's
+# state.  Both are refused up front.
+MANIFEST_VERSION = 3
 DEFAULT_CHECKPOINT_EVERY = 10_000
 
 # Fix-up window of a checkpointed run, serial or pooled: it bounds the

@@ -16,6 +16,7 @@ import hashlib
 import json
 import os
 import pickle
+import random
 import subprocess
 import sys
 
@@ -23,7 +24,7 @@ import pytest
 
 from repro.core.pipeline import StreamingClassifier
 from repro.exitcodes import EXIT_MANIFEST_MISMATCH
-from repro.http.log import write_log
+from repro.http.log import shard_of, write_log
 from repro.robustness import (
     CHECKPOINT_VERSION,
     CRASH_EXIT_CODE,
@@ -293,47 +294,68 @@ def _uri_with_newline(records, split):
     return edited
 
 
+def _jittered(records, split):
+    """Timestamps shuffled within 3 s, so the reorder heap holds a
+    backlog at the cut."""
+    rng = random.Random(17)
+    return [
+        dataclasses.replace(record, ts=record.ts + rng.uniform(0.0, 3.0))
+        for record in records
+    ]
+
+
 class TestStreamingClassifierState:
     @pytest.mark.parametrize(
-        "reorder_window, split, edit",
+        "reorder_window, split, edit, shard",
         [
-            pytest.param(None, 1234, None, id="None"),
-            pytest.param(5.0, 1234, None, id="5.0"),
+            pytest.param(None, 1234, None, None, id="None"),
+            pytest.param(5.0, 1234, None, None, id="5.0"),
             # Cut before the first record: empty heap, max_ts still -inf.
-            pytest.param(5.0, 0, None, id="empty-reorder-heap"),
-            pytest.param(None, 1234, _none_vs_empty, id="none-vs-empty"),
-            pytest.param(5.0, 1234, _uri_with_newline, id="uri-with-newline"),
+            pytest.param(5.0, 0, None, None, id="empty-reorder-heap"),
+            pytest.param(None, 1234, _none_vs_empty, None, id="none-vs-empty"),
+            pytest.param(5.0, 1234, _uri_with_newline, None, id="uri-with-newline"),
+            # Shard 1 of 3 (DESIGN.md §10): the cut heap holds other
+            # shards' records as placeholders.
+            pytest.param(5.0, 1234, _jittered, (1, 3), id="shard-placeholders"),
         ],
     )
     def test_split_restore_equivalence(
-        self, tmp_path, pipeline, rbn_trace, reorder_window, split, edit
+        self, tmp_path, pipeline, rbn_trace, reorder_window, split, edit, shard
     ):
         records = rbn_trace.http[:3000]
         if edit is not None:
             records = edit(records, split)
+        owned = [
+            shard is None
+            or shard_of(record.client, record.user_agent or "", shard[1]) == shard[0]
+            for record in records
+        ]
 
         whole = StreamingClassifier(pipeline, fixup_window=64, reorder_window=reorder_window)
         golden = []
-        for record in records:
-            golden.extend(whole.feed(record))
+        for record, mine in zip(records, owned):
+            golden.extend(whole.feed(record, mine))
         golden.extend(whole.finish())
 
         first = StreamingClassifier(pipeline, fixup_window=64, reorder_window=reorder_window)
         out = []
-        for record in records[:split]:
-            out.extend(first.feed(record))
+        for record, mine in zip(records[:split], owned):
+            out.extend(first.feed(record, mine))
         # Through a checkpoint file, as a resumed run reads it back.
         store = CheckpointStore(tmp_path)
         store.save({"classifier": first.export_state()})
         state = store.latest().payload["classifier"]
+        if shard is not None:
+            assert None in [row for _, _, row in state["reorder"]["heap"]]
 
         second = StreamingClassifier(pipeline, fixup_window=64, reorder_window=reorder_window)
         second.restore_state(state)
-        for record in records[split:]:
-            out.extend(second.feed(record))
+        for record, mine in zip(records[split:], owned[split:]):
+            out.extend(second.feed(record, mine))
         out.extend(second.finish())
 
         assert _keys(out) == _keys(golden)
+        assert [entry.index for entry in out] == [entry.index for entry in golden]
 
     def test_restore_rejects_alien_version(self, pipeline):
         classifier = StreamingClassifier(pipeline)
@@ -644,8 +666,44 @@ class TestCrashRecoveryCli:
         manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         proc = _cli(_classify_args(cli_trace, out, ckpt, "--resume"), tmp_path)
         assert proc.returncode == EXIT_MANIFEST_MISMATCH, proc.stdout + proc.stderr
-        assert "manifest version 1 != 2" in proc.stderr
+        assert "manifest version 1 != 3" in proc.stderr
         assert "config changed" not in proc.stderr
+        assert "restarting from the beginning" not in proc.stdout
+        assert not out.exists()
+
+    def test_resume_of_a_version_2_pool_directory_exits_4(self, tmp_path, cli_trace):
+        """A ``--workers`` directory in the version-2 layout, where each
+        shard checkpoint kept the reorder heap and ingest index beside
+        the classifier state.  Refused up front by the manifest version,
+        never handed to a worker that would fail on the shard state."""
+        out, ckpt = tmp_path / "out.tsv", tmp_path / "ckpt"
+        pool = ("--workers", "2")
+        crashed = _cli(
+            _classify_args(cli_trace, out, ckpt, *pool, "--crash-after", "5000"), tmp_path
+        )
+        assert crashed.returncode == CRASH_EXIT_CODE, crashed.stderr
+        for worker_id in range(2):
+            store = CheckpointStore(ckpt / f"shard-{worker_id:02d}", keep=None)
+            assert store.generations()
+            for generation in store.generations():
+                payload = store.load(generation).payload
+                reorder = payload["classifier"]["reorder"]
+                payload.update(
+                    version=1,
+                    g=payload["classifier"]["next_index"],
+                    heap={"entries": reorder["heap"], "seq": reorder["seq"],
+                          "max_ts": reorder["max_ts"]},
+                )
+                reorder.update(heap=[], seq=0, max_ts=float("-inf"))
+                store.save(payload, generation=generation)
+        manifest_path = ckpt / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["version"] = 2
+        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        proc = _cli(_classify_args(cli_trace, out, ckpt, *pool, "--resume"), tmp_path)
+        assert proc.returncode == EXIT_MANIFEST_MISMATCH, proc.stdout + proc.stderr
+        assert "manifest version 2 != 3" in proc.stderr
+        assert "Traceback" not in proc.stderr
         assert "restarting from the beginning" not in proc.stdout
         assert not out.exists()
 

@@ -98,6 +98,18 @@ def test_workers_refuses_max_users(tmp_path, trace_file):
     assert "--workers" in proc.stderr
 
 
+def test_workers_without_fork_is_a_usage_error(monkeypatch, tmp_path):
+    """Workers inherit the parent's pipeline through fork; a platform
+    without it gets a diagnostic up front, not a failing pool."""
+    import multiprocessing
+
+    from repro.cli import main
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    with pytest.raises(SystemExit, match="'fork' start method"):
+        main(["classify", *_ECO, "--trace", str(tmp_path / "absent.tsv"), "--workers", "2"])
+
+
 @pytest.mark.slow
 def test_report_refuses_durable_parallel(tmp_path, trace_file):
     proc = _cli(
@@ -312,6 +324,29 @@ class TestSnapshotExitCodes:
         """A snapshot compiled from *different* lists than the manifest
         records is an identity violation: exit 4, like any manifest
         mismatch — never silently classified with the wrong engine."""
+        self._assert_snapshot_identity_pinned(tmp_path, trace_file)
+
+    def test_durable_pool_run_pins_snapshot_identity(self, tmp_path, trace_file):
+        """The pool resolves its engine the way a serial run does."""
+        self._assert_snapshot_identity_pinned(tmp_path, trace_file, "--workers", "2")
+
+    def test_pool_rebuilds_a_corrupt_snapshot_once(self, tmp_path, trace_file, snapshot_file):
+        from repro.trace.corruption import ByteCorruptor
+
+        base = self._classify(tmp_path, trace_file)
+        assert base.returncode == 0, base.stderr
+        baseline = (tmp_path / "out.tsv").read_bytes()
+        damaged = tmp_path / "damaged3.snap"
+        ByteCorruptor().corrupt_file(str(snapshot_file), str(damaged), "truncate")
+        proc = self._classify(
+            tmp_path, trace_file, "--workers", "2",
+            "--engine-snapshot", str(damaged), "--snapshot-policy", "rebuild",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.count("rebuilding") == 1
+        assert (tmp_path / "out.tsv").read_bytes() == baseline
+
+    def _assert_snapshot_identity_pinned(self, tmp_path, trace_file, *extra):
         wrong = tmp_path / "wrong.snap"
         proc = _cli(
             ["compile-lists", "--publishers", "80", "--eco-seed", "7",
@@ -323,7 +358,7 @@ class TestSnapshotExitCodes:
         proc = self._classify(
             tmp_path, trace_file,
             "--engine-snapshot", str(wrong),
-            "--checkpoint-dir", str(tmp_path / "ckpt"),
+            "--checkpoint-dir", str(tmp_path / "ckpt"), *extra,
         )
         assert proc.returncode == EXIT_MANIFEST_MISMATCH, proc.stderr
         assert "fingerprint" in proc.stderr

@@ -66,7 +66,7 @@ def _parallel_outputs(pipeline, workers: int, tmp_path) -> dict[str, bytes]:
     outcome = ParallelRun(
         workers=workers,
         input_path=str(TRACE),
-        pipeline_factory=lambda: pipeline,
+        pipeline=pipeline,
         on_error=ErrorPolicy.QUARANTINE,
         quarantine_path=str(sidecar),
         sink=sink,

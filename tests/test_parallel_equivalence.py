@@ -9,12 +9,14 @@ serial path.  These tests enforce it three ways:
   sidecar, and the health summary;
 * strict mode must abort on the same line either way;
 * a subprocess suite hard-kills ``--workers 4`` durable runs mid-fold
-  and asserts the resumed output is byte-identical to both the
-  uninterrupted parallel run and the serial durable run.
+  (with and without ``--reorder-window``) and asserts the resumed
+  output is byte-identical to both the uninterrupted parallel run and
+  the serial durable run.
 """
 
 from __future__ import annotations
 
+import copy
 import io
 import os
 import subprocess
@@ -73,9 +75,9 @@ def _parallel_classify(pipeline, path, policy, reorder_window, workers):
     outcome = ParallelRun(
         workers=workers,
         input_path=path,
-        # Workers fork from the test process, so the compiled session
-        # pipeline is inherited — no per-example engine rebuild.
-        pipeline_factory=lambda: pipeline,
+        # Workers fork from the test process and inherit the compiled
+        # session pipeline as it stands — nothing is pickled or rebuilt.
+        pipeline=pipeline,
         on_error=policy,
         quarantine_path=sidecar,
         reorder_window=reorder_window,
@@ -143,7 +145,7 @@ def test_missing_input_raises_in_the_parent(pipeline, tmp_path):
         ParallelRun(
             workers=2,
             input_path=str(tmp_path / "nope.tsv"),
-            pipeline_factory=lambda: pipeline,
+            pipeline=pipeline,
         ).run()
 
 
@@ -151,14 +153,17 @@ def test_worker_crash_surfaces_as_failure(pipeline, trace_text, tmp_path):
     path = tmp_path / "trace.tsv"
     path.write_text(trace_text)
 
-    def exploding_factory():
-        raise RuntimeError("engine rebuild failed")
+    class ExplodingEngine:
+        def classify(self, *args, **kwargs):
+            raise RuntimeError("engine classify failed")
 
-    with pytest.raises(WorkerFailure, match="engine rebuild failed"):
+    broken = copy.copy(pipeline)
+    broken._engine = ExplodingEngine()
+    with pytest.raises(WorkerFailure, match="engine classify failed"):
         ParallelRun(
             workers=2,
             input_path=str(path),
-            pipeline_factory=exploding_factory,
+            pipeline=broken,
         ).run()
 
 
@@ -298,3 +303,43 @@ class TestPoolCrashRecoveryCli:
         assert proc.returncode == 4
         assert "manifest mismatch" in proc.stderr
         assert "workers" in proc.stderr
+
+    def test_reorder_window_kill_and_resume(self, tmp_path, pool_trace):
+        """Shard checkpoints cut with placeholders in the reorder heap
+        resume byte-identically (DESIGN.md §10)."""
+        jittered = tmp_path / "jittered.tsv"
+        proc = _cli(
+            ["corrupt", "--trace", str(pool_trace.parent / "trace.tsv"),
+             "--out", str(jittered), "--rate", "0.05", "--jitter-s", "1.0", "--seed", "4"],
+            tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        window = ("--reorder-window", "2.0")
+        outputs = {}
+        for name, extra in (
+            ("serial", ()),
+            ("pool", ("--workers", "4")),
+            ("resumed", ("--workers", "4", "--crash-after", "9000")),
+        ):
+            out = tmp_path / f"{name}.tsv"
+            proc = _cli(
+                _classify_args(jittered, out, tmp_path / f"ckpt-{name}", *window, *extra),
+                tmp_path,
+            )
+            if name == "resumed":
+                assert proc.returncode == CRASH_EXIT_CODE, proc.stderr
+                proc = _cli(
+                    _classify_args(jittered, out, tmp_path / f"ckpt-{name}", *window,
+                                   "--workers", "4", "--resume"),
+                    tmp_path,
+                )
+                assert "resuming from checkpoint" in proc.stdout
+            assert proc.returncode in (0, 3), proc.stderr
+            assert "out-of-order:" in proc.stdout
+            outputs[name] = (
+                out.read_bytes(),
+                (tmp_path / f"{name}.tsv.quarantine").read_bytes(),
+                _health_summary(proc.stdout),
+            )
+        assert outputs["pool"] == outputs["serial"]
+        assert outputs["resumed"] == outputs["serial"]

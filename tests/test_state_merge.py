@@ -1,18 +1,19 @@
 """Merge laws for every ``merge_state()`` (DESIGN.md §10).
 
-The shard-parallel fold rebuilds one global state from per-shard
-exports, so each ``merge_state`` must behave like a commutative,
-associative monoid action on exported snapshots — up to the orderings
-each class deliberately leaves unspecified (dict insertion order,
-users-list order), which the ``canon`` helpers quotient away.  The
-classifier itself is additionally checked against ground truth: shard
-a real trace, fold the shard classifiers, and the merged state must
-equal the serial classifier's state.
+The pool's parent folds per-shard health counters and (for ``report``)
+traffic accumulators from their exports, so each ``merge_state`` must
+behave like a commutative, associative monoid action on exported
+snapshots — up to the orderings each class deliberately leaves
+unspecified (dict insertion order), which the ``canon`` helper
+quotients away.  Classifier state is never merged: each shard feeds the
+whole stream to its own classifier, and the last test checks that the
+shards' released entries re-interleave into exactly the serial output.
 """
 
 from __future__ import annotations
 
-import io
+import dataclasses
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -20,10 +21,9 @@ from hypothesis import strategies as st
 
 from repro.analysis.traffic import TrafficAccumulator
 from repro.core.pipeline import StreamingClassifier
-from repro.core.referrer_map import ReferrerMap
 from repro.http.log import shard_of
 from repro.robustness.health import PipelineHealth
-from repro.robustness.quarantine import QuarantineWriter
+from repro.robustness.runstate import classification_row
 
 # ---------------------------------------------------------------------------
 # Strategies: exported-state snapshots, built from primitives
@@ -61,25 +61,10 @@ traffic_states = st.fixed_dictionaries(
     }
 )
 
-urls = st.text(alphabet="abcdef:/.", min_size=1, max_size=12)
-url_pairs = st.lists(st.tuples(urls, urls), max_size=6, unique_by=lambda p: p[0])
-
-referrer_states = st.fixed_dictionaries(
-    {
-        "page_root": url_pairs,
-        "pending_redirects": url_pairs,
-        "embedded": url_pairs,
-    }
-)
-
-quarantine_states = st.fixed_dictionaries(
-    {"count": counts, "wrote_header": st.booleans()}
-)
-
 
 def canon(value):
     """Order-free view of an exported snapshot: dicts become sorted
-    item tuples, pair-lists are sorted (their order is insertion order,
+    item tuples, lists are sorted (their order is insertion order,
     which the fold deliberately leaves shard-dependent)."""
     if isinstance(value, dict):
         return tuple(sorted((key, canon(item)) for key, item in value.items()))
@@ -102,16 +87,6 @@ MERGEABLES = {
         TrafficAccumulator,
         lambda obj: obj.export_state(),
         traffic_states,
-    ),
-    "referrer": (
-        ReferrerMap,
-        lambda obj: obj.export_state(),
-        referrer_states,
-    ),
-    "quarantine": (
-        lambda: QuarantineWriter(io.BytesIO()),
-        lambda obj: obj.export_state(),
-        quarantine_states,
     ),
 }
 
@@ -202,38 +177,8 @@ def test_health_summary_is_fold_order_insensitive():
     assert ab.summary().index("bad-value") > ab.summary().index("field-count")
 
 
-def test_referrer_overlap_keeps_lexicographic_minimum():
-    left = ReferrerMap()
-    left.observe("http://x/ad", "http://page-b/", looks_like_document=False)
-    right = ReferrerMap()
-    right.observe("http://x/ad", "http://page-a/", looks_like_document=False)
-    merged = ReferrerMap()
-    merged.merge_state(left.export_state())
-    merged.merge_state(right.export_state())
-    assert merged.page_of("http://x/ad") == "http://page-a/"
-
-
 # ---------------------------------------------------------------------------
-# StreamingClassifier: the fold must reconstruct the serial state
-
-
-def _classifier_canon(state: dict) -> tuple:
-    """Classifier states compare equal up to users-list order (serial
-    order is first appearance; a fold appends shard by shard)."""
-    return canon(
-        {
-            "version": state["version"],
-            "next_index": state["next_index"],
-            "users": sorted(state["users"], key=lambda item: tuple(item[0])),
-            # Buffer order is part of the contract: release order.
-            "buffer_ordered": tuple(repr(row) for row in state["buffer"]),
-            "reorder": {
-                "heap": sorted(state["reorder"]["heap"]),
-                "seq": state["reorder"]["seq"],
-                "max_ts": state["reorder"]["max_ts"],
-            },
-        }
-    )
+# StreamingClassifier: shards fed the whole stream reproduce the serial run
 
 
 @pytest.mark.parametrize("workers", [2, 3])
@@ -241,64 +186,46 @@ def _classifier_canon(state: dict) -> tuple:
 def test_classifier_shard_fold_equals_serial_state(
     pipeline, rbn_trace, workers, fixup_window
 ):
-    records = rbn_trace.http[:600]
-
-    serial = StreamingClassifier(pipeline, fixup_window=fixup_window)
-    serial_released = []
-    for record in records:
-        serial_released.extend(serial.feed(record))
-
-    shards = [
-        StreamingClassifier(pipeline, fixup_window=fixup_window)
-        for _ in range(workers)
+    """W classifiers, each fed every record with ``owned`` set for its
+    shard's users, release entries that interleave by ``entry.index``
+    into exactly the serial classifier's output — with and without the
+    reorder buffer, over a jittered (out-of-order) stream."""
+    rng = random.Random(5)
+    records = [
+        dataclasses.replace(record, ts=record.ts + rng.uniform(0.0, 3.0))
+        for record in rbn_trace.http[:600]
     ]
-    released = []  # (index, entry) pairs from every shard
-    for index, record in enumerate(records):
-        owner = shard_of(record.client, record.user_agent or "", workers)
-        for shard_id, classifier in enumerate(shards):
-            if shard_id == owner:
-                released.extend(classifier.feed_at(record, index))
-            else:
-                released.extend(classifier.tick(index))
+    owners = [shard_of(record.client, record.user_agent or "", workers) for record in records]
+    for reorder_window in (None, 5.0):
+        serial_health = PipelineHealth()
+        serial = StreamingClassifier(
+            pipeline, fixup_window=fixup_window, reorder_window=reorder_window,
+            health=serial_health,
+        )
+        expected = []
+        for record in records:
+            expected.extend(serial.feed(record))
+        expected.extend(serial.finish())
 
-    # Released entries re-interleave by index into the serial order.
-    released.sort(key=lambda pair: pair[0])
-    assert [entry.record.to_row() for _, entry in released] == [
-        entry.record.to_row() for entry in serial_released
-    ]
+        healths = [PipelineHealth() for _ in range(workers)]
+        released = []
+        for shard_id, health in enumerate(healths):
+            shard = StreamingClassifier(
+                pipeline, fixup_window=fixup_window, reorder_window=reorder_window,
+                health=health,
+            )
+            for record, owner in zip(records, owners):
+                released.extend(shard.feed(record, owned=owner == shard_id))
+            released.extend(shard.finish())
+            assert shard.next_index == len(records)
 
-    merged = StreamingClassifier(pipeline, fixup_window=fixup_window)
-    for classifier in shards:
-        merged.merge_state(classifier.export_state())
-    assert _classifier_canon(merged.export_state()) == _classifier_canon(
-        serial.export_state()
-    )
-
-
-def test_classifier_merge_is_shard_order_insensitive(pipeline, rbn_trace):
-    records = rbn_trace.http[:300]
-    shards = [StreamingClassifier(pipeline, fixup_window=None) for _ in range(3)]
-    for index, record in enumerate(records):
-        owner = shard_of(record.client, record.user_agent or "", 3)
-        shards[owner].feed_at(record, index)
-    states = [classifier.export_state() for classifier in shards]
-
-    forward = StreamingClassifier(pipeline, fixup_window=None)
-    for state in states:
-        forward.merge_state(state)
-    backward = StreamingClassifier(pipeline, fixup_window=None)
-    for state in reversed(states):
-        backward.merge_state(state)
-    assert _classifier_canon(forward.export_state()) == _classifier_canon(
-        backward.export_state()
-    )
-    # Buffer release order (index order) is identical, not just canon-equal.
-    assert [row[0] for row in forward.export_state()["buffer"]] == [
-        row[0] for row in backward.export_state()["buffer"]
-    ]
-
-
-def test_classifier_merge_rejects_unknown_version(pipeline):
-    classifier = StreamingClassifier(pipeline)
-    with pytest.raises(ValueError, match="state version"):
-        classifier.merge_state({"version": 99})
+        released.sort(key=lambda entry: entry.index)
+        assert [entry.index for entry in released] == [entry.index for entry in expected]
+        assert [classification_row(entry) for entry in released] == [
+            classification_row(entry) for entry in expected
+        ]
+        assert sum(health.records_reordered for health in healths) == (
+            serial_health.records_reordered
+        )
+        if reorder_window is not None:
+            assert serial_health.records_reordered > 0

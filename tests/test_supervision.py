@@ -416,7 +416,7 @@ def _pool_rows(pipeline, path, *, chaos=None, retry="on", on_failure="abort",
     outcome = ParallelRun(
         workers=2,
         input_path=path,
-        pipeline_factory=lambda: pipeline,  # forked: engine inherited
+        pipeline=pipeline,  # forked: engine inherited
         on_error=ErrorPolicy.SKIP,
         sink=sink,
         worker_timeout=worker_timeout,
@@ -494,7 +494,7 @@ class TestChaosMatrix:
             ParallelRun(
                 workers=2,
                 input_path="unused.tsv",
-                pipeline_factory=lambda: pipeline,
+                pipeline=pipeline,
                 on_worker_failure="panic",
             )
 
