@@ -61,7 +61,7 @@ from repro.filterlist.snapshot import (
     write_snapshot,
 )
 from repro.filterlist.stats import compare_lists
-from repro.http.binlog import write_binlog
+from repro.http.binlog import BinlogVersionError, write_binlog
 from repro.http.log import SeekableLogReader, write_log
 from repro.http.url import split_url
 from repro.parallel.supervision import RunInterrupted, WorkerFailure
@@ -1023,6 +1023,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except LogParseError as exc:
         print(f"error: malformed input at {exc}; rerun with "
               f"--on-error skip|quarantine to degrade gracefully", file=sys.stderr)
+        return EXIT_STRICT_ABORT
+    except BinlogVersionError as exc:
+        # Not damage: no error policy reads it, so no --on-error hint.
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_STRICT_ABORT
     except ManifestMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)

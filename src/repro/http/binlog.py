@@ -8,13 +8,18 @@ is the ingestion fast path.  A binlog file is::
                            length, CRC-32 of the payload — followed by
                            the payload itself
 
-and each record inside a block payload is a fixed-width struct
-(timings, numeric fields, presence flags, and a nine-entry string
-length table) followed by the UTF-8 bytes of its string fields,
-concatenated.  The layout is record-boundary-first: a reader never
-needs to scan for delimiters, so the hot loop is one
-``Struct.unpack_from`` plus one bulk decode per record, with no
-intermediate line or field allocations.
+and a block payload is the block's string table followed by its
+records::
+
+    <II>            record count, string count
+    <H> * strings   UTF-8 byte length of each distinct string
+    bytes           the strings' UTF-8 bytes, concatenated
+    <dddiqqB9H> * records
+
+A record carries its numeric fields, presence flags and nine indexes
+into the table.  Header logs repeat nearly every string, so the reader
+builds each distinct one once per block and every record using it gets
+the *same* ``str`` object: one copy in memory, one hash computed.
 
 Integrity mirrors the ``RPROSNAP`` discipline (`filterlist/snapshot.py`):
 magic + version up front, a checksum over every payload.  CRC-32 is
@@ -24,7 +29,9 @@ truncation damage, not an adversary.  A damaged block routes through
 the same strict/skip/quarantine :class:`~repro.robustness.ErrorPolicy`
 as a malformed TSV line, consuming exactly one record ordinal so
 quarantine claims and strict aborts stay deterministic across shard
-workers (DESIGN.md §10).
+workers (DESIGN.md §10).  A binlog is derived from TSV by
+``repro convert``, so an older version is refused with
+:class:`BinlogVersionError` rather than read.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ import math
 import mmap
 import struct
 import zlib
+from itertools import accumulate
 from typing import Any, BinaryIO, Iterable, Iterator
 
 from repro.http.log import (
@@ -48,23 +56,24 @@ __all__ = [
     "BINLOG_VERSION",
     "DEFAULT_BLOCK_RECORDS",
     "BinLogReader",
+    "BinlogVersionError",
     "write_binlog",
     "records_to_binary",
     "records_from_binary",
 ]
 
 BINLOG_MAGIC = b"RPROBLOG"
-BINLOG_VERSION = 1
+BINLOG_VERSION = 2
 
 _FILE_HEADER = struct.Struct("<8sII")  # magic, version, reserved
 _BLOCK_MAGIC = b"RBLK"
 _BLOCK_HEADER = struct.Struct("<4sIII")  # magic, record_count, payload_len, crc32
+_TABLE_HEADER = struct.Struct("<II")  # record count, string count
 
 # Per-record fixed part: ts, tcp_handshake_ms, http_handshake_ms,
-# status, content_length, flow_id, presence flags, then the byte
-# lengths of the nine string fields in the order client, server,
+# status, content_length, flow_id, presence flags, then the block-table
+# indexes of the nine string fields in the order client, server,
 # method, host, uri, referrer, user_agent, content_type, location.
-# The strings' UTF-8 bytes follow, concatenated, in that same order.
 _FIXED = struct.Struct("<dddiqqB9H")
 
 _F_HTTP_MS = 0x01
@@ -77,16 +86,30 @@ _F_LOCATION = 0x40
 
 #: Records per block: large enough that header+CRC overhead is noise,
 #: small enough that a damaged block loses little and resume seeks stay
-#: cheap (~0.5 MiB of payload at typical record sizes).
+#: cheap.  Nine strings per record keep a full block's table (at most
+#: 36,864 entries) inside the u16 index range.
 DEFAULT_BLOCK_RECORDS = 4096
 
 _MADV_DONTNEED = getattr(mmap, "MADV_DONTNEED", None)  # absent on Windows
 
 _MAX_STRING_BYTES = 0xFFFF  # u16 length table
+_MAX_TABLE = 0xFFFF  # u16 indexes; a block closes early before its table would outgrow them
 
 
-def _pack_record(record: HttpLogRecord, out: bytearray) -> None:
-    """Append one record's framing to ``out``; ValueError if unrepresentable."""
+class BinlogVersionError(ValueError):
+    """An older binlog version: rebuilt from TSV, never degraded through the error policy."""
+
+    def __init__(self, version: int):
+        self.version = version
+        super().__init__(
+            f"binlog version {version} is no longer read (this build reads version "
+            f"{BINLOG_VERSION}); re-run `repro convert` on the source TSV to rebuild it"
+        )
+
+
+def _pack_record(record: HttpLogRecord, out: bytearray, table: dict[str, int]) -> None:
+    """Append one record's framing to ``out``, numbering new strings in
+    ``table`` by first occurrence; ValueError if unrepresentable."""
     flags = 0
     http_ms = record.http_handshake_ms
     if http_ms is None:
@@ -126,19 +149,9 @@ def _pack_record(record: HttpLogRecord, out: bytearray) -> None:
     if not (math.isfinite(record.ts) and math.isfinite(record.tcp_handshake_ms) and math.isfinite(http_ms)):
         raise ValueError("non-finite timing field")
     strings = (
-        record.client.encode("utf-8"),
-        record.server.encode("utf-8"),
-        record.method.encode("utf-8"),
-        record.host.encode("utf-8"),
-        record.uri.encode("utf-8"),
-        referrer.encode("utf-8"),
-        user_agent.encode("utf-8"),
-        content_type.encode("utf-8"),
-        location.encode("utf-8"),
+        record.client, record.server, record.method, record.host, record.uri,
+        referrer, user_agent, content_type, location,
     )
-    lengths = tuple(len(blob) for blob in strings)
-    if max(lengths) > _MAX_STRING_BYTES:
-        raise ValueError(f"string field exceeds {_MAX_STRING_BYTES} UTF-8 bytes")
     try:
         out += _FIXED.pack(
             record.ts,
@@ -148,12 +161,10 @@ def _pack_record(record: HttpLogRecord, out: bytearray) -> None:
             content_length,
             record.flow_id,
             flags,
-            *lengths,
+            *[table.setdefault(value, len(table)) for value in strings],
         )
     except struct.error as exc:
         raise ValueError(f"numeric field out of framing range: {exc}") from None
-    for blob in strings:
-        out += blob
 
 
 def write_binlog(
@@ -168,51 +179,66 @@ def write_binlog(
     TSV's ``%09``/``%0A`` escaping — which cannot represent a field
     that literally contains those sequences — the framing is lossless
     for every :class:`HttpLogRecord` whose strings fit the u16 length
-    table.
+    table.  Strings are numbered by first occurrence in their block,
+    so the same records always produce the same bytes.
     """
     if block_records < 1:
         raise ValueError("block_records must be >= 1")
     stream.write(_FILE_HEADER.pack(BINLOG_MAGIC, BINLOG_VERSION, 0))
-    payload = bytearray()
+    packed = bytearray()
+    table: dict[str, int] = {}
     in_block = 0
     total = 0
     for record in records:
-        _pack_record(record, payload)
+        if in_block >= block_records or len(table) > _MAX_TABLE - 9:
+            _write_block(stream, table, packed, in_block)
+            packed, table, in_block = bytearray(), {}, 0
+        _pack_record(record, packed, table)
         in_block += 1
         total += 1
-        if in_block >= block_records:
-            _write_block(stream, payload, in_block)
-            payload = bytearray()
-            in_block = 0
     if in_block:
-        _write_block(stream, payload, in_block)
+        _write_block(stream, table, packed, in_block)
     return total
 
 
-def _write_block(stream: BinaryIO, payload: bytearray, count: int) -> None:
+def _write_block(stream: BinaryIO, table: dict[str, int], packed: bytearray, count: int) -> None:
+    blobs = [value.encode("utf-8") for value in table]
+    lengths = [len(blob) for blob in blobs]
+    if max(lengths) > _MAX_STRING_BYTES:
+        raise ValueError(f"string field exceeds {_MAX_STRING_BYTES} UTF-8 bytes")
+    payload = b"".join((
+        _TABLE_HEADER.pack(count, len(blobs)),
+        struct.pack(f"<{len(lengths)}H", *lengths),
+        *blobs,
+        packed,
+    ))
     stream.write(_BLOCK_HEADER.pack(_BLOCK_MAGIC, count, len(payload), zlib.crc32(payload)))
     stream.write(payload)
 
 
 class BinLogReader:
-    """Zero-copy binlog reader with the seekable-coordinate contract.
+    """Memory-mapped binlog reader with the seekable-coordinate contract.
 
     Implements the same resumable surface as the TSV reader behind
     :class:`repro.http.log.SeekableLogReader` — ``offset`` (byte
-    position after the last consumed frame), ``line_no`` (1-based
+    position after the last consumed record), ``line_no`` (1-based
     record ordinal; damaged frames consume one ordinal), ``header``
     (always ``None``: the framing carries its schema in the version
     field) — so durable-run and shard-worker checkpoints compose
-    unchanged.  The file is mapped read-only via :mod:`mmap` and
-    decoded through ``Struct.unpack_from`` + one bulk string decode per
-    record; nothing is copied until a record's own strings are built.
+    unchanged.  The file is mapped read-only via :mod:`mmap`; each
+    admitted block's string table is decoded once (one bulk decode when
+    it is ASCII), and its fixed-stride records are unpacked with
+    ``Struct.iter_unpack``, every string field a lookup in the table.
 
-    Damage handling: a block is admitted (magic, bounds, CRC-32)
-    before any of its records are yielded.  A frame that fails
-    admission routes through the error policy once, then the reader
-    resynchronizes — at the block's stated end when the header was
-    sane, else by scanning for the next ``RBLK`` marker.  ``offset``
-    strictly increases, so a corrupt tail terminates.
+    Damage handling: a block is admitted (magic, bounds, CRC-32, a
+    table that decodes and fills the payload with its records) before
+    any of its records are yielded; a record whose index falls outside
+    the table damages the rest of its block.  A damaged frame routes
+    through the error policy once, then the reader resynchronizes — at
+    the block's stated end when the header was sane, else by scanning
+    for the next ``RBLK`` marker.  ``offset`` strictly increases, so a
+    corrupt tail terminates.  A file of an older version raises
+    :class:`BinlogVersionError` when the reader is opened.
     """
 
     format = "bin"
@@ -226,6 +252,12 @@ class BinLogReader:
         quarantine: QuarantineWriter | None = None,
         shard: tuple[int, int] | None = None,
     ):
+        head = file.read(_FILE_HEADER.size)
+        file.seek(0)
+        if len(head) == _FILE_HEADER.size:
+            magic, version, _reserved = _FILE_HEADER.unpack(head)
+            if magic == BINLOG_MAGIC and 0 < version < BINLOG_VERSION:
+                raise BinlogVersionError(version)
         self._file = file
         self.on_error = on_error
         self.health = health
@@ -246,6 +278,7 @@ class BinLogReader:
         self._buf = memoryview(raw)
         self._size = len(self._buf)
         self._block_end = 0  # byte end of the block currently being decoded
+        self._strings: list[str] = []  # that block's string table
         self._spent = 0  # page-aligned end of the mapping already given back
 
     @property
@@ -258,9 +291,10 @@ class BinLogReader:
         ``header`` belongs to the TSV coordinate contract and is
         accepted and ignored.  For a mid-block ``offset`` the block
         chain is re-walked from the file header (header-only reads) to
-        re-establish the record-framing boundary; payloads are not
-        re-verified — the original run admitted this block before the
-        checkpoint was cut, and the run manifest pins input identity.
+        find the enclosing block, whose string table is then decoded
+        again; the payload's CRC is not re-verified — the original run
+        admitted this block before the checkpoint was cut, and the run
+        manifest pins input identity.
         """
         del header
         self.offset = offset
@@ -280,90 +314,74 @@ class BinLogReader:
             if data_end > self._size:
                 break
             if data_start <= offset < data_end:
-                self._block_end = data_end
+                records_at = self._load_table(data_start, data_end)
+                if isinstance(records_at, int) and offset >= records_at \
+                        and (offset - records_at) % _FIXED.size == 0:
+                    self._block_end = data_end
                 break
             pos = data_end
-        # If the walk could not reach ``offset`` the file changed under
-        # the manifest's nose; iteration re-enters at ``offset`` and the
-        # damage policy takes it from there.
+        # If the walk could not reach a record boundary at ``offset``
+        # the file changed under the manifest's nose; iteration
+        # re-enters at ``offset`` and the damage policy takes it from
+        # there.
 
     def __iter__(self) -> Iterator[HttpLogRecord]:
         if self.offset == 0:
             self._read_file_header()
-        unpack = _FIXED.unpack_from
-        fixed_size = _FIXED.size
-        buf = self._buf
+        iter_unpack = _FIXED.iter_unpack
+        stride = _FIXED.size
         size = self._size
         shard = self.shard
         health = self.health
         workers = shard[1] if shard is not None else 0
         while True:
             offset = self.offset
-            if offset >= self._block_end:
+            block_end = self._block_end
+            if offset >= block_end:
                 if offset >= size:
                     return
                 self._enter_block()
                 continue
-            block_end = self._block_end
-            start = offset + fixed_size
-            if start > block_end:
-                self._damage("damaged block: record overruns block", offset, block_end)
-                continue
-            (
+            strings = self._strings
+            # A copy, not a view: a suspended generator must not pin the
+            # mapping open past close().
+            for (
                 ts, tcp_ms, http_ms, status, content_length, flow_id, flags,
-                n0, n1, n2, n3, n4, n5, n6, n7, n8,
-            ) = unpack(buf, offset)
-            end = start + n0 + n1 + n2 + n3 + n4 + n5 + n6 + n7 + n8
-            if end > block_end:
-                self._damage("damaged block: record overruns block", offset, block_end)
-                continue
-            region = bytes(buf[start:end])
-            if region.isascii():
-                # ASCII fast path: one bulk decode, then O(1) slicing —
-                # char offsets equal byte offsets.
-                text = region.decode("ascii")
-                a = n0
-                client = text[:a]
-                server = text[a : a + n1]; a += n1
-                method = text[a : a + n2]; a += n2
-                host = text[a : a + n3]; a += n3
-                uri = text[a : a + n4]; a += n4
-                referrer = text[a : a + n5]; a += n5
-                user_agent = text[a : a + n6]; a += n6
-                content_type = text[a : a + n7]; a += n7
-                location = text[a : a + n8]
-            else:
+                i0, i1, i2, i3, i4, i5, i6, i7, i8,
+            ) in iter_unpack(self._buf[offset:block_end].tobytes()):
                 try:
-                    fields = _split_utf8(region, (n0, n1, n2, n3, n4, n5, n6, n7, n8))
-                except ValueError:
-                    self._damage("damaged block: undecodable string field", offset, block_end)
-                    continue
-                (client, server, method, host, uri,
-                 referrer, user_agent, content_type, location) = fields
-            record = HttpLogRecord(
-                ts,
-                client,
-                server,
-                method,
-                host,
-                uri,
-                referrer if flags & _F_REFERRER else None,
-                user_agent if flags & _F_USER_AGENT else None,
-                status if flags & _F_STATUS else None,
-                content_type if flags & _F_CONTENT_TYPE else None,
-                content_length if flags & _F_CONTENT_LENGTH else None,
-                location if flags & _F_LOCATION else None,
-                tcp_ms,
-                http_ms if flags & _F_HTTP_MS else None,
-                flow_id,
-            )
-            self.offset = end
-            self.line_no += 1
-            if shard is not None:
-                self.owned = shard_of(client, user_agent if flags & _F_USER_AGENT else "", workers) == shard[0]
-            if health is not None and self.owned:
-                health.record_ok()
-            yield record
+                    client, server, method, host, uri, referrer, user_agent, content_type, location = (
+                        strings[i0], strings[i1], strings[i2], strings[i3], strings[i4],
+                        strings[i5], strings[i6], strings[i7], strings[i8],
+                    )
+                except IndexError:
+                    self._damage("damaged block: string index out of range", offset, block_end)
+                    break
+                record = HttpLogRecord(
+                    ts,
+                    client,
+                    server,
+                    method,
+                    host,
+                    uri,
+                    referrer if flags & _F_REFERRER else None,
+                    user_agent if flags & _F_USER_AGENT else None,
+                    status if flags & _F_STATUS else None,
+                    content_type if flags & _F_CONTENT_TYPE else None,
+                    content_length if flags & _F_CONTENT_LENGTH else None,
+                    location if flags & _F_LOCATION else None,
+                    tcp_ms,
+                    http_ms if flags & _F_HTTP_MS else None,
+                    flow_id,
+                )
+                offset += stride
+                self.offset = offset
+                self.line_no += 1
+                if shard is not None:
+                    self.owned = shard_of(client, user_agent if flags & _F_USER_AGENT else "", workers) == shard[0]
+                if health is not None and self.owned:
+                    health.record_ok()
+                yield record
 
     def iter_shard(self) -> Iterator[tuple[HttpLogRecord, bool]]:
         """Yield every record with this shard's ownership flag."""
@@ -406,8 +424,12 @@ class BinLogReader:
         if zlib.crc32(self._buf[data_start:data_end]) != crc:
             self._damage("damaged block: checksum mismatch", start, data_end)
             return
+        records_at = self._load_table(data_start, data_end)
+        if isinstance(records_at, str):
+            self._damage(records_at, start, data_end)
+            return
         self._block_end = data_end
-        self.offset = data_start
+        self.offset = records_at
         # The blocks behind this one are decoded: give their pages back,
         # so that a consumer holding the reader open keeps one block of
         # the input resident, not all of it.  (A later seek() backwards
@@ -416,6 +438,36 @@ class BinLogReader:
         if self._mm is not None and spent > self._spent and _MADV_DONTNEED is not None:
             self._mm.madvise(_MADV_DONTNEED, self._spent, spent - self._spent)
             self._spent = spent
+
+    def _load_table(self, start: int, end: int) -> int | str:
+        """Decode the string table of the payload ``[start, end)``.
+
+        On success sets ``_strings`` and returns the byte position of
+        the block's first record; otherwise returns the damage reason.
+        """
+        buf = self._buf
+        if start + _TABLE_HEADER.size > end:
+            return "damaged block: truncated string table"
+        count, n_strings = _TABLE_HEADER.unpack_from(buf, start)
+        text_at = start + _TABLE_HEADER.size + 2 * n_strings
+        if text_at > end:
+            return "damaged block: truncated string table"
+        lengths = struct.unpack_from(f"<{n_strings}H", buf, start + _TABLE_HEADER.size)
+        bounds = list(accumulate(lengths, initial=0))
+        records_at = text_at + bounds[-1]
+        if records_at + count * _FIXED.size != end:
+            return "damaged block: records do not fill the block"
+        blob = buf[text_at:records_at].tobytes()
+        if blob.isascii():
+            # One bulk decode, then slicing: char offsets equal byte offsets.
+            text = blob.decode("ascii")
+            self._strings = [text[a:b] for a, b in zip(bounds, bounds[1:])]
+        else:
+            try:
+                self._strings = [blob[a:b].decode("utf-8") for a, b in zip(bounds, bounds[1:])]
+            except UnicodeDecodeError:
+                return "damaged block: undecodable string table"
+        return records_at
 
     def _damage(self, reason: str, at: int, resync_to: int | None) -> None:
         """Route one damaged frame through the error policy, then resync.
@@ -454,16 +506,6 @@ class BinLogReader:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-
-def _split_utf8(region: bytes, lengths: tuple[int, ...]) -> list[str]:
-    """Slice ``region`` by the length table and decode each field."""
-    fields = []
-    a = 0
-    for n in lengths:
-        fields.append(region[a : a + n].decode("utf-8"))
-        a += n
-    return fields
 
 
 def records_to_binary(

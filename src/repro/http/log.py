@@ -376,7 +376,7 @@ class SeekableLogReader:
     should store.  Error-policy routing matches :func:`read_log`.
 
     The on-disk format is sniffed from the leading magic: a file that
-    opens with ``RPROBLOG`` takes the zero-copy binary fast path
+    opens with ``RPROBLOG`` takes the memory-mapped binary fast path
     (:class:`repro.http.binlog.BinLogReader`, DESIGN.md §16); anything
     else is read as TSV.  Both backends expose identical coordinate
     semantics, so `--resume`, `--workers` sharding, and quarantine

@@ -35,6 +35,7 @@ import queue as queue_module
 from typing import Callable
 
 from repro.core.pipeline import AdClassificationPipeline
+from repro.http.log import SeekableLogReader
 from repro.parallel.sharding import OrderedRowEmitter, QuarantineMerger
 from repro.parallel.supervision import RunInterrupted, WorkerFailure, WorkerSupervisor
 from repro.parallel.worker import GARBAGE_KIND, WorkerConfig, run_worker
@@ -227,9 +228,9 @@ class ParallelRun:
     # -- the fold ---------------------------------------------------------
 
     def run(self) -> RunResult:
-        # Surface a missing input as FileNotFoundError in the parent
-        # (CLI exit 2) instead of as a WorkerFailure traceback.
-        open(self.input_path, "rb").close()
+        # Surface a missing input (CLI exit 2) or an old binlog version
+        # (exit 1) in the parent instead of as a WorkerFailure traceback.
+        SeekableLogReader(self.input_path).close()
         resume_generation, payload = self._prepare()
         sink, checkpointing = self.sink, self.checkpointing
         quarantine = open_quarantine(

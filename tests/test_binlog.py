@@ -15,8 +15,10 @@ from __future__ import annotations
 import io
 import mmap
 import os
+import struct
 import subprocess
 import sys
+import zlib
 
 import pytest
 
@@ -24,6 +26,7 @@ from repro.core import AdClassificationPipeline
 from repro.http.binlog import (
     BINLOG_MAGIC,
     BinLogReader,
+    BinlogVersionError,
     records_from_binary,
     records_to_binary,
     write_binlog,
@@ -130,6 +133,65 @@ class TestRoundTrip:
         records = rbn_trace.http[:2000]
         assert records_from_binary(records_to_binary(records)) == records
         assert records_from_text(records_to_text(records)) == records
+
+
+def _blocks(data: bytes) -> list[tuple[int, int]]:
+    """``(header offset, payload length)`` of every block in ``data``."""
+    spans = []
+    pos = 16  # file header <8sII>
+    while pos < len(data):
+        magic, _count, payload_len, _crc = struct.unpack_from("<4sIII", data, pos)
+        assert magic == b"RBLK"
+        spans.append((pos, payload_len))
+        pos += 16 + payload_len  # block header <4sIII>
+    return spans
+
+
+class TestStringTable:
+    def test_repeated_fields_are_one_object(self):
+        # Fresh strings per record on the way in; one object per
+        # distinct value of a block on the way out.
+        records = [
+            _record(i, client=f"10.0.0.{i % 2}", user_agent=f"Agent/{i % 3}",
+                    referrer=f"http://news{i % 4}.de/")
+            for i in range(24)
+        ]
+        decoded = records_from_binary(records_to_binary(records))
+        assert decoded == records
+        for a in decoded:
+            for b in decoded:
+                if a.client == b.client:
+                    assert a.client is b.client
+                if a.user_agent == b.user_agent:
+                    assert a.user_agent is b.user_agent
+                if a.referrer == b.referrer:
+                    assert a.referrer is b.referrer
+
+    def test_distinct_strings_stored_once(self):
+        one = records_to_binary([_record(0)])
+        repeated = records_to_binary([_record(0, flow_id=i) for i in range(100)])
+        fixed = struct.calcsize("<dddiqqB9H")
+        assert len(repeated) - len(one) == 99 * fixed
+
+    def test_table_overflow_closes_block_early(self):
+        # 9 distinct strings per record: 8,000 records would need a
+        # 72,000-entry table, past the u16 index range.
+        records = [
+            _record(
+                i, client=f"c{i}", server=f"s{i}", method=f"m{i}", host=f"h{i}",
+                uri=f"/u{i}", referrer=f"r{i}", user_agent=f"a{i}",
+                content_type=f"t{i}", location=f"l{i}",
+            )
+            for i in range(8000)
+        ]
+        data = records_to_binary(records, block_records=8000)
+        assert len(_blocks(data)) >= 2
+        assert records_from_binary(data) == records
+
+    def test_writer_is_deterministic(self):
+        records = [_record(i) for i in range(300)]
+        data = records_to_binary(records, block_records=64)
+        assert records_to_binary(records_from_binary(data), block_records=64) == data
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +386,88 @@ class TestDamageRouting:
         assert merged == per_shard_kept
 
 
+def _tamper_block(data: bytes, which: int, edit) -> bytes:
+    """Apply ``edit`` to block ``which``'s payload and re-seal its CRC,
+    so that only the in-block checks can see the damage."""
+    data = bytearray(data)
+    pos, payload_len = _blocks(bytes(data))[which]
+    start = pos + 16
+    payload = bytearray(data[start : start + payload_len])
+    edit(payload)
+    data[start : start + payload_len] = payload
+    struct.pack_into("<I", data, pos + 12, zlib.crc32(payload))
+    return bytes(data)
+
+
+def _index_out_of_range(payload: bytearray) -> None:
+    _count, n_strings = struct.unpack_from("<II", payload, 0)
+    lengths = struct.unpack_from(f"<{n_strings}H", payload, 8)
+    first_record = 8 + 2 * n_strings + sum(lengths)
+    client_index = struct.calcsize("<dddiqqB")
+    struct.pack_into("<H", payload, first_record + client_index, n_strings)
+
+
+def _undecodable_table(payload: bytearray) -> None:
+    _count, n_strings = struct.unpack_from("<II", payload, 0)
+    payload[8 + 2 * n_strings] = 0xFF  # first byte of the first string
+
+
+class TestInBlockDamage:
+    """CRC-valid blocks whose table or indexes are wrong: each costs its
+    block and one record ordinal, under every policy."""
+
+    @pytest.fixture(params=[_index_out_of_range, _undecodable_table], ids=["index", "table"])
+    def damaged(self, request, tmp_path):
+        records, path = _write_corpus(tmp_path, n=600, block_records=64)
+        bad = tmp_path / "in-block.bin"
+        bad.write_bytes(_tamper_block(path.read_bytes(), 2, request.param))
+        return records, bad
+
+    def test_strict_raises(self, damaged):
+        _records, bad = damaged
+        with pytest.raises(LogParseError, match="block") as abort:
+            with SeekableLogReader(str(bad)) as reader:
+                list(reader)
+        assert abort.value.line_no == 2 * 64 + 1
+
+    def test_skip_loses_exactly_the_block(self, damaged):
+        records, bad = damaged
+        health = PipelineHealth()
+        with SeekableLogReader(str(bad), on_error=ErrorPolicy.SKIP, health=health) as reader:
+            kept = list(reader)
+            assert reader.line_no == len(records) - 64 + 1
+        assert kept == records[: 2 * 64] + records[3 * 64 :]
+        assert health.records_dropped == 1
+
+    def test_quarantine_writes_one_line(self, damaged, tmp_path):
+        records, bad = damaged
+        sidecar = tmp_path / "q.tsv"
+        quarantine = QuarantineWriter.open(str(sidecar))
+        try:
+            with SeekableLogReader(
+                str(bad), on_error=ErrorPolicy.QUARANTINE, quarantine=quarantine,
+            ) as reader:
+                kept = list(reader)
+        finally:
+            quarantine.close()
+        assert quarantine.count == 1
+        lines = [line for line in sidecar.read_text().splitlines() if not line.startswith("#")]
+        assert len(lines) == 1 and "damaged block" in lines[0]
+        assert len(kept) == len(records) - 64
+
+
+class TestVersion:
+    def test_v1_header_is_refused_under_every_policy(self, tmp_path):
+        path = tmp_path / "v1.bin"
+        path.write_bytes(BINLOG_MAGIC + struct.pack("<II", 1, 0))
+        for policy in ErrorPolicy:
+            with pytest.raises(BinlogVersionError) as refusal:
+                SeekableLogReader(str(path), on_error=policy)
+            message = str(refusal.value)
+            assert "version 1" in message and "version 2" in message
+            assert "repro convert" in message
+
+
 # ---------------------------------------------------------------------------
 # resumable coordinates
 
@@ -340,6 +484,27 @@ class TestSeek:
                 reader.seek(**coords)
                 suffix = list(reader)
             assert prefix + suffix == records, f"stop_after={stop_after}"
+
+    def test_resume_at_record_reusing_earlier_strings(self, tmp_path):
+        # Clients cycle over five values, so the record after the cut
+        # reuses strings its block first used before the cut: the
+        # resumed reader must rebuild that block's table.
+        records = [_record(i, client=f"10.0.0.{i % 5}") for i in range(200)]
+        path = tmp_path / "cycle.bin"
+        path.write_bytes(records_to_binary(records, block_records=64))
+        stop_after = 64 + 37
+        assert records[stop_after].client in {r.client for r in records[64:stop_after]}
+        with SeekableLogReader(str(path)) as reader:
+            iterator = iter(reader)
+            for _ in range(stop_after):
+                next(iterator)
+            coords = dict(offset=reader.offset, line_no=reader.line_no, header=reader.header)
+        with SeekableLogReader(str(path)) as reader:
+            reader.seek(**coords)
+            suffix = list(reader)
+            assert reader.line_no == len(records)
+        assert suffix == records[stop_after:]
+        assert suffix[0].user_agent is suffix[1].user_agent
 
     def test_seek_to_start(self, tmp_path):
         # Many small blocks over several pages: the first pass gives the
@@ -454,3 +619,23 @@ class TestCliEquivalence:
         proc = _cli(classify_args(out, ckpt, "--resume"), tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert out.read_bytes() == golden.read_bytes()
+
+
+@pytest.mark.slow
+class TestCliVersionRefusal:
+    @pytest.mark.parametrize("workers", [[], ["--workers", "2"]], ids=["serial", "pool"])
+    @pytest.mark.parametrize("policy", ["strict", "skip", "quarantine"])
+    def test_v1_binlog_exits_1_and_names_convert(self, tmp_path, policy, workers):
+        path = tmp_path / "v1.bin"
+        path.write_bytes(BINLOG_MAGIC + struct.pack("<II", 1, 0))
+        out = tmp_path / "out.tsv"
+        proc = _cli(
+            ["classify", *_ECO, "--trace", str(path), "--out", str(out),
+             "--on-error", policy, *workers],
+            tmp_path,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "version 1" in proc.stderr and "version 2" in proc.stderr
+        assert "repro convert" in proc.stderr
+        assert "--on-error" not in proc.stderr
+        assert not out.exists() and not (tmp_path / "out.tsv.part").exists()
