@@ -11,14 +11,14 @@ and analyses run offline):
 * ``repro crawl`` — the §4 active measurement (Table 1).
 * ``repro report`` — §7 traffic characterization over a stored log.
 * ``repro corrupt`` — seeded fault injection into a stored log (testing).
-* ``repro lint`` — static analysis: filter-list lint (FL001-FL008) and,
-  with ``--self``, the repo-invariant codebase gate (RC001-RC004).
+* ``repro lint`` — filter-list lint (FL001-FL008).
 * ``repro serve`` — the long-lived classification daemon: bounded
   admission with backpressure, graceful drain on SIGTERM/SIGINT, hot
   filter-list reload on SIGHUP / ``POST /-/reload`` (DESIGN.md §13).
 
 Commands that read logs take ``--on-error {strict,skip,quarantine}``;
-exit codes are 0 (clean), 1 (strict-mode abort on the first bad line),
+exit codes are 0 (clean), 1 (usage error, or strict-mode abort on the
+first bad line), 2 (input file not found),
 3 (completed degraded: dropped records, or shards lost under
 ``--on-worker-failure degrade``), 4 (``--resume`` refused on a run
 manifest mismatch), 5 (a shard worker failed terminally and the run
@@ -42,7 +42,7 @@ import argparse
 import contextlib
 import os
 import sys
-from typing import Sequence, TextIO
+from typing import NoReturn, Sequence, TextIO
 
 from repro.core import AdClassificationPipeline
 from repro.exitcodes import (
@@ -498,6 +498,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     policy = ErrorPolicy(args.on_error)
     health = PipelineHealth()
     quarantine_path = _quarantine_path(args)
+    SeekableLogReader(args.trace).close()  # refuse the input before creating its sidecar
     quarantine = open_quarantine(policy, quarantine_path)
     with quarantine or contextlib.nullcontext():
         with SeekableLogReader(
@@ -764,33 +765,23 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.staticcheck import (
         Severity,
         apply_baseline,
+        lint_paths,
         load_baseline,
         render_json,
         render_text,
         write_baseline,
     )
 
-    if not args.files and not args.self:
-        raise SystemExit("error: give filter-list files to lint, or --self")
+    if not args.files:
+        raise SystemExit("error: give filter-list files to lint")
 
-    diagnostics = []
-    if args.files:
-        from repro.staticcheck import lint_paths
-
-        # Baseline fingerprints embed the list path; normalize to a
-        # cwd-relative form so absolute and relative invocations agree.
-        paths = []
-        for path in args.files:
-            relative = os.path.relpath(path)
-            paths.append(path if relative.startswith("..") else relative)
-        diagnostics.extend(lint_paths(paths))
-    if args.self:
-        import repro
-        from repro.staticcheck import lint_package
-
-        package_root = os.path.dirname(os.path.abspath(repro.__file__))
-        source_root = os.path.dirname(package_root)
-        diagnostics.extend(lint_package(package_root, source_root=source_root))
+    # Baseline fingerprints embed the list path; normalize to a
+    # cwd-relative form so absolute and relative invocations agree.
+    paths = []
+    for path in args.files:
+        relative = os.path.relpath(path)
+        paths.append(path if relative.startswith("..") else relative)
+    diagnostics = lint_paths(paths)
 
     if args.write_baseline:
         count = write_baseline(args.write_baseline, diagnostics)
@@ -837,8 +828,19 @@ def _cmd_corrupt(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1: argparse's own 2 is the code for "input file
+    not found", and a script must be able to tell a typo from a missing
+    file.  Subparsers are built with the parent's class, so this covers
+    every command."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_STRICT_ABORT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="Reproduction toolkit for 'Annoyed Users' (IMC 2015)",
     )
@@ -906,13 +908,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_usage.add_argument("--min-requests", type=int, default=1000)
     p_usage.set_defaults(func=_cmd_usage)
 
-    p_lint = sub.add_parser(
-        "lint", help="static analysis: filter-list lint / codebase gate (DESIGN.md §9)"
-    )
+    p_lint = sub.add_parser("lint", help="filter-list lint (DESIGN.md §9)")
     p_lint.add_argument("files", nargs="*",
                         help="filter-list files to lint (FL001-FL008)")
-    p_lint.add_argument("--self", action="store_true",
-                        help="lint the repro package itself (RC001-RC004)")
     p_lint.add_argument("--format", choices=("text", "json"), default="text")
     p_lint.add_argument("--fail-on", choices=("error", "warning"), default="error",
                         help="lowest severity that makes the exit code 1 "

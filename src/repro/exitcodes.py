@@ -4,17 +4,13 @@ Exit codes are a *contract*: operators script against them (the CI
 jobs do, the README documents them, ``tests/test_cli_exitcodes.py``
 pins them), so a literal ``sys.exit(3)`` scattered through the tree is
 a latent drift bug — renumber one site and the contract silently
-forks.  Every ``sys.exit``/``os._exit`` in ``src/repro/`` must
-therefore name a constant from this module (directly or via the
-re-exports in :mod:`repro.robustness.health` /
-:mod:`repro.robustness.crash`, which predate it); the RC010 gate in
-``repro lint --self`` enforces both directions:
-
-* an integer literal passed to ``sys.exit`` / ``os._exit`` /
-  ``SystemExit`` anywhere in the package is a lint error;
-* the README's "Exit codes" table must list *exactly* the public codes
-  registered here — documentation drift is a lint finding, not a
-  support ticket.
+forks.  Every ``sys.exit``/``os._exit`` in ``src/repro/`` therefore
+names a constant from this module (directly or via the re-exports in
+:mod:`repro.robustness.health` / :mod:`repro.robustness.crash`, which
+predate it).  ``tests/test_invariants.py`` holds both directions: no
+integer literal reaches ``sys.exit`` / ``os._exit`` / ``SystemExit``
+in the package, and the README's "Exit codes" table lists *exactly*
+the public codes registered here.
 
 ``public=True`` entries are the CLI contract (the README table);
 ``public=False`` entries are process-internal codes (worker-pool
@@ -93,7 +89,7 @@ REGISTRY: Mapping[str, ExitCode] = {
             "EXIT_STRICT_ABORT",
             EXIT_STRICT_ABORT,
             True,
-            "strict-mode abort on the first bad line; `serve` startup failure",
+            "usage error; strict-mode abort on the first bad line; `serve` startup failure",
         ),
         ExitCode("EXIT_MISSING_INPUT", EXIT_MISSING_INPUT, True, "input file not found"),
         ExitCode(

@@ -22,8 +22,9 @@ rotates the fingerprint and drops the cache, and a warm cache attached
 to a mismatched engine is refused with :class:`EngineFingerprintMismatch`.
 
 Cache contents are *transient by contract*: they are pure memoization,
-excluded from checkpoint ``export_state``/``merge_state`` (RC004 knows
-the rule — see ``_TRANSIENT_STATE`` in ``robustness/health.py``), so
+excluded from checkpoint ``export_state``/``merge_state`` (see
+``_TRANSIENT_STATE`` in ``robustness/health.py``; ``tests/test_state_wire.py``
+holds the rule), so
 cached and uncached runs are byte-identical and resume never depends
 on cache warmth.
 """

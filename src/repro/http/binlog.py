@@ -271,7 +271,7 @@ class BinLogReader:
         try:
             self._mm = mmap.mmap(file.fileno(), 0, access=mmap.ACCESS_READ)
             raw = self._mm
-        except (ValueError, OSError):  # staticcheck: ok[RC002] - no fileno / empty file falls back to a read() copy
+        except (ValueError, OSError):  # no fileno / empty file falls back to a read() copy
             file.seek(0)
             raw = file.read()
         self._raw = raw  # mmap or bytes; both support .find() for resync

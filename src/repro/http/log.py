@@ -402,7 +402,7 @@ class SeekableLogReader:
             self._impl: _TextLogReader | binlog.BinLogReader = backend(
                 file, on_error=on_error, health=health, quarantine=quarantine, shard=shard
             )
-        except BaseException:  # staticcheck: ok[RC002] cleanup-and-reraise, nothing swallowed
+        except BaseException:  # cleanup-and-reraise, nothing swallowed
             file.close()
             raise
 

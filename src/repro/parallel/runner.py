@@ -38,7 +38,7 @@ from repro.core.pipeline import AdClassificationPipeline
 from repro.http.log import SeekableLogReader
 from repro.parallel.sharding import OrderedRowEmitter, QuarantineMerger
 from repro.parallel.supervision import RunInterrupted, WorkerFailure, WorkerSupervisor
-from repro.parallel.worker import GARBAGE_KIND, WorkerConfig, run_worker
+from repro.parallel.worker import MessageKind, WorkerConfig, run_worker
 from repro.robustness.checkpoint import CheckpointStore
 from repro.robustness.crash import CHAOS_ENV
 from repro.robustness.health import PipelineHealth
@@ -328,16 +328,16 @@ class ParallelRun:
                     if not supervisor.accept(worker_id, attempt, kind):
                         supervisor.poll()
                         continue
-                    if kind == "batch":
+                    if kind is MessageKind.BATCH:
                         for index, row, is_ad, is_whitelisted in message["rows"]:
                             emitter.push(index, (row, is_ad, is_whitelisted))
                         for row, is_ad, is_whitelisted in emitter.drain():
                             self._consume_row(row, is_ad, is_whitelisted)
                         for line_no, reason, raw in message["quarantine"]:
                             merger.push(line_no, reason, raw)
-                    elif kind == "hb":
+                    elif kind is MessageKind.HB:
                         pass  # pure liveness evidence; accept() already credited it
-                    elif kind == "ckpt":
+                    elif kind is MessageKind.CKPT:
                         generation = message["generation"]
                         if generation > self._last_parent_generation:
                             group = markers.setdefault(generation, {})
@@ -349,13 +349,13 @@ class ParallelRun:
                                 )
                                 checkpoints_written += 1
                                 self._last_parent_generation = generation
-                    elif kind == "done":
+                    elif kind is MessageKind.DONE:
                         done[worker_id] = message
                         supervisor.mark_done(worker_id)
-                    elif kind == "parse_error":
+                    elif kind is MessageKind.PARSE_ERROR:
                         line_no, reason, line = message
                         raise LogParseError(line_no, reason, line)
-                    elif kind == "error":
+                    elif kind is MessageKind.ERROR:
                         supervisor.fault(worker_id, f"failed:\n{message}")
                     else:
                         # GARBAGE_KIND or anything else unintelligible: this

@@ -36,6 +36,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable
 
+from repro.parallel.worker import MessageKind
 from repro.robustness.policy import RunInterrupted
 from repro.robustness.retry import RetryPolicy
 
@@ -172,7 +173,7 @@ class WorkerSupervisor:
             )
             return False
         slot.last_seen = self.clock()
-        if kind != "hb":
+        if kind != MessageKind.HB:
             slot.warmed = True
         return True
 

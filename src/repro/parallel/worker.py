@@ -37,6 +37,7 @@ import threading
 import time
 import traceback
 from dataclasses import dataclass
+from enum import Enum
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.pipeline import (
@@ -57,7 +58,7 @@ from repro.robustness.runstate import classification_row
 if TYPE_CHECKING:
     from repro.analysis.traffic import TrafficAccumulator
 
-__all__ = ["WorkerConfig", "run_worker", "SHARD_STATE_VERSION"]
+__all__ = ["MessageKind", "WorkerConfig", "run_worker", "SHARD_STATE_VERSION"]
 
 SHARD_STATE_VERSION = 2
 
@@ -76,8 +77,24 @@ _ORPHAN_POLL_S = 1.0
 # wedged or gone), die anyway rather than hang the kill escalation.
 _TERM_FLUSH_CAP_S = 4.0
 
-# The payload a garbage-message fault puts on the wire: a recognizable
-# nonsense kind, exercising the parent's unknown-message handling.
+
+
+class MessageKind(str, Enum):
+    """What a result-queue message ``(worker_id, attempt, kind, payload)``
+    carries.  The worker sends and the parent's fold loop dispatches on
+    these members only, so the two sides cannot drift apart."""
+
+    BATCH = "batch"  # rendered rows + quarantined lines
+    HB = "hb"  # heartbeat: liveness only
+    CKPT = "ckpt"  # this shard's generation is durable
+    DONE = "done"  # final health, fold and cache counters
+    PARSE_ERROR = "parse_error"  # strict-mode abort
+    ERROR = "error"  # unexpected exception, as a traceback
+
+
+# The kind a garbage-message fault puts on the wire: a recognizable
+# nonsense kind outside :class:`MessageKind`, exercising the parent's
+# unknown-message handling.
 GARBAGE_KIND = "\x00garbage\x00"
 
 
@@ -150,16 +167,19 @@ def run_worker(
         # restore, so the supervisor's silence clock starts from a real
         # signal.
         if config.heartbeat_interval_s is not None:
-            _put(out_queue, parent_pid, (worker_id, attempt, "hb", {"arrivals": 0}))
+            _put(out_queue, parent_pid, worker_id, attempt, MessageKind.HB, {"arrivals": 0})
         _ShardWorker(config, pipeline, out_queue, parent_pid).run()
     except LogParseError as exc:
         _put(
             out_queue,
             parent_pid,
-            (worker_id, attempt, "parse_error", (exc.line_no, exc.reason, exc.line)),
+            worker_id,
+            attempt,
+            MessageKind.PARSE_ERROR,
+            (exc.line_no, exc.reason, exc.line),
         )
-    except BaseException:  # staticcheck: ok[RC002] shipped to the parent verbatim and re-raised there
-        _put(out_queue, parent_pid, (worker_id, attempt, "error", traceback.format_exc()))
+    except BaseException:  # shipped to the parent verbatim and re-raised there
+        _put(out_queue, parent_pid, worker_id, attempt, MessageKind.ERROR, traceback.format_exc())
 
 
 def _make_term_handler(out_queue: Any) -> "Callable[[int, Any], None]":
@@ -175,7 +195,6 @@ def _make_term_handler(out_queue: Any) -> "Callable[[int, Any], None]":
     parent is itself wedged or gone.
     """
 
-    # staticcheck: ok[RC008] deliberate: SIGTERM must flush the queue feeder before dying (docstring above) — a truncated frame wedges the parent
     def handle(signum: int, frame: Any) -> None:
         def backstop() -> None:
             time.sleep(_TERM_FLUSH_CAP_S)
@@ -212,8 +231,14 @@ def _start_orphan_watchdog(parent_pid: int) -> None:
     threading.Thread(target=watch, name="orphan-watchdog", daemon=True).start()
 
 
-def _put(out_queue: Any, parent_pid: int, message: tuple) -> None:
-    """Queue put that notices a dead parent instead of blocking forever."""
+def _put(
+    out_queue: Any, parent_pid: int, worker_id: int, attempt: int, kind: str, payload: Any
+) -> None:
+    """Queue put that notices a dead parent instead of blocking forever.
+
+    ``kind`` is a :class:`MessageKind`, or the chaos harness's
+    ``GARBAGE_KIND``."""
+    message = (worker_id, attempt, kind, payload)
     while True:
         try:
             out_queue.put(message, timeout=_PUT_TIMEOUT_S)
@@ -340,7 +365,10 @@ class _ShardWorker:
                     self.out_queue.join_thread()
                     os._exit(CRASH_EXIT_CODE)
                 elif action is FaultAction.GARBAGE:
-                    self._send(GARBAGE_KIND, b"\xde\xad\xbe\xef")
+                    _put(
+                        self.out_queue, self.parent_pid, config.worker_id, config.attempt,
+                        GARBAGE_KIND, b"\xde\xad\xbe\xef",
+                    )
                     # A worker whose stream has degenerated to garbage
                     # is not meaningfully continuing; quiescing also
                     # makes the parent's kill safe (feeder drained).
@@ -348,7 +376,7 @@ class _ShardWorker:
             if self._hb_interval is not None:
                 now = time.monotonic()
                 if now >= self._next_beat:
-                    self._send("hb", {"arrivals": self._arrivals})
+                    self._send(MessageKind.HB, {"arrivals": self._arrivals})
                     self._next_beat = now + self._hb_interval
         for entry in self.classifier.finish():
             self._emit(entry)
@@ -369,7 +397,7 @@ class _ShardWorker:
             ),
             "url_cache": (url_info.hits, url_info.misses),
         }
-        self._send("done", done)
+        self._send(MessageKind.DONE, done)
 
     def _emit(self, entry: ClassifiedRequest) -> None:
         if self.accumulator is not None:
@@ -386,14 +414,11 @@ class _ShardWorker:
         rejected = self.quarantine.drain()
         if not rows and not rejected:
             return
-        self._send("batch", {"rows": rows, "quarantine": rejected})
+        self._send(MessageKind.BATCH, {"rows": rows, "quarantine": rejected})
 
-    def _send(self, kind: str, message: Any) -> None:
-        _put(
-            self.out_queue,
-            self.parent_pid,
-            (self.config.worker_id, self.config.attempt, kind, message),
-        )
+    def _send(self, kind: MessageKind, payload: Any) -> None:
+        config = self.config
+        _put(self.out_queue, self.parent_pid, config.worker_id, config.attempt, kind, payload)
 
     # -- checkpoints ------------------------------------------------------
 
@@ -428,7 +453,7 @@ class _ShardWorker:
         }
         self.store.save(payload, generation=generation)
         self._send(
-            "ckpt",
+            MessageKind.CKPT,
             {
                 "generation": generation,
                 "line_no": self.reader.line_no,

@@ -71,7 +71,7 @@ def atomic_writer(
             if sync:
                 os.fsync(stream.fileno())
         os.replace(tmp_path, path)
-    except BaseException:  # staticcheck: ok[RC002] cleanup-and-reraise, nothing swallowed
+    except BaseException:  # cleanup-and-reraise, nothing swallowed
         with contextlib.suppress(OSError):
             os.unlink(tmp_path)
         raise

@@ -50,9 +50,9 @@ class PipelineHealth:
 
     # Fields deliberately absent from the checkpoint wire form: pure
     # process-local observability that must never survive a resume or
-    # flow through a shard fold.  The RC004 codebase gate reads this
-    # declaration and exempts exactly these fields from its
-    # export/restore drift check.  The supervision counters
+    # flow through a shard fold.  ``tests/test_state_wire.py`` holds
+    # every other field to the wire form and these out of it.  The
+    # supervision counters
     # (DESIGN.md §12) are parent-side: worker restarts and heartbeat
     # gaps describe *this* process's pool run, not the output — a
     # resumed run legitimately restarts them at zero, and a fault-free

@@ -46,7 +46,7 @@ class QuarantineWriter:
     @classmethod
     def open(cls, path: str, *, flush_every: int = 1) -> "QuarantineWriter":
         """Open ``path`` for writing and own the stream (close on exit)."""
-        # staticcheck: ok[RC001] progressive sidecar; checkpoint resume truncates to a synced position
+        # Progressive sidecar; checkpoint resume truncates to a synced position.
         stream = open(path, "w", encoding="utf-8")
         return cls(stream, flush_every=flush_every, owns_stream=True)
 

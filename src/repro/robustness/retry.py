@@ -135,7 +135,7 @@ class RetryPolicy:
                     sleep(delay)
             try:
                 return fn()
-            except retry_on as exc:  # staticcheck: ok[RC002] caller-chosen exception classes, re-raised via RetryExhausted
+            except retry_on as exc:  # caller-chosen exception classes, re-raised via RetryExhausted
                 last = exc
                 if on_retry is not None:
                     on_retry(attempt, exc)

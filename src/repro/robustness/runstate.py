@@ -320,12 +320,12 @@ class ClassifySink(RunSink):
         if self.final_path is None:
             return
         if fresh:
-            # staticcheck: ok[RC001] .part sink: published atomically by finalize()
+            # The .part sink is published atomically by finalize().
             self._file = open(self.part_path, "wb")
             self._file.write(self.HEADER.encode("utf-8"))
         else:
             assert state is not None
-            # staticcheck: ok[RC001] resume rewinds the .part file to the checkpointed offset
+            # Resume rewinds the .part file to the checkpointed offset.
             self._file = open(self.part_path, "r+b")
             self._file.truncate(state["pos"])
             self._file.seek(state["pos"])
@@ -520,10 +520,10 @@ def open_quarantine(
     if checkpointing is None:
         return QuarantineWriter.open(path)
     if state is None:
-        # staticcheck: ok[RC001] quarantine .part sink, atomically published on finish
+        # The quarantine .part sink, atomically published on finish.
         stream = open(_quarantine_part(checkpointing), "wb")
     else:
-        # staticcheck: ok[RC001] resume rewinds the sidecar to the checkpointed offset
+        # Resume rewinds the sidecar to the checkpointed offset.
         stream = open(_quarantine_part(checkpointing), "r+b")
         stream.truncate(state["pos"])
         stream.seek(state["pos"])
@@ -617,6 +617,9 @@ def run_serial(
     :class:`RunInterrupted`; ``resume`` continues from the newest valid
     generation, byte-identical to an uninterrupted run.
     """
+    # Refuse a missing input (CLI exit 2) or an old binlog (exit 1)
+    # before anything is created beside it: the sidecar, the .part file.
+    SeekableLogReader(input_path).close()
     store = checkpoint = None
     if checkpointing is not None:
         store = checkpointing.store()

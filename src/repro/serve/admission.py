@@ -153,7 +153,7 @@ class AdmissionQueue:
         metrics.book_inline()
         try:
             result = self._handler(payload)
-        except Exception:  # staticcheck: ok[RC002] booked, then re-raised to the caller
+        except Exception:  # booked, then re-raised to the caller
             metrics.book_internal_error()
             raise
         metrics.book_served()
@@ -185,6 +185,10 @@ class AdmissionQueue:
         except asyncio.TimeoutError:
             if ticket.claim():
                 self._book_done(self._metrics.book_timeout)
+            elif not future.cancelled():
+                # The worker claimed it as the deadline fired, and booked
+                # it served (or an internal error): that outcome stands.
+                return future.result()
             raise DeadlineExceeded from None
         except asyncio.CancelledError:
             if future.cancelled():
@@ -225,7 +229,7 @@ class AdmissionQueue:
                     self._book_done(self._metrics.book_timeout)
                     ticket.future.cancel()
                 raise
-            except Exception as exc:  # staticcheck: ok[RC002] handler bugs must 500, not kill the worker
+            except Exception as exc:  # handler bugs must 500, not kill the worker
                 if ticket.claim():
                     self._book_done(self._metrics.book_internal_error)
                     ticket.future.set_exception(exc)

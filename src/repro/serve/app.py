@@ -276,7 +276,7 @@ class ServeApp:
             delay_s = actions.delay_s
         try:
             outcome = self.admission.try_inline(body, delay_s)
-        except Exception as exc:  # staticcheck: ok[RC002] handler bugs must answer 500, not kill the connection
+        except Exception as exc:  # handler bugs must answer 500, not kill the connection
             return self._internal_error(exc)
         if outcome is QUEUED:
             return self._classify_queued(body, delay_s)
@@ -294,7 +294,7 @@ class ServeApp:
             )
         except DeadlineExceeded:
             return _json_response(503, {"error": "deadline exceeded"})
-        except Exception as exc:  # staticcheck: ok[RC002] handler bugs must answer 500, not kill the connection
+        except Exception as exc:  # handler bugs must answer 500, not kill the connection
             return self._internal_error(exc)
         return self._classify_response(status, result)
 

@@ -163,7 +163,7 @@ class _Connection(asyncio.Protocol):
             request, close = parsed
             try:
                 reply = self._server.route(request)
-            except Exception:  # staticcheck: ok[RC002] a route bug must answer 500, not kill the daemon
+            except Exception:  # a route bug must answer 500, not kill the daemon
                 reply, close = _error(500, "internal error"), True
             if isinstance(reply, Response):
                 self._respond(reply, close)
@@ -195,7 +195,7 @@ class _Connection(asyncio.Protocol):
     async def _await_reply(self, reply: Awaitable[Response], close: bool) -> None:
         try:
             response = await reply
-        except Exception:  # staticcheck: ok[RC002] a route bug must answer 500, not kill the daemon
+        except Exception:  # a route bug must answer 500, not kill the daemon
             response, close = _error(500, "internal error"), True
         self._pending = None
         if not self.transport.is_closing():

@@ -1,17 +1,9 @@
-"""Static-analysis layer: filter-list linting + codebase gate.
+"""Static analysis of filter lists (DESIGN.md §9).
 
-Two targets behind one diagnostic model (DESIGN.md §9):
-
-* ``repro lint <list files>`` — rule-level diagnostics FL001–FL008
-  over Adblock-Plus-style filter lists (:mod:`.filterlint`), built on
-  pattern containment (:mod:`.containment`) and static ReDoS analysis
-  (:mod:`.redos`);
-* ``repro lint --self`` — AST-based repo-invariant checks RC001–RC012
-  over ``src/repro/``: per-file invariants (:mod:`.codelint`), a
-  project call graph with async-context propagation (:mod:`.callgraph`)
-  feeding the flow-sensitive concurrency checks (:mod:`.asynccheck`),
-  and cross-file contract checks — worker wire protocol, exit-code
-  registry/README, metric key schema (:mod:`.protocol`).
+``repro lint <list files>`` reports rule-level diagnostics FL001–FL008
+over Adblock-Plus-style filter lists (:mod:`.filterlint`), built on
+pattern containment (:mod:`.containment`) and static ReDoS analysis
+(:mod:`.redos`).
 
 Findings are :class:`~repro.staticcheck.diagnostics.Diagnostic`
 objects with stable codes, rendered as text or JSON and baselined via
@@ -25,8 +17,6 @@ from repro.staticcheck.containment import (
     options_contain,
     pattern_contains,
 )
-from repro.staticcheck.codelint import lint_file as lint_source_file
-from repro.staticcheck.codelint import lint_package
 from repro.staticcheck.diagnostics import (
     CODES,
     Diagnostic,
@@ -57,8 +47,6 @@ __all__ = [
     "pattern_contains",
     "lint_paths",
     "lint_texts",
-    "lint_package",
-    "lint_source_file",
     "rule_local_diagnostics",
     "render_json",
     "render_text",

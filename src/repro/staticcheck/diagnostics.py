@@ -1,8 +1,8 @@
-"""Diagnostic model for the static-analysis layer (DESIGN.md §9).
+"""Diagnostic model for the filter-list lint (DESIGN.md §9).
 
-Every finding — whether about a filter *rule* (``FLxxx``) or about the
-*codebase* (``RCxxx``) — is one :class:`Diagnostic` with a stable code,
-a severity, a source location and a human-readable message.  Stable
+Every finding about a filter rule is one :class:`Diagnostic` with a
+stable ``FLxxx`` code, a severity, a source location and a
+human-readable message.  Stable
 codes make findings baseline-able: a committed baseline file pins the
 accepted findings and CI fails only on the diff.
 """
@@ -46,7 +46,6 @@ class Severity(enum.IntEnum):
 # Code registry: default severity + one-line title.  DESIGN.md §9 is
 # the normative description of each check.
 CODES: Mapping[str, tuple[Severity, str]] = {
-    # -- filter-list lint (repro lint <files>) -------------------------
     "FL001": (Severity.ERROR, "unparseable rule"),
     "FL002": (Severity.WARNING, "rule shadowed by a broader rule"),
     "FL003": (Severity.ERROR, "dead rule: option combination unsatisfiable"),
@@ -55,20 +54,6 @@ CODES: Mapping[str, tuple[Severity, str]] = {
     "FL006": (Severity.ERROR, "ReDoS hazard in regex-style rule"),
     "FL007": (Severity.WARNING, "unknown or misused $option"),
     "FL008": (Severity.ERROR, "conflicting domain= restriction"),
-    # -- codebase gate (repro lint --self) -----------------------------
-    "RC001": (Severity.ERROR, "file write bypasses robustness/atomic.py"),
-    "RC002": (Severity.WARNING, "broad exception handler outside ErrorPolicy"),
-    "RC003": (Severity.WARNING, "nondeterminism hazard"),
-    "RC004": (Severity.ERROR, "export_state/restore_state field drift"),
-    # -- flow-aware codebase gate (call graph + cross-file contracts) --
-    "RC005": (Severity.ERROR, "blocking call reachable from async context"),
-    "RC006": (Severity.ERROR, "coroutine never awaited / task handle dropped"),
-    "RC007": (Severity.WARNING, "lock held across await with unguarded access"),
-    "RC008": (Severity.ERROR, "signal handler does real work"),
-    "RC009": (Severity.ERROR, "worker queue protocol drift"),
-    "RC010": (Severity.ERROR, "exit code bypasses registry or README drift"),
-    "RC011": (Severity.ERROR, "metric key surface drifts from committed schema"),
-    "RC012": (Severity.ERROR, "transient field read in checkpoint wire form"),
 }
 
 
@@ -80,10 +65,10 @@ def default_severity(code: str) -> Severity:
 class Diagnostic:
     """One static-analysis finding.
 
-    ``source`` is the filter-list name/path or the Python file path;
-    ``line`` is 1-based (0 for whole-file findings).  ``subject`` is
-    the rule text or code symbol the finding is about — it anchors the
-    baseline fingerprint so reordering lines does not churn baselines.
+    ``source`` is the filter-list name or path; ``line`` is 1-based (0
+    for whole-file findings).  ``subject`` is the rule text the finding
+    is about — it anchors the baseline fingerprint so reordering lines
+    does not churn baselines.
     """
 
     code: str

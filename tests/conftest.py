@@ -8,7 +8,11 @@ redirects, HTTPS, list updates, non-browser devices).
 
 from __future__ import annotations
 
+import asyncio
+import gc
+import logging
 import random
+import warnings
 
 import pytest
 
@@ -50,6 +54,32 @@ def forbid_engine_compile(monkeypatch):
         raise AssertionError("a request paid for the engine compile")
 
     return lambda: monkeypatch.setattr(ACTrieEngine, "_compile", refuse)
+
+
+@pytest.fixture()
+def asyncio_debug(monkeypatch, caplog):
+    """Every ``asyncio.run`` in the test runs in debug mode; a callback
+    that holds the loop over 0.25 s, any warning or error the
+    ``asyncio`` logger reports, or a coroutine never awaited fails it."""
+
+    def run(main, *, debug=None):
+        with asyncio.Runner(debug=True) as runner:
+            runner.get_loop().slow_callback_duration = 0.25
+            return runner.run(main)
+
+    monkeypatch.setattr(asyncio, "run", run)
+    caplog.set_level(logging.WARNING, logger="asyncio")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        yield
+        gc.collect()
+    problems = [
+        record.getMessage()
+        for record in caplog.get_records("call")
+        if record.name == "asyncio" and record.levelno >= logging.WARNING
+    ]
+    problems += [str(w.message) for w in caught if "never awaited" in str(w.message)]
+    assert not problems, problems
 
 
 @pytest.fixture(scope="session")

@@ -638,4 +638,5 @@ class TestCliVersionRefusal:
         assert "version 1" in proc.stderr and "version 2" in proc.stderr
         assert "repro convert" in proc.stderr
         assert "--on-error" not in proc.stderr
-        assert not out.exists() and not (tmp_path / "out.tsv.part").exists()
+        # No output, no .part file and no quarantine sidecar.
+        assert [entry.name for entry in tmp_path.iterdir()] == ["v1.bin"]

@@ -282,30 +282,6 @@ class TestLintCommand:
         assert "other-bogus" in out
         assert "ads.example" not in out and "broken" not in out
 
-    def test_self_gate_is_clean(self, capsys):
-        assert main(["lint", "--self", "--fail-on", "warning"]) == 0
-        assert "no findings" in capsys.readouterr().out
-
-    def test_self_json_format(self, capsys):
-        import json
-
-        assert main(["lint", "--self", "--format", "json",
-                     "--fail-on", "warning"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["version"] == 1
-        assert payload["findings"] == []
-        assert payload["counts"] == {"error": 0, "warning": 0, "info": 0}
-
-    def test_self_baseline_round_trip(self, tmp_path, capsys):
-        # A clean self-lint accepts an empty baseline and stays clean
-        # when linted against it — the workflow CI documents for
-        # adopting the gate on a repo with pre-existing findings.
-        baseline = str(tmp_path / "self-baseline.json")
-        assert main(["lint", "--self", "--write-baseline", baseline]) == 0
-        assert "0 fingerprint(s)" in capsys.readouterr().out
-        assert main(["lint", "--self", "--baseline", baseline,
-                     "--fail-on", "warning"]) == 0
-
     def test_no_input_is_an_error(self):
         with pytest.raises(SystemExit):
             main(["lint"])

@@ -49,7 +49,7 @@ def _cli(args, cwd):
 @pytest.mark.parametrize("workers", [None, 2])
 @pytest.mark.parametrize("command", ["classify", "report"])
 def test_missing_input_exits_2(tmp_path, command, workers):
-    args = [command, *_ECO, "--trace", str(tmp_path / "absent.tsv")]
+    args = [command, *_ECO, "--trace", str(tmp_path / "absent.tsv"), "--on-error", "quarantine"]
     if command == "classify":
         args += ["--out", str(tmp_path / "out.tsv")]
     if workers is not None:
@@ -59,6 +59,36 @@ def test_missing_input_exits_2(tmp_path, command, workers):
     assert "error: input file not found" in proc.stderr
     assert "absent.tsv" in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []  # no sidecar, no .part file
+
+
+@pytest.mark.slow
+def test_convert_of_a_missing_input_leaves_no_sidecar(tmp_path):
+    proc = _cli(
+        ["convert", "--trace", str(tmp_path / "absent.tsv"), "--out", str(tmp_path / "o.bin"),
+         "--on-error", "quarantine"],
+        tmp_path,
+    )
+    assert proc.returncode == EXIT_MISSING_INPUT, proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["classify", "--trace", "t.tsv", "--bogus"], "unrecognized arguments: --bogus"),
+        (["classify", *_ECO], "the following arguments are required: --trace"),
+        (["lint", "--self"], "unrecognized arguments: --self"),
+    ],
+    ids=["unknown-flag", "missing-required-flag", "lint-self"],
+)
+def test_usage_errors_exit_1(tmp_path, args, message):
+    """1, not argparse's 2: a script must tell a typo from a missing input."""
+    proc = _cli(args, tmp_path)
+    assert proc.returncode == EXIT_STRICT_ABORT, proc.stderr
+    assert message in proc.stderr
+    assert "usage: repro" in proc.stderr
 
 
 @pytest.mark.slow
@@ -285,7 +315,7 @@ class TestSnapshotExitCodes:
 
     def test_matcher_flag_is_gone(self, tmp_path, trace_file):
         proc = self._classify(tmp_path, trace_file, "--matcher", "actrie")
-        assert proc.returncode == 2
+        assert proc.returncode == EXIT_STRICT_ABORT
         assert "unrecognized arguments: --matcher" in proc.stderr
 
     def test_corrupt_snapshot_exits_6(self, tmp_path, trace_file, snapshot_file):

@@ -252,7 +252,7 @@ def test_cached_output_is_byte_identical(
     reorder_window = 5.0 if jitter_s else None
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "trace.tsv")
-        with open(path, "w") as stream:  # staticcheck: ok[RC001] test scratch file
+        with open(path, "w") as stream:
             stream.write(corruptor.corrupt_text(trace_text))
         cached = _classify_file(pipeline, path, policy, reorder_window)
         uncached = _classify_file(uncached_pipeline, path, policy, reorder_window)
@@ -265,7 +265,7 @@ def test_session_pipeline_caches_by_default(pipeline, trace_text):
     assert isinstance(pipeline.engine, CachingEngine)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "trace.tsv")
-        with open(path, "w") as stream:  # staticcheck: ok[RC001] test scratch file
+        with open(path, "w") as stream:
             stream.write(trace_text)
         _classify_file(pipeline, path, ErrorPolicy.SKIP, None)
     stats = pipeline.decision_cache_stats

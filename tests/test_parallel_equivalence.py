@@ -105,7 +105,7 @@ def test_parallel_output_is_byte_identical(
     reorder_window = 5.0 if jitter_s else None
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "trace.tsv")
-        with open(path, "w") as stream:  # staticcheck: ok[RC001] test scratch file
+        with open(path, "w") as stream:
             stream.write(corruptor.corrupt_text(trace_text))
         serial = _serial_classify(pipeline, path, policy, reorder_window)
         parallel = _parallel_classify(pipeline, path, policy, reorder_window, workers)
@@ -120,7 +120,7 @@ def test_strict_mode_aborts_on_the_same_line(pipeline, trace_text, workers, seed
     corruptor = TraceCorruptor(rate=0.05, seed=seed)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "trace.tsv")
-        with open(path, "w") as stream:  # staticcheck: ok[RC001] test scratch file
+        with open(path, "w") as stream:
             stream.write(corruptor.corrupt_text(trace_text))
         with pytest.raises(LogParseError) as serial_abort:
             _serial_classify(pipeline, path, ErrorPolicy.STRICT, None)
@@ -133,7 +133,7 @@ def test_strict_mode_aborts_on_the_same_line(pipeline, trace_text, workers, seed
 def test_single_worker_pool_matches_serial(pipeline, trace_text):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "trace.tsv")
-        with open(path, "w") as stream:  # staticcheck: ok[RC001] test scratch file
+        with open(path, "w") as stream:
             stream.write(trace_text)
         serial = _serial_classify(pipeline, path, ErrorPolicy.STRICT, None)
         parallel = _parallel_classify(pipeline, path, ErrorPolicy.STRICT, None, 1)

@@ -3,7 +3,7 @@ the oracle (the plain bucket :class:`FilterEngine`), the production
 :class:`ACTrieEngine`, and a production engine restored from a snapshot
 of the oracle.
 
-This is the linter's soundness anchor (DESIGN.md §9.5): the FL checks
+This is the linter's soundness anchor (DESIGN.md §9.2): the FL checks
 reason about pattern structure, which is only meaningful if the engines
 agree on what a pattern *means*.  Hypothesis generates rules from the
 documented ABP grammar plus URLs biased to collide with them, and

@@ -25,6 +25,10 @@ from repro.serve import EngineHolder, EngineSource, ServeApp, ServeConfig
 from repro.serve.app import CONNECTION_GRACE_S
 from repro.serve.http11 import MAX_HEADERS, MAX_LINE
 
+# Debug-mode loops: a slow callback, an asyncio-logged error or an
+# un-awaited coroutine fails the test (tests/conftest.py).
+pytestmark = pytest.mark.usefixtures("asyncio_debug")
+
 LIST_V1 = """! serve test list v1
 ||ads.example.com^
 /banner/*

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import asyncio
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,6 +30,10 @@ from repro.filterlist.lists import FilterList
 from repro.filterlist.options import ContentType
 from repro.serve import EngineHolder, EngineSource
 from repro.serve.reload import ReloadManager
+
+# Debug-mode loops: a slow callback, an asyncio-logged error or an
+# un-awaited coroutine fails the test (tests/conftest.py).
+pytestmark = pytest.mark.usefixtures("asyncio_debug")
 
 HOSTS = ["ads.alpha.com", "cdn.beta.net", "track.gamma.org", "static.delta.io"]
 PATHS = ["/spot.gif", "/lib.js", "/banner/x.png", "/index.html", "/pixel"]
