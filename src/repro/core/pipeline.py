@@ -471,7 +471,6 @@ class AdClassificationPipeline:
         self,
         records: Iterable[HttpLogRecord],
         *,
-        resume_from: dict | None = None,
         fixup_window: int | None = 1024,
         reorder_window: float | None = None,
         max_users: int | None = None,
@@ -492,10 +491,6 @@ class AdClassificationPipeline:
         million-user streams (an evicted user restarts with an empty
         referrer map if it reappears).  ``health`` tallies reorderings
         and evictions.
-
-        ``resume_from`` takes a :meth:`StreamingClassifier.export_state`
-        snapshot; ``records`` must then be the remainder of the stream
-        it was taken from, and the other options must match that run's.
         """
         classifier = StreamingClassifier(
             self,
@@ -504,8 +499,6 @@ class AdClassificationPipeline:
             max_users=max_users,
             health=health,
         )
-        if resume_from is not None:
-            classifier.restore_state(resume_from)
         for record in records:
             yield from classifier.feed(record)
         yield from classifier.finish()

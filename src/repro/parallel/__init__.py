@@ -6,7 +6,7 @@ stream to its own :class:`~repro.core.pipeline.StreamingClassifier`
 over the parent's pipeline, and folds the results back into output
 byte-identical to the serial path.  See :mod:`repro.parallel.worker`
 for how a shard feeds the classifier and :mod:`repro.parallel.runner`
-for the deterministic merge and the per-shard durable-run extension.
+for the deterministic merge and how a durable pool run checkpoints.
 """
 
 from repro.parallel.runner import ParallelRun, RunInterrupted, WorkerFailure

@@ -6,17 +6,18 @@ back into the single serial-order output: rows re-interleave by ingest
 index, rejected lines by line number, health counters and traffic
 accumulators by ``merge_state()`` in shard order.
 
-Durable runs extend the DESIGN.md §8 model with *per-shard* checkpoint
-stores.  Each worker autonomously saves generation ``n`` when its
+Durable runs keep the DESIGN.md §8 model unchanged: one checkpoint
+store, written by the parent alone.  Each worker cuts when its
 replicated stream position crosses the ``n * checkpoint_every``-th
 parsed record — a pure function of the input, so all workers cut at the
-same global positions — and notifies the parent, which saves its own
-generation-``n`` state (sink positions, emit frontier, sidecar
-watermark) once every shard's marker for ``n`` has arrived.  Resume
-restarts every worker from the newest generation valid in the parent
-store *and* every shard store; output published beyond that cut is
-deduplicated by the emit frontier, which is lossless because the
-replayed tail regenerates it byte-identically.
+same global positions — and sends its shard state to the parent.  Once
+every shard's state for ``n`` has arrived, the parent saves generation
+``n``: its own state (sink positions, emit frontier, sidecar watermark)
+plus the list of shard states.  Resume is the serial path's: the newest
+generation that validates, each worker forked with its shard's state
+from it.  Output published beyond that cut is deduplicated by the emit
+frontier, which is lossless because the replayed tail regenerates it
+byte-identically.
 
 Worker *supervision* (DESIGN.md §12) rides on the same message stream:
 every message doubles as a heartbeat, a
@@ -32,14 +33,14 @@ from __future__ import annotations
 import multiprocessing
 import os
 import queue as queue_module
-from typing import Callable
+from typing import Any, Callable
 
 from repro.core.pipeline import AdClassificationPipeline
 from repro.http.log import SeekableLogReader
 from repro.parallel.sharding import OrderedRowEmitter, QuarantineMerger
 from repro.parallel.supervision import RunInterrupted, WorkerFailure, WorkerSupervisor
 from repro.parallel.worker import MessageKind, WorkerConfig, run_worker
-from repro.robustness.checkpoint import CheckpointStore
+from repro.robustness.checkpoint import Checkpoint, CheckpointStore
 from repro.robustness.crash import CHAOS_ENV
 from repro.robustness.health import PipelineHealth
 from repro.robustness.policy import ErrorPolicy, LogParseError
@@ -62,8 +63,6 @@ __all__ = [
     "WorkerFailure",
 ]
 
-PARENT_STATE_VERSION = 1
-
 _QUEUE_SLOTS_PER_WORKER = 4
 _POLL_TIMEOUT_S = 1.0
 # How long finished workers get to exit before being reported as
@@ -80,8 +79,8 @@ class ParallelRun:
     ``emit="rows"``, a :class:`TrafficSink` whose accumulator the shard
     folds merge into for ``emit="fold"``, or none to discard — a
     ``quarantine_path`` for the sidecar, and optionally a
-    :class:`Checkpointing`, which adds the run manifest, the parent
-    checkpoint store and one store per shard under its directory.
+    :class:`Checkpointing`, which adds the run manifest and the run's
+    checkpoint store under its directory, as it does for a serial run.
 
     Workers are forked and inherit ``pipeline`` as it stands: the engine
     is built (or restored from a snapshot) once, in the parent.
@@ -130,78 +129,37 @@ class ParallelRun:
             None if worker_timeout is None else min(1.0, worker_timeout / 4.0)
         )
         self.chaos = chaos if chaos is not None else os.environ.get(CHAOS_ENV) or None
-        self._last_parent_generation = 0
+        self._saved_generation = 0
         self.log = log
-
-    # -- checkpoint stores --------------------------------------------------
-
-    @property
-    def parent_store(self) -> CheckpointStore:
-        assert self.checkpointing is not None
-        return self.checkpointing.store("parent")
-
-    def shard_store(self, worker_id: int) -> CheckpointStore:
-        assert self.checkpointing is not None
-        return self.checkpointing.store(f"shard-{worker_id:02d}")
-
-    def _stores(self) -> list[CheckpointStore]:
-        return [self.parent_store] + [
-            self.shard_store(worker_id) for worker_id in range(self.workers)
-        ]
 
     # -- lifecycle --------------------------------------------------------
 
-    def _prepare(self) -> tuple[int | None, dict | None]:
-        """Manifest handling + resume rendezvous: the newest generation
-        valid in the parent store *and* every shard store."""
-        if self.checkpointing is None:
-            return None, None
-        self.checkpointing.begin(self._stores())
-        if not self.checkpointing.resume:
-            return None, None
-        candidates = set(self.parent_store.valid_generations())
-        for worker_id in range(self.workers):
-            candidates &= set(self.shard_store(worker_id).valid_generations())
-            if not candidates:
-                break
-        if not candidates:
-            self.log("no valid checkpoint found; restarting from the beginning")
-            return None, None
-        generation = max(candidates)
-        payload = self.parent_store.load(generation).payload
-        if payload.get("version") != PARENT_STATE_VERSION:
-            raise ValueError(f"unsupported parent state version {payload.get('version')!r}")
-        self.log(
-            f"resuming from checkpoint generation {generation} "
-            f"({payload['records']} records already processed)"
-        )
-        return generation, payload
-
     def _spawn_worker(
-        self, context, out_queue, worker_id: int, attempt: int, rendezvous: int | None
-    ):
+        self,
+        context: Any,
+        out_queue: Any,
+        worker_id: int,
+        attempt: int,
+        store: CheckpointStore | None,
+        resumed: Checkpoint | None,
+    ) -> Any:
         """Start one shard incarnation (the supervisor's spawn callback).
 
-        The first incarnation resumes from the pool-wide rendezvous
-        generation; a *respawn* resumes from the parent's last *saved*
-        generation.  Not the shard's own newest checkpoint: a worker
-        saves to disk before its marker message clears the queue pipe,
-        so its newest generation can run *ahead* of what the parent has
-        folded — resuming there would silently skip the in-flight rows
-        that died with the old incarnation.  The parent generation is
-        at or behind its fold frontier for every shard, so the replayed
-        tail regenerates everything missing (and re-sends some rows the
-        parent already holds, which the idempotent merge structures
-        absorb).  Non-durable respawns replay the whole shard from
-        scratch for the same reason.
+        The first incarnation resumes from the run's resume point; a
+        respawn from the newest generation the parent has saved, whose
+        cut is at or behind everything the parent has folded, so the
+        replayed tail regenerates whatever died with the old incarnation
+        (re-sent rows the parent already holds are absorbed by the
+        idempotent merge structures).  With nothing saved, the shard
+        replays from the top.
         """
+        checkpoint = resumed
+        if attempt > 0:
+            checkpoint = None
+            if self._saved_generation:
+                assert store is not None
+                checkpoint = store.load(self._saved_generation)
         checkpointing = self.checkpointing
-        if attempt == 0:
-            resume_generation = rendezvous
-        elif checkpointing is not None:
-            resume_generation = self._last_parent_generation or None
-        else:
-            resume_generation = None
         config = WorkerConfig(
             worker_id=worker_id,
             workers=self.workers,
@@ -210,16 +168,15 @@ class ParallelRun:
             fixup_window=DURABLE_FIXUP_WINDOW if checkpointing is not None else None,
             reorder_window=self.reorder_window,
             emit=self.emit,
-            checkpoint_dir=self.shard_store(worker_id).directory if checkpointing else None,
             checkpoint_every=checkpointing.every if checkpointing else None,
-            resume_generation=resume_generation,
             attempt=attempt,
             heartbeat_interval_s=self.heartbeat_interval_s,
             chaos=self.chaos,
         )
+        resume = checkpoint.payload["shards"][worker_id] if checkpoint is not None else None
         process = context.Process(
             target=run_worker,
-            args=(config, self.pipeline, out_queue),
+            args=(config, self.pipeline, out_queue, resume),
             daemon=True,
         )
         process.start()
@@ -231,8 +188,11 @@ class ParallelRun:
         # Surface a missing input (CLI exit 2) or an old binlog version
         # (exit 1) in the parent instead of as a WorkerFailure traceback.
         SeekableLogReader(self.input_path).close()
-        resume_generation, payload = self._prepare()
         sink, checkpointing = self.sink, self.checkpointing
+        store = checkpoint = None
+        if checkpointing is not None:
+            store, checkpoint = checkpointing.begin(self.log)
+        payload = checkpoint.payload if checkpoint is not None else None
         quarantine = open_quarantine(
             self.on_error,
             self.quarantine_path,
@@ -242,7 +202,7 @@ class ParallelRun:
         try:
             if sink is not None:
                 sink.begin(fresh=payload is None, state=payload["sink"] if payload else None)
-            result = self._fold(resume_generation, payload, quarantine)
+            result = self._fold(store, checkpoint, quarantine)
             if result.degraded_shards and checkpointing is not None:
                 # Honest partial result: withhold finalize so the .part
                 # outputs and every checkpoint survive for a --resume
@@ -255,9 +215,8 @@ class ParallelRun:
                 if sink is not None and not result.degraded_shards:
                     sink.finalize()
                 publish_quarantine(quarantine, self.quarantine_path, checkpointing)
-                if checkpointing is not None:
-                    for store in self._stores():
-                        store.clear()
+                if store is not None:
+                    store.clear()
         finally:
             # After a publish these are no-ops; after anything else they
             # release the streams without publishing: a checkpointed run
@@ -271,11 +230,12 @@ class ParallelRun:
 
     def _fold(
         self,
-        resume_generation: int | None,
-        payload: dict | None,
+        store: CheckpointStore | None,
+        resumed: Checkpoint | None,
         quarantine: QuarantineWriter | None,
     ) -> RunResult:
         """Supervise the pool and merge its message streams in order."""
+        payload = resumed.payload if resumed is not None else None
         emitter = OrderedRowEmitter(next_emit=payload["next_emit"] if payload else 0)
         merger = QuarantineMerger(
             quarantine.write if quarantine is not None else (lambda line_no, reason, raw: None),
@@ -287,7 +247,7 @@ class ParallelRun:
         supervisor = WorkerSupervisor(
             workers=self.workers,
             spawn=lambda worker_id, attempt: self._spawn_worker(
-                context, out_queue, worker_id, attempt, resume_generation
+                context, out_queue, worker_id, attempt, store, resumed
             ),
             retry=self.retry,
             worker_timeout=self.worker_timeout,
@@ -296,12 +256,13 @@ class ParallelRun:
         )
 
         done: dict[int, dict] = {}
-        markers: dict[int, dict[int, dict]] = {}
+        # Shard states by generation, until every shard's has arrived.
+        cuts: dict[int, dict[int, dict]] = {}
         checkpoints_written = 0
         # Doubles as the respawn resume point and the guard against
-        # replayed markers (a respawned shard re-walks cuts the parent
-        # may already have made durable).
-        self._last_parent_generation = resume_generation or 0
+        # replayed cuts (a respawned shard re-walks cuts the parent may
+        # already have saved).
+        self._saved_generation = resumed.generation if resumed is not None else 0
         # Workers ignore SIGINT themselves, so a terminal ^C reaches only
         # the parent, which shuts the pool down cleanly.
         with InterruptFlag() as interrupt:
@@ -331,24 +292,25 @@ class ParallelRun:
                     if kind is MessageKind.BATCH:
                         for index, row, is_ad, is_whitelisted in message["rows"]:
                             emitter.push(index, (row, is_ad, is_whitelisted))
-                        for row, is_ad, is_whitelisted in emitter.drain():
-                            self._consume_row(row, is_ad, is_whitelisted)
+                        self._consume_rows(emitter.drain())
                         for line_no, reason, raw in message["quarantine"]:
                             merger.push(line_no, reason, raw)
                     elif kind is MessageKind.HB:
                         pass  # pure liveness evidence; accept() already credited it
                     elif kind is MessageKind.CKPT:
-                        generation = message["generation"]
-                        if generation > self._last_parent_generation:
-                            group = markers.setdefault(generation, {})
+                        assert store is not None and self.checkpointing is not None
+                        assert self.checkpointing.every
+                        generation = message["arrivals"] // self.checkpointing.every
+                        if generation > self._saved_generation:
+                            group = cuts.setdefault(generation, {})
                             group[worker_id] = message
                             if len(group) == self.workers:
-                                del markers[generation]
-                                self._save_parent_checkpoint(
-                                    generation, group, emitter, merger, quarantine
+                                del cuts[generation]
+                                self._save_checkpoint(
+                                    store, generation, group, emitter, merger, quarantine
                                 )
                                 checkpoints_written += 1
-                                self._last_parent_generation = generation
+                                self._saved_generation = generation
                     elif kind is MessageKind.DONE:
                         done[worker_id] = message
                         supervisor.mark_done(worker_id)
@@ -375,8 +337,7 @@ class ParallelRun:
                 out_queue.close()
 
         degraded_shards = supervisor.failed_ids
-        for row, is_ad, is_whitelisted in emitter.drain():
-            self._consume_row(row, is_ad, is_whitelisted)
+        self._consume_rows(emitter.drain())
         if degraded_shards:
             for worker_id in degraded_shards:
                 self.log(f"shard {worker_id} lost: {supervisor.slots[worker_id].fail_reason}")
@@ -423,34 +384,52 @@ class ParallelRun:
         return RunResult(
             health=health,
             records=records,
-            resumed_generation=resume_generation,
+            resumed_generation=resumed.generation if resumed is not None else None,
             checkpoints_written=checkpoints_written,
             quarantine_count=quarantine.count if quarantine is not None else 0,
             degraded_shards=degraded_shards,
             worker_restarts=supervisor.restarts,
         )
 
-    def _consume_row(self, row: str, is_ad: bool, is_whitelisted: bool) -> None:
-        if self.sink is not None:
-            self.sink.consume_row(row, is_ad, is_whitelisted)
-        if self.checkpointing is not None and self.checkpointing.crash_injector is not None:
-            self.checkpointing.crash_injector.tick(1)
+    def _consume_rows(self, rows: list[tuple[str, bool, bool]]) -> None:
+        """Hand one drained run of rows to the sink.
 
-    def _save_parent_checkpoint(
+        ``--crash-after N`` counts rows here: the run is split where
+        the injector fires, so the crash lands with exactly N rows in
+        the sink.
+        """
+        checkpointing = self.checkpointing
+        injector = checkpointing.crash_injector if checkpointing is not None else None
+        start = 0
+        while start < len(rows):
+            end = len(rows) if injector is None else min(len(rows), start + injector.remaining)
+            if self.sink is not None:
+                for row, is_ad, is_whitelisted in rows[start:end]:
+                    self.sink.consume_row(row, is_ad, is_whitelisted)
+            if injector is not None:
+                injector.tick(end - start)
+            start = end
+
+    def _save_checkpoint(
         self,
+        store: CheckpointStore,
         generation: int,
         group: dict[int, dict],
         emitter: OrderedRowEmitter,
         merger: QuarantineMerger,
         quarantine: QuarantineWriter | None,
     ) -> None:
-        """Persist parent state once every shard's generation is durable.
+        """Save generation ``generation``: the parent's state and every
+        shard's, into the run's one store.
 
         Workers replicate the same stream, so their cut coordinates
         must agree exactly — a mismatch means the replication invariant
         broke and resuming would corrupt output.
         """
-        cuts = {(message["line_no"], message["next_index"]) for message in group.values()}
+        cuts = {
+            (message["reader"]["line_no"], message["classifier"]["next_index"])
+            for message in group.values()
+        }
         if len(cuts) != 1:
             raise WorkerFailure(
                 f"shard checkpoints disagree on the generation-{generation} cut: {sorted(cuts)}"
@@ -458,25 +437,16 @@ class ParallelRun:
         cut_line, _cut_index = cuts.pop()
         if quarantine is not None:
             # Everything at or below the cut line has arrived (workers
-            # flush before their marker), so it is safe — and necessary,
+            # flush before their state), so it is safe — and necessary,
             # for the recorded position to cover it — to flush now.
             merger.release(cut_line)
-        assert self.sink is not None and self.checkpointing is not None
-        assert self.checkpointing.every is not None
+        assert self.sink is not None
         state = {
-            "version": PARENT_STATE_VERSION,
-            "workers": self.workers,
-            "generation": generation,
-            "records": generation * self.checkpointing.every,
+            "records_fed": group[0]["arrivals"],
             "next_emit": emitter.next_emit,
             "sink": self.sink.export_state(),
             "quarantine": quarantine_state(quarantine),
             "flushed_line": merger.flushed_line,
+            "shards": [group[worker_id] for worker_id in range(self.workers)],
         }
-        self.parent_store.save(state, generation=generation)
-        # Retention is the parent's call: shard stores never self-prune
-        # (they run ahead of the parent and would delete the very
-        # generations the resume rendezvous needs).  Prune them to the
-        # parent's retention window, leaving newer shard generations be.
-        for worker_id in range(self.workers):
-            self.shard_store(worker_id).prune_through(generation)
+        store.save(state, generation=generation)

@@ -16,7 +16,7 @@ run ahead of the cut), and the replayed tail regenerates them
 byte-identically; skipping everything at or below the restored
 watermark is therefore lossless.  The same idempotence is what makes
 supervised shard *respawn* (DESIGN.md §12) safe: a restarted worker
-replays its stream from its last checkpoint (or from scratch) and
+replays its stream from the last saved checkpoint (or from scratch) and
 re-sends rows and rejected lines the parent may already hold — rows
 overwrite identical pending payloads, rejected lines dedup by line
 number, so one incarnation or five produce the same fold.
@@ -27,7 +27,7 @@ next to the record schema it keys on.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Callable
 
 from repro.http.log import claims_line, shard_of
 
@@ -52,14 +52,15 @@ class OrderedRowEmitter:
             return  # already published before the resumed checkpoint
         self.pending[index] = payload
 
-    def drain(self) -> Iterator[tuple]:
-        """Yield payloads for the contiguous prefix available right now."""
-        while self.pending:
-            payload = self.pending.pop(self.next_emit, None)
-            if payload is None:
-                return
-            self.next_emit += 1
-            yield payload
+    def drain(self) -> list[tuple]:
+        """Pop the payloads of the contiguous prefix available right now."""
+        pending, index = self.pending, self.next_emit
+        run = []
+        while index in pending:
+            run.append(pending.pop(index))
+            index += 1
+        self.next_emit = index
+        return run
 
     def assert_empty(self) -> None:
         if self.pending:

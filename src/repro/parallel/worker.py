@@ -15,6 +15,12 @@ with their ``index``; the parent merely interleaves shards back into
 index order, which is what makes parallel output byte-identical to the
 serial path.
 
+A worker never writes to disk.  On a durable run it cuts at every
+``checkpoint_every``-th record, flushes its rows and sends its shard
+state (stream position, classifier state, health) to the parent, which
+saves it into the run's one checkpoint store; a resumed or respawned
+worker is handed that state back when it is forked.
+
 Supervision (DESIGN.md §12) adds three obligations on this side:
 
 * every message is stamped with the worker's incarnation ``attempt``
@@ -48,7 +54,6 @@ from repro.core.pipeline import (
 from repro.exitcodes import EXIT_WORKER_ORPHANED, EXIT_WORKER_TERMINATED
 from repro.http.log import SeekableLogReader
 from repro.http.url import split_url
-from repro.robustness.checkpoint import CheckpointStore
 from repro.robustness.crash import CRASH_EXIT_CODE, FaultAction, WorkerFaultInjector
 from repro.robustness.health import PipelineHealth
 from repro.robustness.policy import ErrorPolicy, LogParseError
@@ -58,9 +63,7 @@ from repro.robustness.runstate import classification_row
 if TYPE_CHECKING:
     from repro.analysis.traffic import TrafficAccumulator
 
-__all__ = ["MessageKind", "WorkerConfig", "run_worker", "SHARD_STATE_VERSION"]
-
-SHARD_STATE_VERSION = 2
+__all__ = ["MessageKind", "WorkerConfig", "run_worker"]
 
 # Rows per "batch" message; bounds both message size and the arrival
 # lag of the parent's contiguous-prefix emitter.
@@ -86,7 +89,7 @@ class MessageKind(str, Enum):
 
     BATCH = "batch"  # rendered rows + quarantined lines
     HB = "hb"  # heartbeat: liveness only
-    CKPT = "ckpt"  # this shard's generation is durable
+    CKPT = "ckpt"  # this shard's state at a checkpoint cut
     DONE = "done"  # final health, fold and cache counters
     PARSE_ERROR = "parse_error"  # strict-mode abort
     ERROR = "error"  # unexpected exception, as a traceback
@@ -109,9 +112,7 @@ class WorkerConfig:
     fixup_window: int | None
     reorder_window: float | None
     emit: str = "rows"  # "rows" (classify) | "fold" (report)
-    checkpoint_dir: str | None = None  # this shard's own store
-    checkpoint_every: int | None = None
-    resume_generation: int | None = None
+    checkpoint_every: int | None = None  # None: plain run, no cuts
     attempt: int = 0  # incarnation number, stamped on every message
     heartbeat_interval_s: float | None = None  # None = no heartbeats
     chaos: str | None = None  # fault-injection spec (crash.parse_chaos)
@@ -142,8 +143,13 @@ def run_worker(
     config: WorkerConfig,
     pipeline: AdClassificationPipeline,
     out_queue: Any,
+    resume: dict | None = None,
 ) -> None:
     """Process entry point: run one shard, stream results to the parent.
+
+    ``resume`` is the shard state of a ``ckpt`` message this shard sent
+    earlier (the checkpoint it resumes from), or ``None`` to start at
+    the top of the input.
 
     Every outcome — including a strict-mode parse abort and unexpected
     exceptions — leaves as a message, so the parent never has to infer
@@ -168,7 +174,7 @@ def run_worker(
         # signal.
         if config.heartbeat_interval_s is not None:
             _put(out_queue, parent_pid, worker_id, attempt, MessageKind.HB, {"arrivals": 0})
-        _ShardWorker(config, pipeline, out_queue, parent_pid).run()
+        _ShardWorker(config, pipeline, out_queue, parent_pid).run(resume)
     except LogParseError as exc:
         _put(
             out_queue,
@@ -262,15 +268,6 @@ class _ShardWorker:
         self.pipeline = pipeline
         self.out_queue = out_queue
         self.parent_pid = parent_pid
-        # keep=None: a shard never prunes its own store.  The parent lags
-        # behind the workers (it checkpoints generation n only once every
-        # shard's marker for n has arrived), so retention is the parent's
-        # call — it prunes shard stores relative to its *own* generation.
-        self.store = (
-            CheckpointStore(config.checkpoint_dir, keep=None)
-            if config.checkpoint_dir is not None
-            else None
-        )
         self.quarantine = _QuarantineBuffer()
         self.health = PipelineHealth()
         self._arrivals = 0  # parsed records seen, in arrival order
@@ -295,13 +292,11 @@ class _ShardWorker:
 
     # -- lifecycle --------------------------------------------------------
 
-    def run(self) -> None:
+    def run(self, resume: dict | None) -> None:
         config = self.config
-        payload = None
-        if config.resume_generation is not None:
-            assert self.store is not None
-            payload = self.store.load(config.resume_generation).payload
-            self._restore_scalars(payload)
+        if resume is not None:
+            self.health = PipelineHealth.from_state(resume["health"])
+            self._arrivals = resume["arrivals"]
         self.reader = SeekableLogReader(
             config.input_path,
             on_error=ErrorPolicy(config.on_error),
@@ -315,27 +310,13 @@ class _ShardWorker:
             reorder_window=config.reorder_window,
             health=self.health,
         )
-        if payload is not None:
-            self.reader.seek(**payload["reader"])
-            self.classifier.restore_state(payload["classifier"])
+        if resume is not None:
+            self.reader.seek(**resume["reader"])
+            self.classifier.restore_state(resume["classifier"])
         try:
             self._loop()
         finally:
             self.reader.close()
-
-    def _restore_scalars(self, payload: dict) -> None:
-        if payload.get("version") != SHARD_STATE_VERSION:
-            raise ValueError(f"unsupported shard state version {payload.get('version')!r}")
-        if (payload["worker"], payload["workers"]) != (
-            self.config.worker_id,
-            self.config.workers,
-        ):
-            raise ValueError(
-                f"shard checkpoint belongs to worker {payload['worker']}/{payload['workers']}, "
-                f"not {self.config.worker_id}/{self.config.workers}"
-            )
-        self.health = PipelineHealth.from_state(payload["health"])
-        self._arrivals = payload["arrivals"]
 
     # -- the run loop -----------------------------------------------------
 
@@ -348,7 +329,7 @@ class _ShardWorker:
             self._arrivals += 1
             for entry in feed(record, owned):
                 self._emit(entry)
-            if self.store is not None and every and self._arrivals % every == 0:
+            if every and self._arrivals % every == 0:
                 self._checkpoint()
             # Supervision duties, after this record's effects (rows,
             # checkpoint) have been applied — so an injected crash at
@@ -423,40 +404,27 @@ class _ShardWorker:
     # -- checkpoints ------------------------------------------------------
 
     def _checkpoint(self) -> None:
-        """Save this shard's generation; tell the parent it is durable.
+        """Send the parent this shard's state at a checkpoint cut.
 
-        The generation number is ``arrivals / checkpoint_every`` — a
-        pure function of the replicated stream position — so all
-        workers independently produce the *same* generation numbers at
-        the *same* global cut points, which is what lets resume pick a
-        single rendezvous generation across stores.  Rows are flushed
-        first: when the parent has collected this marker from every
-        shard, every row at or below the cut has already arrived.
+        Cuts fall at every ``checkpoint_every``-th record of the
+        replicated stream — a pure function of the input — so all
+        workers cut at the *same* global positions, and the parent saves
+        generation ``arrivals // checkpoint_every`` once every shard's
+        state for it has arrived.  Rows are flushed first: by then every
+        row at or below the cut has reached the parent.
         """
         self._flush()
-        assert self.store is not None and self.config.checkpoint_every
         assert self.reader is not None and self.classifier is not None
-        generation = self._arrivals // self.config.checkpoint_every
-        payload = {
-            "version": SHARD_STATE_VERSION,
-            "worker": self.config.worker_id,
-            "workers": self.config.workers,
-            "generation": generation,
-            "arrivals": self._arrivals,
-            "reader": {
-                "offset": self.reader.offset,
-                "line_no": self.reader.line_no,
-                "header": self.reader.header,
-            },
-            "classifier": self.classifier.export_state(),
-            "health": self.health.export_state(),
-        }
-        self.store.save(payload, generation=generation)
         self._send(
             MessageKind.CKPT,
             {
-                "generation": generation,
-                "line_no": self.reader.line_no,
-                "next_index": self.classifier.next_index,
+                "arrivals": self._arrivals,
+                "reader": {
+                    "offset": self.reader.offset,
+                    "line_no": self.reader.line_no,
+                    "header": self.reader.header,
+                },
+                "classifier": self.classifier.export_state(),
+                "health": self.health.export_state(),
             },
         )

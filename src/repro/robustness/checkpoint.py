@@ -27,7 +27,6 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass
-from typing import Iterator
 
 from repro.robustness.atomic import Framing
 
@@ -56,18 +55,21 @@ class Checkpoint:
 class CheckpointStore:
     """Reads and writes numbered checkpoint generations in a directory.
 
+    A durable run has exactly one store, its checkpoint directory,
+    whether it runs serially or over the shard pool: a pool
+    generation carries every shard's state inside the parent's
+    payload (DESIGN.md §10), so there is one generation sequence to
+    validate, resume from and prune.
+
     Args:
         directory: checkpoint directory (created on first save).
         keep: retained generations; older ones are pruned after a
             successful save.  ``keep >= 2`` is what makes torn-newest
-            fallback possible.  ``None`` disables save-time pruning —
-            used by shard-parallel workers, whose retention is owned by
-            the parent (it lags behind them and prunes via
-            :meth:`prune_through` once its own generation advances).
+            fallback possible.
     """
 
-    def __init__(self, directory: str | os.PathLike, *, keep: int | None = 3):
-        if keep is not None and keep < 1:
+    def __init__(self, directory: str | os.PathLike, *, keep: int = 3):
+        if keep < 1:
             raise ValueError("keep must be >= 1")
         self.directory = os.fspath(directory)
         self.keep = keep
@@ -99,21 +101,15 @@ class CheckpointStore:
             generation = (existing[-1] + 1) if existing else 1
         os.makedirs(self.directory, exist_ok=True)
         _FRAMING.write(self.path_for(generation), payload)
-        self.prune_through(generation)
-        return Checkpoint(generation=generation, payload=payload)
-
-    def prune_through(self, generation: int) -> None:
-        """Prune as if ``generation`` were the newest save: keep the
-        newest ``keep`` generations at or below it, leaving anything
-        newer untouched (a shard worker may already have run ahead)."""
-        if self.keep is None:
-            return
-        generations = [g for g in self.generations() if g <= generation]
-        for stale in generations[: -self.keep]:
+        # Keep the newest ``keep`` at or below this one; a damaged newer
+        # generation left by a crash stays for post-mortems.
+        retained = [g for g in self.generations() if g <= generation]
+        for stale in retained[: -self.keep]:
             try:
                 os.unlink(self.path_for(stale))
             except OSError:
                 pass  # pruning is housekeeping, never fatal
+        return Checkpoint(generation=generation, payload=payload)
 
     def clear(self) -> None:
         """Delete every generation: a finished run must not be resumed
@@ -139,23 +135,9 @@ class CheckpointStore:
         Damaged newer generations are left on disk for post-mortems —
         the next :meth:`save` writes a higher generation anyway.
         """
-        return next(self._valid(reversed(self.generations())), None)
-
-    def valid_generations(self) -> list[int]:
-        """Generation numbers that fully validate, ascending.
-
-        Shard-parallel resume (DESIGN.md §10) must restart every worker
-        from the *same* generation, so the rendezvous point is the
-        newest generation valid in the parent store and every shard
-        store at once — which needs the whole valid set, not just the
-        newest survivor that :meth:`latest` returns.
-        """
-        return [checkpoint.generation for checkpoint in self._valid(self.generations())]
-
-    def _valid(self, generations) -> Iterator[Checkpoint]:
-        """Those of ``generations`` that validate, loaded one at a time."""
-        for generation in generations:
+        for generation in reversed(self.generations()):
             try:
-                yield self.load(generation)
+                return self.load(generation)
             except CheckpointError:
                 continue
+        return None

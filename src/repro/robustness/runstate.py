@@ -49,7 +49,7 @@ from repro.core.pipeline import (
 from repro.core.users import UserKey, UserStats
 from repro.http.log import SeekableLogReader, encode_field
 from repro.robustness.atomic import atomic_writer, replace_atomic
-from repro.robustness.checkpoint import CheckpointStore
+from repro.robustness.checkpoint import Checkpoint, CheckpointStore
 from repro.robustness.crash import CrashInjector
 from repro.robustness.health import PipelineHealth
 from repro.robustness.policy import ErrorPolicy, RunInterrupted
@@ -108,8 +108,9 @@ def classification_row(entry: ClassifiedRequest) -> str:
 MANIFEST_NAME = "manifest.json"
 # Version 1 directories hold pickled checkpoints; version 2 pool
 # directories keep the reorder heap outside the shard classifier's
-# state.  Both are refused up front.
-MANIFEST_VERSION = 3
+# state; version 3 pool directories keep one store per shard beside
+# the parent's.  All are refused up front.
+MANIFEST_VERSION = 4
 DEFAULT_CHECKPOINT_EVERY = 10_000
 
 # Fix-up window of a checkpointed run, serial or pooled: it bounds the
@@ -450,22 +451,34 @@ class Checkpointing:
     resume: bool = False
     crash_injector: CrashInjector | None = None
 
-    def store(self, *subdirectory: str) -> CheckpointStore:
-        return CheckpointStore(os.path.join(self.directory, *subdirectory), keep=self.keep)
+    def begin(
+        self, log: Callable[[str], None]
+    ) -> tuple[CheckpointStore, Checkpoint | None]:
+        """The run's store and where it resumes from, serial or pooled.
 
-    def begin(self, stores: list[CheckpointStore]) -> None:
-        """Resume: refuse unless the saved manifest is this run.  Fresh:
-        write the manifest and drop generations an older run left in
-        ``stores`` — a stale one would otherwise be "resumed" later."""
+        Resume: refuse unless the saved manifest is this run, then pick
+        the newest generation that validates (``None``: restart).
+        Fresh: write the manifest and drop generations an older run
+        left behind — a stale one would otherwise be "resumed" later.
+        """
         os.makedirs(self.directory, exist_ok=True)
-        if self.resume:
-            diagnostics = RunManifest.load(self.directory).mismatches(self.manifest)
-            if diagnostics:
-                raise ManifestMismatch(diagnostics)
-        else:
-            for store in stores:
-                store.clear()
+        store = CheckpointStore(self.directory, keep=self.keep)
+        if not self.resume:
+            store.clear()
             self.manifest.save(self.directory)
+            return store, None
+        diagnostics = RunManifest.load(self.directory).mismatches(self.manifest)
+        if diagnostics:
+            raise ManifestMismatch(diagnostics)
+        checkpoint = store.latest()
+        if checkpoint is not None:
+            log(
+                f"resuming from checkpoint generation {checkpoint.generation} "
+                f"({checkpoint.payload['records_fed']} records already processed)"
+            )
+        else:
+            log("no valid checkpoint found; restarting from the beginning")
+        return store, checkpoint
 
 
 class InterruptFlag:
@@ -622,17 +635,7 @@ def run_serial(
     SeekableLogReader(input_path).close()
     store = checkpoint = None
     if checkpointing is not None:
-        store = checkpointing.store()
-        checkpointing.begin([store])
-        if checkpointing.resume:
-            checkpoint = store.latest()
-            if checkpoint is not None:
-                log(
-                    f"resuming from checkpoint generation {checkpoint.generation} "
-                    f"({checkpoint.payload['records_fed']} records already processed)"
-                )
-            else:
-                log("no valid checkpoint found; restarting from the beginning")
+        store, checkpoint = checkpointing.begin(log)
     payload = checkpoint.payload if checkpoint is not None else None
 
     health = PipelineHealth.from_state(payload["health"]) if payload else PipelineHealth()

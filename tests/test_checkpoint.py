@@ -666,43 +666,46 @@ class TestCrashRecoveryCli:
         manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         proc = _cli(_classify_args(cli_trace, out, ckpt, "--resume"), tmp_path)
         assert proc.returncode == EXIT_MANIFEST_MISMATCH, proc.stdout + proc.stderr
-        assert "manifest version 1 != 3" in proc.stderr
+        assert "manifest version 1 != 4" in proc.stderr
         assert "config changed" not in proc.stderr
         assert "restarting from the beginning" not in proc.stdout
         assert not out.exists()
 
-    def test_resume_of_a_version_2_pool_directory_exits_4(self, tmp_path, cli_trace):
-        """A ``--workers`` directory in the version-2 layout, where each
-        shard checkpoint kept the reorder heap and ingest index beside
-        the classifier state.  Refused up front by the manifest version,
-        never handed to a worker that would fail on the shard state."""
+    def test_resume_of_a_version_3_pool_directory_exits_4(self, tmp_path, cli_trace):
+        """A ``--workers`` directory in the version-3 layout: the parent's
+        generations under ``parent/`` and each shard's under its own
+        ``shard-NN/`` store.  Refused up front by the manifest version,
+        never read as "no valid checkpoint" and restarted."""
         out, ckpt = tmp_path / "out.tsv", tmp_path / "ckpt"
         pool = ("--workers", "2")
         crashed = _cli(
             _classify_args(cli_trace, out, ckpt, *pool, "--crash-after", "5000"), tmp_path
         )
         assert crashed.returncode == CRASH_EXIT_CODE, crashed.stderr
-        for worker_id in range(2):
-            store = CheckpointStore(ckpt / f"shard-{worker_id:02d}", keep=None)
-            assert store.generations()
-            for generation in store.generations():
-                payload = store.load(generation).payload
-                reorder = payload["classifier"]["reorder"]
-                payload.update(
-                    version=1,
-                    g=payload["classifier"]["next_index"],
-                    heap={"entries": reorder["heap"], "seq": reorder["seq"],
-                          "max_ts": reorder["max_ts"]},
+        store = CheckpointStore(ckpt)
+        assert store.generations()
+        for generation in store.generations():
+            payload = store.load(generation).payload
+            shards = payload.pop("shards")
+            CheckpointStore(ckpt / "parent").save(
+                {**payload, "version": 1, "workers": 2, "generation": generation,
+                 "records": payload.pop("records_fed")},
+                generation=generation,
+            )
+            for worker_id, shard in enumerate(shards):
+                CheckpointStore(ckpt / f"shard-{worker_id:02d}").save(
+                    {**shard, "version": 2, "worker": worker_id, "workers": 2,
+                     "generation": generation},
+                    generation=generation,
                 )
-                reorder.update(heap=[], seq=0, max_ts=float("-inf"))
-                store.save(payload, generation=generation)
+            os.unlink(store.path_for(generation))
         manifest_path = ckpt / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        manifest["version"] = 2
+        manifest["version"] = 3
         manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         proc = _cli(_classify_args(cli_trace, out, ckpt, *pool, "--resume"), tmp_path)
         assert proc.returncode == EXIT_MANIFEST_MISMATCH, proc.stdout + proc.stderr
-        assert "manifest version 2 != 3" in proc.stderr
+        assert "manifest version 3 != 4" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert "restarting from the beginning" not in proc.stdout
         assert not out.exists()

@@ -36,6 +36,7 @@ from repro.robustness import (
     PipelineHealth,
     QuarantineWriter,
 )
+from repro.robustness.checkpoint import CheckpointStore
 from repro.robustness.runstate import classification_row
 from repro.trace.corruption import TraceCorruptor
 from tests.conftest import RowCollector
@@ -283,6 +284,36 @@ class TestPoolCrashRecoveryCli:
         )
         assert resumed.returncode in (0, 3), resumed.stderr
         assert "resuming from checkpoint" in resumed.stdout
+        assert out.read_bytes() == golden_out
+        assert (tmp_path / "out.tsv.quarantine").read_bytes() == golden_quarantine
+        assert _health_summary(resumed.stdout) == golden_health
+
+    def test_resume_falls_back_past_a_torn_newest_generation(
+        self, tmp_path, pool_trace, golden
+    ):
+        """The pool's one store behaves like the serial one: a torn
+        newest generation costs one interval, and the resumed output
+        still matches the golden."""
+        golden_out, golden_quarantine, golden_health = golden
+        out, ckpt = tmp_path / "out.tsv", tmp_path / "ckpt"
+        crashed = _cli(
+            _classify_args(pool_trace, out, ckpt, "--workers", "4", "--crash-after", "9000"),
+            tmp_path,
+        )
+        assert crashed.returncode == CRASH_EXIT_CODE, crashed.stderr
+        assert not (ckpt / "parent").exists()
+        assert not [name for name in os.listdir(ckpt) if name.startswith("shard-")]
+        generations = CheckpointStore(ckpt).generations()
+        assert len(generations) >= 2
+        newest = CheckpointStore(ckpt).path_for(generations[-1])
+        data = open(newest, "rb").read()
+        with open(newest, "wb") as stream:  # torn mid-write
+            stream.write(data[: len(data) // 2])
+        resumed = _cli(
+            _classify_args(pool_trace, out, ckpt, "--workers", "4", "--resume"), tmp_path
+        )
+        assert resumed.returncode in (0, 3), resumed.stderr
+        assert f"resuming from checkpoint generation {generations[-2]} " in resumed.stdout
         assert out.read_bytes() == golden_out
         assert (tmp_path / "out.tsv.quarantine").read_bytes() == golden_quarantine
         assert _health_summary(resumed.stdout) == golden_health

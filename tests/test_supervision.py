@@ -623,16 +623,16 @@ class TestSupervisionCli:
         )
         try:
             deadline = time.monotonic() + 120.0
-            parent_store = ckpt / "parent"
             while time.monotonic() < deadline:
-                if parent_store.is_dir() and any(
-                    name.startswith("ckpt-") for name in os.listdir(parent_store)
+                if ckpt.is_dir() and any(
+                    name.startswith("ckpt-") and name.endswith(".bin")
+                    for name in os.listdir(ckpt)
                 ):
                     break
                 assert proc.poll() is None, proc.communicate()[1]
                 time.sleep(0.2)
             else:
-                pytest.fail("no parent checkpoint appeared within 120s")
+                pytest.fail("no checkpoint appeared within 120s")
             proc.send_signal(signal.SIGINT)
             stdout, stderr = proc.communicate(timeout=120)
         finally:
