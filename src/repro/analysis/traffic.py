@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -216,6 +217,27 @@ class TrafficAccumulator:
         else:
             self.nonad_requests_by_mime[mime] = self.nonad_requests_by_mime.get(mime, 0) + 1
             self.nonad_bytes_by_mime[mime] = self.nonad_bytes_by_mime.get(mime, 0) + size
+
+    @staticmethod
+    def keys_of(entry: ClassifiedRequest) -> tuple[tuple[str, str], ...]:
+        """The dict keys :meth:`add` touches for ``entry``, tagged by dict."""
+        mime = entry.record.content_type or "-"
+        if entry.is_ad:
+            return (("list", _bucket_of(entry)), ("ad", mime))
+        return (("nonad", mime),)
+
+    def reorder(self, first_index: Callable[[tuple[str, str]], int]) -> None:
+        """Re-insert every dict's keys by ``first_index`` of their
+        :meth:`keys_of` key: the order an in-order fold inserts them in."""
+        for tag, names in (
+            ("list", ("by_list",)),
+            ("ad", ("ad_requests_by_mime", "ad_bytes_by_mime")),
+            ("nonad", ("nonad_requests_by_mime", "nonad_bytes_by_mime")),
+        ):
+            for name in names:
+                counts = getattr(self, name)
+                order = sorted(counts, key=lambda key: first_index((tag, key)))
+                setattr(self, name, {key: counts[key] for key in order})
 
     def summary(self) -> TrafficSummary:
         denominator = self.ad_requests or 1

@@ -143,6 +143,20 @@ class StreamingClassifier:
 
     ``feed`` returns the entries *released* by that record (usually 0
     or 1 once the fix-up buffer is warm); ``finish`` drains the rest.
+
+    Release follows one of three rules.  ``fixup_window=None`` holds
+    every entry until ``finish`` (:meth:`AdClassificationPipeline.process`).
+    An integer window releases in index order once an entry is that many
+    indexes old, so a fix-up cannot reach further back (durable runs).
+    ``release_settled=True`` (with ``fixup_window=None``, the plain
+    :func:`~repro.robustness.runstate.run_serial`) releases each entry
+    as soon as nothing can change it any more — it has *settled*: a
+    record that is not a redirect source settles when it is classified;
+    a redirect source settles when its fix-up fires, when a later
+    redirect by its user to the same target replaces it, when
+    ``_MAX_PENDING_FIXUPS`` or ``max_users`` evicts it, or at
+    ``finish``.  The buffer then holds only the pending redirect sources,
+    and entries come out in index order but for those late ones.
     """
 
     def __init__(
@@ -153,9 +167,13 @@ class StreamingClassifier:
         reorder_window: float | None = None,
         max_users: int | None = None,
         health: PipelineHealth | None = None,
+        release_settled: bool = False,
     ):
+        if release_settled and fixup_window is not None:
+            raise ValueError("release_settled needs fixup_window=None")
         self.pipeline = pipeline
         self.fixup_window = fixup_window
+        self.release_settled = release_settled
         self.reorder_window = reorder_window
         self.max_users = max_users
         self.health = health
@@ -211,10 +229,23 @@ class StreamingClassifier:
         index = self.next_index
         self.next_index = index + 1
         if record is not None:
-            self.buffer[index] = self._classify_record(record, index)
+            entry = self._classify_record(record, index, released)
+            if self.release_settled and not (
+                record.location is not None and self.pipeline.config.redirect_type_fixup
+            ):
+                released.append(entry)
+            else:
+                self.buffer[index] = entry
         self._release(index, released)
 
-    def _classify_record(self, record: HttpLogRecord, index: int) -> ClassifiedRequest:
+    def _settle(self, index: int, released: list[ClassifiedRequest]) -> None:
+        """A pending redirect source can no longer change: release it."""
+        if self.release_settled:
+            released.append(self.buffer.pop(index))
+
+    def _classify_record(
+        self, record: HttpLogRecord, index: int, released: list[ClassifiedRequest]
+    ) -> ClassifiedRequest:
         config = self.pipeline.config
         health = self.health
         user = (record.client, record.user_agent or "")
@@ -225,7 +256,8 @@ class StreamingClassifier:
             )
             self.users[user] = state
             if self.max_users is not None and len(self.users) > self.max_users:
-                self.users.popitem(last=False)
+                for source in self.users.popitem(last=False)[1].pending_type_fixup.values():
+                    self._settle(source, released)
                 if health is not None:
                     health.users_evicted += 1
             if health is not None:
@@ -270,12 +302,15 @@ class StreamingClassifier:
                 if source is not None and source.content_type != content_type:
                     source.content_type = content_type
                     source.classification = self.pipeline._classify(source)
+                self._settle(fixup_index, released)
             if record.location is not None:
                 pending = state.pending_type_fixup
+                replaced = pending.pop(record.location, None)
                 pending[record.location] = index
-                pending.move_to_end(record.location)
+                if replaced is not None:
+                    self._settle(replaced, released)
                 while len(pending) > _MAX_PENDING_FIXUPS:
-                    pending.popitem(last=False)
+                    self._settle(pending.popitem(last=False)[1], released)
 
         entry = ClassifiedRequest(
             record=record,
@@ -476,13 +511,16 @@ class AdClassificationPipeline:
         max_users: int | None = None,
         health: PipelineHealth | None = None,
     ) -> "Iterator[ClassifiedRequest]":
-        """Streaming classification with bounded memory.
+        """Streaming classification, yielded in index order.
 
         Entries are yielded once they leave the ``fixup_window``-sized
-        buffer; the redirect content-type fix-up can only reach back
-        inside the buffer (redirect targets follow their redirect
-        within a handful of requests in practice).  ``fixup_window=None``
-        buffers everything — identical results to :meth:`process`.
+        buffer, and the redirect content-type fix-up can only reach back
+        inside it.  A consequent request can trail its redirect by
+        thousands of records, so a window can change results;
+        ``fixup_window=None`` holds every entry until the stream ends and
+        is :meth:`process`.  (Bounded memory *and* :meth:`process`'s
+        bytes is the settled release of :class:`StreamingClassifier`,
+        which yields out of index order; the plain run loop uses it.)
 
         ``reorder_window`` (seconds) re-sorts a slightly out-of-order
         stream through a bounded buffer, so streams shuffled within that

@@ -39,8 +39,12 @@ class OrderedRowEmitter:
 
     ``next_emit`` is the next index owed to the output; rows below it
     are duplicates of already-published output (resume replay) and are
-    dropped.  Rows run at most one fix-up window plus one row batch
-    ahead of the contiguous frontier, which bounds ``pending``.
+    dropped.  How much ``pending`` holds depends on how the workers
+    release entries.  A durable pool's workers release in index order
+    behind the fix-up window, so rows run at most one window plus one
+    row batch ahead of the contiguous frontier.  A plain pool's workers
+    release nothing before their ``finish()``, so ``pending`` can hold
+    most of the run's rows while one shard waits on another.
     """
 
     def __init__(self, *, next_emit: int = 0) -> None:

@@ -36,6 +36,7 @@ import hashlib
 import itertools
 import json
 import os
+import shutil
 import signal
 import threading
 from dataclasses import dataclass, field
@@ -114,14 +115,17 @@ MANIFEST_VERSION = 4
 DEFAULT_CHECKPOINT_EVERY = 10_000
 
 # Fix-up window of a checkpointed run, serial or pooled: it bounds the
-# classifier state every checkpoint carries and how far output rows
-# trail the read position.  A plain run buffers everything (``None``):
-# that is AdClassificationPipeline.process(), whose output the frozen
-# benchmark's oracle compares byte for byte, and a redirect fix-up there
-# reaches back thousands of rows.
+# classifier state every checkpoint carries, and a checkpoint needs its
+# rows in index order up to the cut.  A fix-up reaching back further is
+# dropped, so a durable run can differ from process() in that tail
+# case.  A plain serial run has no window: entries reach the sink as
+# they settle (StreamingClassifier, release_settled), so it holds only
+# the pending redirect sources and still writes process()'s bytes.  A
+# plain pool worker holds every entry until the end (DESIGN.md §8, §10).
 DURABLE_FIXUP_WINDOW = 1024
 
 _READ_AHEAD = 64  # decode, then classify, in batches: ~10 % faster than per record
+_COPY_CHUNK = 1 << 20  # ClassifySink's splicing copy reads the part file in these
 
 # Identity hash covers the first MiB: enough to catch truncation,
 # regeneration and in-place edits without re-reading a multi-GB trace
@@ -277,6 +281,9 @@ class RunSink:
         """Open output files; start from scratch or from checkpoint state."""
 
     def consume(self, entry: ClassifiedRequest) -> None:
+        """Fold one entry.  A durable run hands entries over in index
+        order; a plain serial run as they settle, which is index order
+        but for a few late redirect sources (see :class:`_FoldOrder`)."""
         raise NotImplementedError
 
     def export_state(self) -> dict:
@@ -300,6 +307,13 @@ class ClassifySink(RunSink):
     :meth:`close` leaves it for ``--resume``; without, it is
     ``<final_path>.part`` and an unfinished run's :meth:`close` removes
     it — nothing could resume it.  No ``final_path``: count only.
+
+    Entries of a plain run arrive as they settle, so an index can be
+    missing when a later row is written: a redirect source still waiting
+    for its consequent request.  The sink notes the byte offset where
+    each missing row belongs, holds the row in memory when it arrives,
+    and :meth:`finalize` splices those few rows in while it copies the
+    part file to ``final_path`` — the same bytes an in-order run writes.
     """
 
     HEADER = "#ts\tclient\turl\tpage\tis_ad\tblacklist\twhitelisted\n"
@@ -312,12 +326,16 @@ class ClassifySink(RunSink):
         self.ads = 0
         self.whitelisted = 0
         self._file = None
+        self._next_index = 0  # every lower index is written or in _gaps
+        self._gaps: dict[int, int] = {}  # missing index -> offset its row goes at
+        self._late: dict[int, str] = {}  # index -> row that arrived after its gap
 
     def begin(self, *, fresh: bool, state: dict | None) -> None:
         if state is not None:
             self.total = state["total"]
             self.ads = state["ads"]
             self.whitelisted = state["whitelisted"]
+        self._next_index = self.total
         if self.final_path is None:
             return
         if fresh:
@@ -332,7 +350,20 @@ class ClassifySink(RunSink):
             self._file.seek(state["pos"])
 
     def consume(self, entry: ClassifiedRequest) -> None:
-        self.consume_row(classification_row(entry), entry.is_ad, entry.is_whitelisted)
+        index = entry.index
+        if self._file is not None and index >= self._next_index:
+            if index > self._next_index:
+                offset = self._file.tell()
+                self._gaps.update(dict.fromkeys(range(self._next_index, index), offset))
+            self._next_index = index + 1
+            self._file.write((classification_row(entry) + "\n").encode("utf-8"))
+        elif self._file is not None:
+            self._late[index] = classification_row(entry)
+        self.total += 1
+        if entry.is_ad:
+            self.ads += 1
+        if entry.is_whitelisted:
+            self.whitelisted += 1
 
     def consume_row(self, row: str, is_ad: bool, is_whitelisted: bool) -> None:
         """Append one pre-rendered row (the shard-parallel entry point —
@@ -346,6 +377,7 @@ class ClassifySink(RunSink):
             self._file.write((row + "\n").encode("utf-8"))
 
     def export_state(self) -> dict:
+        assert not self._gaps, "a checkpoint needs rows in index order"
         state = {"total": self.total, "ads": self.ads, "whitelisted": self.whitelisted}
         if self._file is not None:
             self._file.flush()
@@ -356,11 +388,35 @@ class ClassifySink(RunSink):
     def finalize(self) -> None:
         if self._file is None:
             return
+        if self._gaps:
+            self._publish_spliced()
+            return
         self._file.flush()
         os.fsync(self._file.fileno())
         self._file.close()
         self._file = None
         replace_atomic(self.part_path, self.final_path)
+
+    def _publish_spliced(self) -> None:
+        """Copy the part file over ``final_path`` in one pass, inserting
+        each late row at its noted offset, then drop the part file."""
+        if self._late.keys() != self._gaps.keys():
+            raise AssertionError(
+                f"rows never delivered: {sorted(self._gaps.keys() - self._late.keys())[:5]}"
+            )
+        self._file.close()
+        self._file = None
+        with open(self.part_path, "rb") as part, atomic_writer(self.final_path, mode="wb") as out:
+            copied = 0
+            for index in sorted(self._late):
+                offset = self._gaps[index]
+                while copied < offset:
+                    chunk = part.read(min(offset - copied, _COPY_CHUNK))
+                    out.write(chunk)
+                    copied += len(chunk)
+                out.write((self._late[index] + "\n").encode("utf-8"))
+            shutil.copyfileobj(part, out, _COPY_CHUNK)
+        os.unlink(self.part_path)
 
     def close(self) -> None:
         if self._file is not None:
@@ -374,6 +430,36 @@ class ClassifySink(RunSink):
                 os.unlink(self.part_path)
 
 
+class _FoldOrder:
+    """The dict order an in-order fold has, for a fold fed settled entries.
+
+    A plain serial run hands its sink each entry once it settles
+    (:class:`~repro.core.pipeline.StreamingClassifier`): in index order,
+    but for the few redirect sources that wait for their consequent
+    request.  Sums, minima and maxima do not depend on arrival order;
+    dict insertion order does, and it reaches the output (Table 3 walks
+    users in it, Table 4 breaks ties by it).  An in-order fold inserts
+    a key at the lowest index that touches it, so this keeps that index
+    per key; a sink re-sorts its dicts by it if any entry arrived late.
+    A durable run releases in index order, so it never needs to.
+    """
+
+    def __init__(self) -> None:
+        self.first: dict = {}
+        self.next_index = 0
+        self.late = False
+
+    def note(self, index: int, keys: tuple) -> None:
+        if index < self.next_index:
+            self.late = True
+        else:
+            self.next_index = index + 1
+        first = self.first
+        for key in keys:
+            if first.get(key, index + 1) > index:
+                first[key] = index
+
+
 class UserStatsSink(RunSink):
     """`repro usage`: fold entries into per-user statistics (§6)."""
 
@@ -381,6 +467,7 @@ class UserStatsSink(RunSink):
         self.stats: dict[UserKey, UserStats] = {}
         self.total = 0
         self.total_ads = 0
+        self._order = _FoldOrder()
 
     def begin(self, *, fresh: bool, state: dict | None) -> None:
         if state is not None:
@@ -399,6 +486,12 @@ class UserStatsSink(RunSink):
             stats = UserStats(user=entry.user)
             self.stats[entry.user] = stats
         stats.add(entry)
+        self._order.note(entry.index, (entry.user,))
+
+    def finalize(self) -> None:
+        if self._order.late:
+            order = sorted(self.stats, key=self._order.first.__getitem__)
+            self.stats = {user: self.stats[user] for user in order}
 
     def export_state(self) -> dict:
         return {
@@ -415,6 +508,7 @@ class TrafficSink(RunSink):
         from repro.analysis.traffic import TrafficAccumulator
 
         self.accumulator = TrafficAccumulator()
+        self._order = _FoldOrder()
 
     def begin(self, *, fresh: bool, state: dict | None) -> None:
         if state is not None:
@@ -424,6 +518,11 @@ class TrafficSink(RunSink):
 
     def consume(self, entry: ClassifiedRequest) -> None:
         self.accumulator.add(entry)
+        self._order.note(entry.index, self.accumulator.keys_of(entry))
+
+    def finalize(self) -> None:
+        if self._order.late:
+            self.accumulator.reorder(self._order.first.__getitem__)
 
     def export_state(self) -> dict:
         return self.accumulator.export_state()
@@ -622,9 +721,12 @@ def run_serial(
         sink.finalize()                        # publish outputs atomically
 
     Plain (no ``checkpointing``): nothing is written but the sink's
-    output and the sidecar, signals are left alone, and the fix-up
-    buffer is unbounded — :meth:`AdClassificationPipeline.process`
-    semantics.  Checkpointed: a checkpoint is cut *between* batches,
+    output and the sidecar, signals are left alone, and a fix-up can
+    reach back without limit — :meth:`AdClassificationPipeline.process`
+    semantics.  Entries reach the sink as they settle, so the classifier
+    holds only the redirect sources still waiting for their consequent
+    request, and the sink restores index order (DESIGN.md §8).
+    Checkpointed: a checkpoint is cut *between* batches,
     the only points where (input offset, classifier state, sink
     positions) are consistent; SIGINT/SIGTERM cut one more and raise
     :class:`RunInterrupted`; ``resume`` continues from the newest valid
@@ -651,6 +753,7 @@ def run_serial(
         reorder_window=reorder_window,
         max_users=max_users,
         health=health,
+        release_settled=checkpointing is None,
     )
     records_fed = checkpoints_written = 0
     with InterruptFlag() if checkpointing is not None else contextlib.nullcontext() as flag:
