@@ -22,7 +22,8 @@ from __future__ import annotations
 import heapq
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from operator import attrgetter
+from typing import Iterable
 
 from repro.core.content_type import resolve_content_type, type_from_mime, type_from_path
 from repro.core.normalize import ProtectedValues, collect_protected_values, normalize_url
@@ -128,57 +129,53 @@ _STATE_VERSION = 1
 class StreamingClassifier:
     """The Fig 1 pipeline as an explicit-state push machine.
 
-    Where :meth:`AdClassificationPipeline.iter_process` keeps its state
-    in generator locals, this class keeps every mutable piece — the
-    reorder min-heap, per-user referrer maps and pending type fix-ups,
-    the fix-up entry buffer — on the instance, which buys two things:
+    Every mutable piece of a run — the reorder min-heap, per-user
+    referrer maps and pending type fix-ups, the held redirect sources —
+    lives on the instance, which buys two things:
 
-    * **feed/finish control** for drivers that need to act *between*
-      records (the durable runner checkpoints there);
+    * **feed/drain control** for callers that need to act *between*
+      records (the run loop hands entries to its sink and cuts
+      checkpoints there);
     * **serializable state** — :meth:`export_state` snapshots the run
       as a primitive-only object tree and :meth:`restore_state` rebuilds
       it, so a crashed run resumed from a checkpoint classifies the
       remaining records exactly as the uninterrupted run would
       (DESIGN.md §8).
 
-    ``feed`` returns the entries *released* by that record (usually 0
-    or 1 once the fix-up buffer is warm); ``finish`` drains the rest.
-
-    Release follows one of three rules.  ``fixup_window=None`` holds
-    every entry until ``finish`` (:meth:`AdClassificationPipeline.process`).
-    An integer window releases in index order once an entry is that many
-    indexes old, so a fix-up cannot reach further back (durable runs).
-    ``release_settled=True`` (with ``fixup_window=None``, the plain
-    :func:`~repro.robustness.runstate.run_serial`) releases each entry
-    as soon as nothing can change it any more — it has *settled*: a
-    record that is not a redirect source settles when it is classified;
-    a redirect source settles when its fix-up fires, when a later
-    redirect by its user to the same target replaces it, when
-    ``_MAX_PENDING_FIXUPS`` or ``max_users`` evicts it, or at
-    ``finish``.  The buffer then holds only the pending redirect sources,
-    and entries come out in index order but for those late ones.
+    There is one release rule: an entry is handed on once it has
+    *settled*, i.e. once nothing can change it.  A record that is not a
+    redirect source settles when it is classified; a redirect source
+    settles when its fix-up fires, when a later redirect by its user to
+    the same target replaces it, when ``_MAX_PENDING_FIXUPS`` or
+    ``max_users`` evicts it, or at :meth:`finish`.  :meth:`feed`
+    classifies, :meth:`drain` takes what has settled since the last
+    drain (index order but for those late redirect sources), and
+    :meth:`finish` returns every entry not yet drained, in index order.
+    A caller that drains holds only the redirect sources still waiting;
+    one that never drains gets the whole run from :meth:`finish`.
     """
 
     def __init__(
         self,
         pipeline: "AdClassificationPipeline",
         *,
-        fixup_window: int | None = 1024,
+        fixup_window: None = None,
         reorder_window: float | None = None,
         max_users: int | None = None,
         health: PipelineHealth | None = None,
-        release_settled: bool = False,
     ):
-        if release_settled and fixup_window is not None:
-            raise ValueError("release_settled needs fixup_window=None")
+        # Only None, which benchmarks/perf/layers.py still passes; the
+        # keyword goes when that file is unfrozen (ROADMAP 8-I(d)).
+        if fixup_window is not None:
+            raise TypeError("fixup_window is gone: entries are released as they settle")
         self.pipeline = pipeline
-        self.fixup_window = fixup_window
-        self.release_settled = release_settled
         self.reorder_window = reorder_window
         self.max_users = max_users
         self.health = health
         self.users: "OrderedDict[UserKey, _UserState]" = OrderedDict()
-        self.buffer: "OrderedDict[int, ClassifiedRequest]" = OrderedDict()
+        # Redirect sources waiting for their consequent request.
+        self.buffer: dict[int, ClassifiedRequest] = {}
+        self._settled: list[ClassifiedRequest] = []
         self.next_index = 0
         # Reorder-buffer state (active when reorder_window is not None).
         # Rows are (ts, arrival seq, record), the record None for a
@@ -189,21 +186,19 @@ class StreamingClassifier:
 
     # -- streaming --------------------------------------------------------
 
-    def feed(self, record: HttpLogRecord, owned: bool = True) -> list[ClassifiedRequest]:
-        """Push one record; return the entries released by it.
+    def feed(self, record: HttpLogRecord, owned: bool = True) -> None:
+        """Push one record; :meth:`drain` takes the entries it settled.
 
         A shard worker (DESIGN.md §10) feeds every record of the stream
         but classifies only the users it owns.  A record with
         ``owned=False`` is a placeholder: it takes its place in the
-        reorder heap and, when popped, one ingest index — so indexes,
-        reorder pops and fix-up releases happen at exactly the serial
-        moments, and each released entry's ``index`` is its position in
-        the serial output.
+        reorder heap and, when popped, one ingest index — so indexes and
+        reorder pops happen at exactly the serial moments, and each
+        entry's ``index`` is its position in the serial output.
         """
-        released: list[ClassifiedRequest] = []
         if self.reorder_window is None:
-            self._ingest(record if owned else None, released)
-            return released
+            self._ingest(record if owned else None)
+            return
         if owned and record.ts < self._max_ts and self.health is not None:
             self.health.records_reordered += 1
         self._max_ts = max(self._max_ts, record.ts)
@@ -211,41 +206,45 @@ class StreamingClassifier:
         self._seq += 1
         horizon = self._max_ts - self.reorder_window
         while self._heap and self._heap[0][0] <= horizon:
-            self._ingest(heapq.heappop(self._heap)[2], released)
-        return released
+            self._ingest(heapq.heappop(self._heap)[2])
+
+    def drain(self) -> list[ClassifiedRequest]:
+        """Take the entries that settled since the last drain."""
+        settled, self._settled = self._settled, []
+        return settled
 
     def finish(self) -> list[ClassifiedRequest]:
-        """Drain the reorder heap and the fix-up buffer; end of stream."""
-        released: list[ClassifiedRequest] = []
+        """End of stream: empty the reorder heap, settle the waiting
+        redirect sources, and return every entry not yet drained, in
+        index order."""
         while self._heap:
-            self._ingest(heapq.heappop(self._heap)[2], released)
-        released.extend(self.buffer.values())
+            self._ingest(heapq.heappop(self._heap)[2])
+        entries, self._settled = self._settled, []
+        entries.extend(self.buffer.values())
         self.buffer.clear()
-        return released
+        entries.sort(key=attrgetter("index"))
+        return entries
 
-    def _ingest(self, record: HttpLogRecord | None, released: list[ClassifiedRequest]) -> None:
+    def _ingest(self, record: HttpLogRecord | None) -> None:
         """Consume the next ingest index; classify ``record`` unless it
         is another shard's placeholder."""
         index = self.next_index
         self.next_index = index + 1
-        if record is not None:
-            entry = self._classify_record(record, index, released)
-            if self.release_settled and not (
-                record.location is not None and self.pipeline.config.redirect_type_fixup
-            ):
-                released.append(entry)
-            else:
-                self.buffer[index] = entry
-        self._release(index, released)
+        if record is None:
+            return
+        entry = self._classify_record(record, index)
+        if record.location is not None and self.pipeline.config.redirect_type_fixup:
+            self.buffer[index] = entry  # a redirect source: its fix-up may come
+        else:
+            self._settled.append(entry)
 
-    def _settle(self, index: int, released: list[ClassifiedRequest]) -> None:
-        """A pending redirect source can no longer change: release it."""
-        if self.release_settled:
-            released.append(self.buffer.pop(index))
+    def _settle(self, index: int) -> ClassifiedRequest:
+        """A waiting redirect source can no longer change: hand it on."""
+        source = self.buffer.pop(index)
+        self._settled.append(source)
+        return source
 
-    def _classify_record(
-        self, record: HttpLogRecord, index: int, released: list[ClassifiedRequest]
-    ) -> ClassifiedRequest:
+    def _classify_record(self, record: HttpLogRecord, index: int) -> ClassifiedRequest:
         config = self.pipeline.config
         health = self.health
         user = (record.client, record.user_agent or "")
@@ -257,7 +256,7 @@ class StreamingClassifier:
             self.users[user] = state
             if self.max_users is not None and len(self.users) > self.max_users:
                 for source in self.users.popitem(last=False)[1].pending_type_fixup.values():
-                    self._settle(source, released)
+                    self._settle(source)
                 if health is not None:
                     health.users_evicted += 1
             if health is not None:
@@ -298,19 +297,18 @@ class StreamingClassifier:
             # Is this the consequent request of an earlier redirect?
             fixup_index = state.pending_type_fixup.pop(url, None)
             if fixup_index is not None:
-                source = self.buffer.get(fixup_index)
-                if source is not None and source.content_type != content_type:
+                source = self._settle(fixup_index)
+                if source.content_type != content_type:
                     source.content_type = content_type
                     source.classification = self.pipeline._classify(source)
-                self._settle(fixup_index, released)
             if record.location is not None:
                 pending = state.pending_type_fixup
                 replaced = pending.pop(record.location, None)
                 pending[record.location] = index
                 if replaced is not None:
-                    self._settle(replaced, released)
+                    self._settle(replaced)
                 while len(pending) > _MAX_PENDING_FIXUPS:
-                    self._settle(pending.popitem(last=False)[1], released)
+                    self._settle(pending.popitem(last=False)[1])
 
         entry = ClassifiedRequest(
             record=record,
@@ -330,32 +328,19 @@ class StreamingClassifier:
         entry.classification = self.pipeline._classify(entry, request_host=parts.host)
         return entry
 
-    def _release(self, index: int, released: list[ClassifiedRequest]) -> None:
-        # Release everything at or below `index - fixup_window`.  For
-        # the serial path (contiguous indexes) this is exactly the
-        # "pop while len(buffer) > fixup_window" rule; for a shard (a
-        # subset of the indexes) it releases precisely the owned
-        # entries the serial run would have released by this point.
-        if self.fixup_window is None:
-            return
-        horizon = index - self.fixup_window
-        while self.buffer:
-            oldest = next(iter(self.buffer))
-            if oldest > horizon:
-                break
-            released.append(self.buffer.popitem(last=False)[1])
-
     # -- checkpoint wire form (DESIGN.md §8) -------------------------------
 
     def export_state(self) -> dict:
-        """Snapshot the run as a primitive-only object tree.
+        """Snapshot the run as a primitive-only object tree; a checkpoint
+        is cut right after a :meth:`drain`.
 
-        Classifications of still-buffered entries are deliberately NOT
+        Classifications of the waiting redirect sources are deliberately NOT
         serialized — the engine is deterministic given the entry's own
         fields, so :meth:`restore_state` recomputes them.  That keeps
         engine internals (compiled filters) out of the checkpoint and
         the payload fast to write.
         """
+        assert not self._settled, "drain() before export_state()"
         return {
             "version": _STATE_VERSION,
             "next_index": self.next_index,
@@ -403,7 +388,8 @@ class StreamingClassifier:
                 ),
                 pending_type_fixup=OrderedDict(pending),
             )
-        self.buffer = OrderedDict()
+        self.buffer = {}
+        self._settled = []
         for index, row, page_url, content_type, is_page_root, normalized_url in state["buffer"]:
             entry = ClassifiedRequest(
                 record=HttpLogRecord.from_row(row),
@@ -492,54 +478,33 @@ class AdClassificationPipeline:
             return self._engine.stats
         return None
 
-    def process(self, records: Iterable[HttpLogRecord], **kwargs) -> list[ClassifiedRequest]:
-        """Classify a time-ordered record stream into a list.
-
-        Records must be sorted by timestamp (multi-user streams are
-        fine; state is kept per user).  Keyword arguments are forwarded
-        to :meth:`iter_process`.
-        """
-        kwargs.setdefault("fixup_window", None)
-        return list(self.iter_process(records, **kwargs))
-
-    def iter_process(
+    def process(
         self,
         records: Iterable[HttpLogRecord],
         *,
-        fixup_window: int | None = 1024,
         reorder_window: float | None = None,
         max_users: int | None = None,
         health: PipelineHealth | None = None,
-    ) -> "Iterator[ClassifiedRequest]":
-        """Streaming classification, yielded in index order.
+    ) -> list[ClassifiedRequest]:
+        """Classify a time-ordered record stream into a list, in index order.
 
-        Entries are yielded once they leave the ``fixup_window``-sized
-        buffer, and the redirect content-type fix-up can only reach back
-        inside it.  A consequent request can trail its redirect by
-        thousands of records, so a window can change results;
-        ``fixup_window=None`` holds every entry until the stream ends and
-        is :meth:`process`.  (Bounded memory *and* :meth:`process`'s
-        bytes is the settled release of :class:`StreamingClassifier`,
-        which yields out of index order; the plain run loop uses it.)
-
-        ``reorder_window`` (seconds) re-sorts a slightly out-of-order
-        stream through a bounded buffer, so streams shuffled within that
-        jitter window classify identically to sorted ones.  ``max_users``
-        LRU-evicts idle per-user state so memory stays bounded on
-        million-user streams (an evicted user restarts with an empty
-        referrer map if it reappears).  ``health`` tallies reorderings
-        and evictions.
+        Records must be sorted by timestamp (multi-user streams are
+        fine; state is kept per user).  ``reorder_window`` (seconds)
+        re-sorts a slightly out-of-order stream through a bounded
+        buffer, so streams shuffled within that jitter window classify
+        identically to sorted ones.  ``max_users`` LRU-evicts idle
+        per-user state (an evicted user restarts with an empty referrer
+        map if it reappears).  ``health`` tallies reorderings and
+        evictions.  This holds every entry until the stream ends; a
+        caller that wants bounded memory drives a
+        :class:`StreamingClassifier` and drains it, as the run loop does.
         """
         classifier = StreamingClassifier(
-            self,
-            fixup_window=fixup_window,
-            reorder_window=reorder_window,
-            max_users=max_users,
-            health=health,
+            self, reorder_window=reorder_window, max_users=max_users, health=health
         )
         for record in records:
-            yield from classifier.feed(record)
-        yield from classifier.finish()
+            classifier.feed(record)
+        return classifier.finish()
 
     def _classify(
         self, entry: ClassifiedRequest, *, request_host: str | None = None

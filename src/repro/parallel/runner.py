@@ -3,8 +3,8 @@
 The parent never parses or classifies.  It forks one worker per shard,
 each inheriting the parent's pipeline, then folds their message streams
 back into the single serial-order output: rows re-interleave by ingest
-index, rejected lines by line number, health counters and traffic
-accumulators by ``merge_state()`` in shard order.
+index up to the lowest worker frontier, rejected lines by line number,
+health counters and traffic folds by ``merge_state()`` in shard order.
 
 Durable runs keep the DESIGN.md §8 model unchanged: one checkpoint
 store, written by the parent alone.  Each worker cuts when its
@@ -15,9 +15,9 @@ every shard's state for ``n`` has arrived, the parent saves generation
 ``n``: its own state (sink positions, emit frontier, sidecar watermark)
 plus the list of shard states.  Resume is the serial path's: the newest
 generation that validates, each worker forked with its shard's state
-from it.  Output published beyond that cut is deduplicated by the emit
-frontier, which is lossless because the replayed tail regenerates it
-byte-identically.
+from it.  A replayed row below the emit frontier fills a gap in the
+sink or, already written, is dropped, which is lossless because the
+replayed tail regenerates it byte-identically.
 
 Worker *supervision* (DESIGN.md §12) rides on the same message stream:
 every message doubles as a heartbeat, a
@@ -47,7 +47,6 @@ from repro.robustness.policy import ErrorPolicy, LogParseError
 from repro.robustness.quarantine import QuarantineWriter
 from repro.robustness.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from repro.robustness.runstate import (
-    DURABLE_FIXUP_WINDOW,
     Checkpointing,
     InterruptFlag,
     RunResult,
@@ -165,7 +164,6 @@ class ParallelRun:
             workers=self.workers,
             input_path=self.input_path,
             on_error=self.on_error.value,
-            fixup_window=DURABLE_FIXUP_WINDOW if checkpointing is not None else None,
             reorder_window=self.reorder_window,
             emit=self.emit,
             checkpoint_every=checkpointing.every if checkpointing else None,
@@ -236,7 +234,9 @@ class ParallelRun:
     ) -> RunResult:
         """Supervise the pool and merge its message streams in order."""
         payload = resumed.payload if resumed is not None else None
-        emitter = OrderedRowEmitter(next_emit=payload["next_emit"] if payload else 0)
+        emitter = OrderedRowEmitter(
+            self.workers, next_emit=payload["next_emit"] if payload else 0
+        )
         merger = QuarantineMerger(
             quarantine.write if quarantine is not None else (lambda line_no, reason, raw: None),
             flushed_line=payload["flushed_line"] if payload else 0,
@@ -290,9 +290,12 @@ class ParallelRun:
                         supervisor.poll()
                         continue
                     if kind is MessageKind.BATCH:
+                        late: list[tuple[int, tuple[str, bool, bool]]] = []
                         for index, row, is_ad, is_whitelisted in message["rows"]:
-                            emitter.push(index, (row, is_ad, is_whitelisted))
-                        self._consume_rows(emitter.drain())
+                            if not emitter.push(index, (row, is_ad, is_whitelisted)):
+                                late.append((index, (row, is_ad, is_whitelisted)))
+                        emitter.advance(worker_id, message["frontier"])
+                        self._consume_rows(late + emitter.drain(), emitter.next_emit)
                         for line_no, reason, raw in message["quarantine"]:
                             merger.push(line_no, reason, raw)
                     elif kind is MessageKind.HB:
@@ -337,14 +340,12 @@ class ParallelRun:
                 out_queue.close()
 
         degraded_shards = supervisor.failed_ids
-        self._consume_rows(emitter.drain())
         if degraded_shards:
             for worker_id in degraded_shards:
                 self.log(f"shard {worker_id} lost: {supervisor.slots[worker_id].fail_reason}")
             if emitter.pending:
-                # Rows from surviving shards past the dead shard's emit
-                # frontier can never become contiguous; the published
-                # output is the exact serial prefix up to the gap.
+                # Rows from surviving shards past the dead shard's
+                # frontier can never be emitted; nothing is published.
                 self.log(
                     f"discarding {len(emitter.pending)} buffered rows stranded "
                     "past the missing shard's frontier"
@@ -353,13 +354,10 @@ class ParallelRun:
             records = next(iter(done.values()))["arrivals"] if done else 0
         else:
             records = done[0]["arrivals"]
-            if self.emit == "rows":
-                if emitter.next_emit != records:
-                    emitter.assert_empty()
-                    raise WorkerFailure(
-                        f"row merge lost rows: emitted {emitter.next_emit} of {records}"
-                    )
-                emitter.assert_empty()
+            # Each worker's last batch carries frontier == records; the
+            # sink's finalize() checks that every gap was filled.
+            if self.emit == "rows" and emitter.next_emit != records:
+                raise WorkerFailure(f"row merge stopped at {emitter.next_emit} of {records}")
         if not (degraded_shards and self.checkpointing is not None):
             merger.finish()
 
@@ -376,7 +374,7 @@ class ParallelRun:
             if url_cache_stats is not None:
                 health.add_url_cache_stats(*url_cache_stats)
             if self.emit == "fold" and self.sink is not None:
-                self.sink.accumulator.merge_state(message["fold"])
+                self.sink.merge_state(message["fold"])
         health.worker_restarts += supervisor.restarts
         health.heartbeat_gaps += supervisor.heartbeat_gaps
         health.shards_degraded += len(degraded_shards)
@@ -391,24 +389,30 @@ class ParallelRun:
             worker_restarts=supervisor.restarts,
         )
 
-    def _consume_rows(self, rows: list[tuple[str, bool, bool]]) -> None:
-        """Hand one drained run of rows to the sink.
+    def _consume_rows(
+        self, rows: list[tuple[int, tuple[str, bool, bool]]], frontier: int
+    ) -> None:
+        """Hand ``(index, row)`` pairs to the sink, then mark every index
+        below ``frontier`` still without a row as a gap.
 
         ``--crash-after N`` counts rows here: the run is split where
         the injector fires, so the crash lands with exactly N rows in
         the sink.
         """
+        sink = self.sink if self.emit == "rows" else None
         checkpointing = self.checkpointing
         injector = checkpointing.crash_injector if checkpointing is not None else None
         start = 0
         while start < len(rows):
             end = len(rows) if injector is None else min(len(rows), start + injector.remaining)
-            if self.sink is not None:
-                for row, is_ad, is_whitelisted in rows[start:end]:
-                    self.sink.consume_row(row, is_ad, is_whitelisted)
+            if sink is not None:
+                for index, (row, is_ad, is_whitelisted) in rows[start:end]:
+                    sink.consume_row(index, row, is_ad, is_whitelisted)
             if injector is not None:
                 injector.tick(end - start)
             start = end
+        if sink is not None:
+            sink.skip_to(frontier)
 
     def _save_checkpoint(
         self,

@@ -4,22 +4,24 @@ Workers finish records in shard-local order; these two small machines
 put the global order back:
 
 * :class:`OrderedRowEmitter` re-interleaves output rows by their global
-  ingest index, emitting exactly the contiguous prefix ``0, 1, 2, …``
-  as it becomes available — the serial emission order;
+  ingest index, emitting them in index order up to the lowest ingest
+  frontier over the workers — the serial emission order, but for the
+  late redirect sources the sink splices in;
 * :class:`QuarantineMerger` re-interleaves rejected lines by line
   number, releasing an entry only once every worker has read past its
   line (so no smaller-numbered entry can still arrive).
 
-Both also implement the resume-side dedup: a durable parallel run may
-have published rows/entries *beyond* the last checkpoint cut (workers
-run ahead of the cut), and the replayed tail regenerates them
-byte-identically; skipping everything at or below the restored
-watermark is therefore lossless.  The same idempotence is what makes
-supervised shard *respawn* (DESIGN.md §12) safe: a restarted worker
-replays its stream from the last saved checkpoint (or from scratch) and
-re-sends rows and rejected lines the parent may already hold — rows
-overwrite identical pending payloads, rejected lines dedup by line
-number, so one incarnation or five produce the same fold.
+Both also take part in the resume-side dedup: a durable parallel run
+may have published rows/entries *beyond* the last checkpoint cut
+(workers run ahead of the cut), and the replayed tail regenerates them
+byte-identically, so dropping what was already published is lossless.
+The same idempotence is what makes supervised shard *respawn*
+(DESIGN.md §12) safe: a restarted worker replays its stream from the
+last saved checkpoint (or from scratch) and re-sends rows and rejected
+lines the parent may already hold — pending rows are overwritten by
+identical payloads, a row below the emit frontier either fills a gap
+in the sink or is dropped there, rejected lines dedup by line number,
+so one incarnation or five produce the same fold.
 
 The user-space hash itself lives in :func:`repro.http.log.shard_of`,
 next to the record schema it keys on.
@@ -37,42 +39,49 @@ __all__ = ["shard_of", "claims_line", "OrderedRowEmitter", "QuarantineMerger"]
 class OrderedRowEmitter:
     """Reorders ``(global_index, payload)`` pairs into index order.
 
-    ``next_emit`` is the next index owed to the output; rows below it
-    are duplicates of already-published output (resume replay) and are
-    dropped.  How much ``pending`` holds depends on how the workers
-    release entries.  A durable pool's workers release in index order
-    behind the fix-up window, so rows run at most one window plus one
-    row batch ahead of the contiguous frontier.  A plain pool's workers
-    release nothing before their ``finish()``, so ``pending`` can hold
-    most of the run's rows while one shard waits on another.
+    Workers send rows as they settle, each batch with the worker's
+    ingest frontier: every row of its shard below the frontier has been
+    sent, or is a redirect source still waiting for its consequent
+    request.  Below the lowest frontier over the workers, an index with
+    no row is therefore a *gap*, whose row comes late.  ``next_emit`` is
+    the next index owed to the output; a row below it is late or a
+    replay, and only the sink can tell which, so :meth:`push` hands it
+    back.  ``pending`` holds the rows between ``next_emit`` and the
+    fastest worker's frontier: about one row batch per worker while the
+    workers keep pace.
     """
 
-    def __init__(self, *, next_emit: int = 0) -> None:
+    def __init__(self, workers: int, *, next_emit: int = 0) -> None:
         self.next_emit = next_emit
         self.pending: dict[int, tuple] = {}
+        self.frontiers = [next_emit] * workers
 
-    def push(self, index: int, payload: tuple) -> None:
+    def push(self, index: int, payload: tuple) -> bool:
+        """Hold a row; False for one below ``next_emit``, which the
+        caller hands to the sink directly."""
         if index < self.next_emit:
-            return  # already published before the resumed checkpoint
+            return False
         self.pending[index] = payload
+        return True
 
-    def drain(self) -> list[tuple]:
-        """Pop the payloads of the contiguous prefix available right now."""
-        pending, index = self.pending, self.next_emit
-        run = []
-        while index in pending:
-            run.append(pending.pop(index))
-            index += 1
-        self.next_emit = index
+    def advance(self, worker: int, frontier: int) -> None:
+        """Record a worker's ingest frontier (a respawned incarnation
+        replays from behind it, so it never moves back)."""
+        self.frontiers[worker] = max(self.frontiers[worker], frontier)
+
+    def drain(self) -> list[tuple[int, tuple]]:
+        """Pop ``(index, payload)`` in index order below the lowest
+        frontier; ``next_emit`` moves to that frontier, past the gaps."""
+        stop = min(self.frontiers)
+        if stop <= self.next_emit:
+            return []
+        pending, run = self.pending, []
+        for index in range(self.next_emit, stop):
+            payload = pending.pop(index, None)
+            if payload is not None:
+                run.append((index, payload))
+        self.next_emit = stop
         return run
-
-    def assert_empty(self) -> None:
-        if self.pending:
-            missing = self.next_emit
-            raise AssertionError(
-                f"row merge incomplete: index {missing} never arrived "
-                f"({len(self.pending)} rows stranded)"
-            )
 
 
 class QuarantineMerger:

@@ -6,13 +6,16 @@ to classification and reparsing removes all input IPC — and feeds every
 record to the same :class:`~repro.core.pipeline.StreamingClassifier`
 the serial path drives, flagging whether its shard owns the record's
 user.  The classifier classifies owned records and lets the others pass
-as placeholders, so its ingest index, reorder pops and fix-up releases
-follow the serial order exactly.  The pipeline is the parent's,
-inherited through ``fork``.
+as placeholders, so its ingest index and reorder pops follow the serial
+order exactly.  The pipeline is the parent's, inherited through
+``fork``.
 
-Released entries leave the worker as pre-rendered output rows tagged
-with their ``index``; the parent merely interleaves shards back into
-index order, which is what makes parallel output byte-identical to the
+Entries leave the worker as they settle, as pre-rendered output rows
+tagged with their ``index``.  Every batch also carries the worker's
+ingest frontier (``classifier.next_index``): each row of this shard
+below it has been sent, or is a redirect source still waiting.  The
+parent interleaves shards back into index order up to the lowest
+frontier, which is what makes parallel output byte-identical to the
 serial path.
 
 A worker never writes to disk.  On a durable run it cuts at every
@@ -44,7 +47,7 @@ import time
 import traceback
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable
 
 from repro.core.pipeline import (
     AdClassificationPipeline,
@@ -58,15 +61,13 @@ from repro.robustness.crash import CRASH_EXIT_CODE, FaultAction, WorkerFaultInje
 from repro.robustness.health import PipelineHealth
 from repro.robustness.policy import ErrorPolicy, LogParseError
 from repro.robustness.quarantine import QuarantineWriter
-from repro.robustness.runstate import classification_row
-
-if TYPE_CHECKING:
-    from repro.analysis.traffic import TrafficAccumulator
+from repro.robustness.runstate import TrafficSink, classification_row
 
 __all__ = ["MessageKind", "WorkerConfig", "run_worker"]
 
-# Rows per "batch" message; bounds both message size and the arrival
-# lag of the parent's contiguous-prefix emitter.
+# Records read between "batch" messages: bounds both message size and
+# how far behind the parent's emitter this shard's frontier lags, even
+# across a stretch in which the shard owns nothing.
 _ROW_BATCH = 512
 
 # How long a blocked queue put waits before re-checking that the parent
@@ -87,7 +88,7 @@ class MessageKind(str, Enum):
     carries.  The worker sends and the parent's fold loop dispatches on
     these members only, so the two sides cannot drift apart."""
 
-    BATCH = "batch"  # rendered rows + quarantined lines
+    BATCH = "batch"  # rendered rows, ingest frontier, quarantined lines
     HB = "hb"  # heartbeat: liveness only
     CKPT = "ckpt"  # this shard's state at a checkpoint cut
     DONE = "done"  # final health, fold and cache counters
@@ -109,7 +110,6 @@ class WorkerConfig:
     workers: int
     input_path: str
     on_error: str  # ErrorPolicy value
-    fixup_window: int | None
     reorder_window: float | None
     emit: str = "rows"  # "rows" (classify) | "fold" (report)
     checkpoint_every: int | None = None  # None: plain run, no cuts
@@ -271,14 +271,8 @@ class _ShardWorker:
         self.quarantine = _QuarantineBuffer()
         self.health = PipelineHealth()
         self._arrivals = 0  # parsed records seen, in arrival order
-        # Outbound row batch: (index, rendered row, is_ad, is_wl).
-        self._rows: list[tuple[int, str, bool, bool]] = []
-        self.accumulator: TrafficAccumulator | None = None
-        if config.emit == "fold":
-            # Only ``report`` folds; classify must not import numpy.
-            from repro.analysis.traffic import TrafficAccumulator
-
-            self.accumulator = TrafficAccumulator()
+        # Only ``report`` folds (TrafficSink imports numpy on use).
+        self.sink = TrafficSink() if config.emit == "fold" else None
         self.classifier: StreamingClassifier | None = None
         self.reader: SeekableLogReader | None = None
         # Supervision plumbing (DESIGN.md §12).
@@ -305,10 +299,7 @@ class _ShardWorker:
             shard=(config.worker_id, config.workers),
         )
         self.classifier = StreamingClassifier(
-            self.pipeline,
-            fixup_window=config.fixup_window,
-            reorder_window=config.reorder_window,
-            health=self.health,
+            self.pipeline, reorder_window=config.reorder_window, health=self.health
         )
         if resume is not None:
             self.reader.seek(**resume["reader"])
@@ -327,10 +318,11 @@ class _ShardWorker:
         feed = self.classifier.feed
         for record, owned in self.reader.iter_shard():
             self._arrivals += 1
-            for entry in feed(record, owned):
-                self._emit(entry)
+            feed(record, owned)
             if every and self._arrivals % every == 0:
                 self._checkpoint()
+            elif self._arrivals % _ROW_BATCH == 0:
+                self._flush(self.classifier.drain())
             # Supervision duties, after this record's effects (rows,
             # checkpoint) have been applied — so an injected crash at
             # record N dies with exactly N records processed, and a
@@ -359,15 +351,13 @@ class _ShardWorker:
                 if now >= self._next_beat:
                     self._send(MessageKind.HB, {"arrivals": self._arrivals})
                     self._next_beat = now + self._hb_interval
-        for entry in self.classifier.finish():
-            self._emit(entry)
-        self._flush()
+        self._flush(self.classifier.finish())
         cache_stats = self.pipeline.decision_cache_stats
         url_info = split_url.cache_info()
         done = {
             "arrivals": self._arrivals,
             "health": self.health.export_state(),
-            "fold": self.accumulator.export_state() if self.accumulator is not None else None,
+            "fold": self.sink.export_state() if self.sink is not None else None,
             # Transient observability, shipped OUTSIDE the health state:
             # per-shard caches are process-local, so their counters must
             # never enter the mergeable (checkpointable) health fields.
@@ -380,22 +370,26 @@ class _ShardWorker:
         }
         self._send(MessageKind.DONE, done)
 
-    def _emit(self, entry: ClassifiedRequest) -> None:
-        if self.accumulator is not None:
-            self.accumulator.add(entry)
-            return
-        self._rows.append(
+    def _flush(self, entries: list[ClassifiedRequest]) -> None:
+        """Send settled entries with this shard's ingest frontier and
+        rejected lines (a ``report`` shard folds the entries instead)."""
+        assert self.classifier is not None
+        if self.sink is not None:
+            for entry in entries:
+                self.sink.consume(entry)
+            entries = []
+        rows = [
             (entry.index, classification_row(entry), entry.is_ad, entry.is_whitelisted)
+            for entry in entries
+        ]
+        self._send(
+            MessageKind.BATCH,
+            {
+                "rows": rows,
+                "frontier": self.classifier.next_index,
+                "quarantine": self.quarantine.drain(),
+            },
         )
-        if len(self._rows) >= _ROW_BATCH:
-            self._flush()
-
-    def _flush(self) -> None:
-        rows, self._rows = self._rows, []
-        rejected = self.quarantine.drain()
-        if not rows and not rejected:
-            return
-        self._send(MessageKind.BATCH, {"rows": rows, "quarantine": rejected})
 
     def _send(self, kind: MessageKind, payload: Any) -> None:
         config = self.config
@@ -411,10 +405,11 @@ class _ShardWorker:
         workers cut at the *same* global positions, and the parent saves
         generation ``arrivals // checkpoint_every`` once every shard's
         state for it has arrived.  Rows are flushed first: by then every
-        row at or below the cut has reached the parent.
+        settled row below the cut has reached the parent, and the
+        classifier state holds only the redirect sources still waiting.
         """
-        self._flush()
         assert self.reader is not None and self.classifier is not None
+        self._flush(self.classifier.drain())
         self._send(
             MessageKind.CKPT,
             {

@@ -4,10 +4,12 @@ Every `repro classify` / `repro usage` / `repro report` executes as
 reader → :class:`~repro.core.pipeline.StreamingClassifier` → sink:
 :func:`run_serial` is that loop, and the shard pool
 (:mod:`repro.parallel.runner`) is the same fold spread over worker
-processes, handed the same sink.  Either is *plain* by default; handed
-a :class:`Checkpointing` it becomes *durable* (DESIGN.md §8), so that a
-crash — OOM kill, deploy, power loss — costs at most one checkpoint
-interval:
+processes, handed the same sink.  Every run hands the sink each entry
+once it settles — once no redirect fix-up can change it — and the sink
+puts the few late ones back in index order.  Either loop is *plain* by
+default; handed a :class:`Checkpointing` it becomes *durable*
+(DESIGN.md §8), so that a crash — OOM kill, deploy, power loss — costs
+at most one checkpoint interval:
 
 * a **run manifest** (``manifest.json``) pins what the run *is*: the
   hash of every classification-relevant parameter, a fingerprint of the
@@ -16,8 +18,10 @@ interval:
   on any mismatch, because resuming half a run against a different
   config or a mutated input silently produces garbage;
 * periodic **checkpoints** (:mod:`repro.robustness.checkpoint`) freeze
-  the input byte/line offset, the streaming classifier state, the
-  health counters and the sink positions;
+  the input byte/line offset, the streaming classifier state (the
+  redirect sources still waiting, not the run), the health counters and
+  the sink state: positions, plus the gaps and late rows or the fold
+  order that put late entries back in place;
 * outputs are written to ``*.part`` files (inside the checkpoint
   directory on a durable run) and atomically renamed to their final
   paths only when the run completes, so a failed run never shadows a
@@ -58,7 +62,6 @@ from repro.robustness.quarantine import QuarantineWriter
 
 __all__ = [
     "DEFAULT_CHECKPOINT_EVERY",
-    "DURABLE_FIXUP_WINDOW",
     "ManifestMismatch",
     "RunManifest",
     "Checkpointing",
@@ -110,19 +113,11 @@ MANIFEST_NAME = "manifest.json"
 # Version 1 directories hold pickled checkpoints; version 2 pool
 # directories keep the reorder heap outside the shard classifier's
 # state; version 3 pool directories keep one store per shard beside
-# the parent's.  All are refused up front.
-MANIFEST_VERSION = 4
+# the parent's; version 4 runs released rows in index order behind a
+# fix-up window, so their bytes differ where a fix-up reached past it.
+# All are refused up front.
+MANIFEST_VERSION = 5
 DEFAULT_CHECKPOINT_EVERY = 10_000
-
-# Fix-up window of a checkpointed run, serial or pooled: it bounds the
-# classifier state every checkpoint carries, and a checkpoint needs its
-# rows in index order up to the cut.  A fix-up reaching back further is
-# dropped, so a durable run can differ from process() in that tail
-# case.  A plain serial run has no window: entries reach the sink as
-# they settle (StreamingClassifier, release_settled), so it holds only
-# the pending redirect sources and still writes process()'s bytes.  A
-# plain pool worker holds every entry until the end (DESIGN.md §8, §10).
-DURABLE_FIXUP_WINDOW = 1024
 
 _READ_AHEAD = 64  # decode, then classify, in batches: ~10 % faster than per record
 _COPY_CHUNK = 1 << 20  # ClassifySink's splicing copy reads the part file in these
@@ -281,9 +276,9 @@ class RunSink:
         """Open output files; start from scratch or from checkpoint state."""
 
     def consume(self, entry: ClassifiedRequest) -> None:
-        """Fold one entry.  A durable run hands entries over in index
-        order; a plain serial run as they settle, which is index order
-        but for a few late redirect sources (see :class:`_FoldOrder`)."""
+        """Fold one entry.  Every run hands entries over as they settle,
+        which is index order but for a few late redirect sources (see
+        :class:`_FoldOrder`)."""
         raise NotImplementedError
 
     def export_state(self) -> dict:
@@ -308,12 +303,15 @@ class ClassifySink(RunSink):
     ``<final_path>.part`` and an unfinished run's :meth:`close` removes
     it — nothing could resume it.  No ``final_path``: count only.
 
-    Entries of a plain run arrive as they settle, so an index can be
-    missing when a later row is written: a redirect source still waiting
-    for its consequent request.  The sink notes the byte offset where
-    each missing row belongs, holds the row in memory when it arrives,
-    and :meth:`finalize` splices those few rows in while it copies the
-    part file to ``final_path`` — the same bytes an in-order run writes.
+    Entries arrive as they settle, so an index can be missing when a
+    later row is written: a redirect source still waiting for its
+    consequent request.  The sink notes the byte offset where each
+    missing row belongs (a *gap*), holds the row in memory when it
+    arrives, and :meth:`finalize` splices those few rows in while it
+    copies the part file to ``final_path`` — the same bytes an in-order
+    run writes.  Gaps and late rows are checkpointed with the counters.
+    A row below the frontier that fills no gap was written before: a
+    resumed or respawned pool shard replays it, and it is dropped.
     """
 
     HEADER = "#ts\tclient\turl\tpage\tis_ad\tblacklist\twhitelisted\n"
@@ -328,14 +326,16 @@ class ClassifySink(RunSink):
         self._file = None
         self._next_index = 0  # every lower index is written or in _gaps
         self._gaps: dict[int, int] = {}  # missing index -> offset its row goes at
-        self._late: dict[int, str] = {}  # index -> row that arrived after its gap
+        self._late: dict[int, str | None] = {}  # index -> row that arrived after its gap
 
     def begin(self, *, fresh: bool, state: dict | None) -> None:
         if state is not None:
             self.total = state["total"]
             self.ads = state["ads"]
             self.whitelisted = state["whitelisted"]
-        self._next_index = self.total
+            self._next_index = state["next_index"]
+            self._gaps = dict(state["gaps"])
+            self._late = dict(state["late"])
         if self.final_path is None:
             return
         if fresh:
@@ -350,35 +350,51 @@ class ClassifySink(RunSink):
             self._file.seek(state["pos"])
 
     def consume(self, entry: ClassifiedRequest) -> None:
-        index = entry.index
-        if self._file is not None and index >= self._next_index:
-            if index > self._next_index:
-                offset = self._file.tell()
-                self._gaps.update(dict.fromkeys(range(self._next_index, index), offset))
-            self._next_index = index + 1
-            self._file.write((classification_row(entry) + "\n").encode("utf-8"))
-        elif self._file is not None:
-            self._late[index] = classification_row(entry)
-        self.total += 1
-        if entry.is_ad:
-            self.ads += 1
-        if entry.is_whitelisted:
-            self.whitelisted += 1
+        row = classification_row(entry) if self._file is not None else None
+        self.consume_row(entry.index, row, entry.is_ad, entry.is_whitelisted)
 
-    def consume_row(self, row: str, is_ad: bool, is_whitelisted: bool) -> None:
-        """Append one pre-rendered row (the shard-parallel entry point —
-        workers render rows, the parent only interleaves and counts)."""
+    def consume_row(
+        self, index: int, row: str | None, is_ad: bool, is_whitelisted: bool
+    ) -> None:
+        """Place one rendered row at ``index`` and count it (``row`` is
+        None when there is no output file).  The shard pool's workers
+        render rows, so the parent hands them over here."""
+        if index >= self._next_index:
+            self.skip_to(index)
+            self._next_index = index + 1
+            if self._file is not None:
+                self._file.write((row + "\n").encode("utf-8"))
+        elif index not in self._gaps:
+            return  # replayed: written before the cut a shard resumed from
+        elif index in self._late:
+            if self._late[index] != row:
+                raise AssertionError(f"two different rows for index {index}")
+            return
+        else:
+            self._late[index] = row
         self.total += 1
         if is_ad:
             self.ads += 1
         if is_whitelisted:
             self.whitelisted += 1
-        if self._file is not None:
-            self._file.write((row + "\n").encode("utf-8"))
+
+    def skip_to(self, index: int) -> None:
+        """Every index below ``index`` not yet written is a gap: its row
+        comes late, and goes where the next row is written now."""
+        if index > self._next_index:
+            offset = self._file.tell() if self._file is not None else 0
+            self._gaps.update(dict.fromkeys(range(self._next_index, index), offset))
+            self._next_index = index
 
     def export_state(self) -> dict:
-        assert not self._gaps, "a checkpoint needs rows in index order"
-        state = {"total": self.total, "ads": self.ads, "whitelisted": self.whitelisted}
+        state = {
+            "total": self.total,
+            "ads": self.ads,
+            "whitelisted": self.whitelisted,
+            "next_index": self._next_index,
+            "gaps": list(self._gaps.items()),
+            "late": list(self._late.items()),
+        }
         if self._file is not None:
             self._file.flush()
             os.fsync(self._file.fileno())
@@ -386,6 +402,10 @@ class ClassifySink(RunSink):
         return state
 
     def finalize(self) -> None:
+        if self._late.keys() != self._gaps.keys():
+            raise AssertionError(
+                f"rows never delivered: {sorted(self._gaps.keys() - self._late.keys())[:5]}"
+            )
         if self._file is None:
             return
         if self._gaps:
@@ -400,10 +420,6 @@ class ClassifySink(RunSink):
     def _publish_spliced(self) -> None:
         """Copy the part file over ``final_path`` in one pass, inserting
         each late row at its noted offset, then drop the part file."""
-        if self._late.keys() != self._gaps.keys():
-            raise AssertionError(
-                f"rows never delivered: {sorted(self._gaps.keys() - self._late.keys())[:5]}"
-            )
         self._file.close()
         self._file = None
         with open(self.part_path, "rb") as part, atomic_writer(self.final_path, mode="wb") as out:
@@ -433,31 +449,34 @@ class ClassifySink(RunSink):
 class _FoldOrder:
     """The dict order an in-order fold has, for a fold fed settled entries.
 
-    A plain serial run hands its sink each entry once it settles
+    Every run hands its sink each entry once it settles
     (:class:`~repro.core.pipeline.StreamingClassifier`): in index order,
     but for the few redirect sources that wait for their consequent
     request.  Sums, minima and maxima do not depend on arrival order;
     dict insertion order does, and it reaches the output (Table 3 walks
     users in it, Table 4 breaks ties by it).  An in-order fold inserts
     a key at the lowest index that touches it, so this keeps that index
-    per key; a sink re-sorts its dicts by it if any entry arrived late.
-    A durable run releases in index order, so it never needs to.
+    per key, and a sink re-sorts its dicts by it when it finalizes.  Its
+    state, ``(key, index)`` pairs, is checkpointed with the sink's, and
+    merging pool shards' states gives the serial run's order.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, state: list | None = None) -> None:
         self.first: dict = {}
-        self.next_index = 0
-        self.late = False
+        self.merge(state or [])
 
     def note(self, index: int, keys: tuple) -> None:
-        if index < self.next_index:
-            self.late = True
-        else:
-            self.next_index = index + 1
         first = self.first
         for key in keys:
             if first.get(key, index + 1) > index:
                 first[key] = index
+
+    def merge(self, state: list) -> None:
+        for key, index in state:
+            self.note(index, (tuple(key),))  # JSON turns the tuple keys into lists
+
+    def export_state(self) -> list:
+        return list(self.first.items())
 
 
 class UserStatsSink(RunSink):
@@ -476,6 +495,7 @@ class UserStatsSink(RunSink):
             self.stats = {
                 tuple(row[0]): UserStats(tuple(row[0]), *row[1:]) for row in state["stats"]
             }
+            self._order = _FoldOrder(state["order"])
 
     def consume(self, entry: ClassifiedRequest) -> None:
         self.total += 1
@@ -489,15 +509,15 @@ class UserStatsSink(RunSink):
         self._order.note(entry.index, (entry.user,))
 
     def finalize(self) -> None:
-        if self._order.late:
-            order = sorted(self.stats, key=self._order.first.__getitem__)
-            self.stats = {user: self.stats[user] for user in order}
+        order = sorted(self.stats, key=self._order.first.__getitem__)
+        self.stats = {user: self.stats[user] for user in order}
 
     def export_state(self) -> dict:
         return {
             "total": self.total,
             "total_ads": self.total_ads,
             "stats": [dataclasses.astuple(stats) for stats in self.stats.values()],
+            "order": self._order.export_state(),
         }
 
 
@@ -514,18 +534,24 @@ class TrafficSink(RunSink):
         if state is not None:
             from repro.analysis.traffic import TrafficAccumulator
 
-            self.accumulator = TrafficAccumulator.from_state(state)
+            self.accumulator = TrafficAccumulator.from_state(state["fold"])
+            self._order = _FoldOrder(state["order"])
 
     def consume(self, entry: ClassifiedRequest) -> None:
         self.accumulator.add(entry)
         self._order.note(entry.index, self.accumulator.keys_of(entry))
 
+    def merge_state(self, state: dict) -> None:
+        """Fold in a pool shard's sink state (its :meth:`export_state`);
+        :meth:`finalize` then restores the serial dict order."""
+        self.accumulator.merge_state(state["fold"])
+        self._order.merge(state["order"])
+
     def finalize(self) -> None:
-        if self._order.late:
-            self.accumulator.reorder(self._order.first.__getitem__)
+        self.accumulator.reorder(self._order.first.__getitem__)
 
     def export_state(self) -> dict:
-        return self.accumulator.export_state()
+        return {"fold": self.accumulator.export_state(), "order": self._order.export_state()}
 
 
 # ---------------------------------------------------------------------------
@@ -713,19 +739,20 @@ def run_serial(
     ::
 
         for batch in seekable_reader:          # 64 records, offset accounting
-            for entry in classifier.feed(each record):
+            classifier.feed(each record)
+            for entry in classifier.drain():   # the entries that settled
                 sink.consume(entry)
             every N records: checkpoint        # only if handed checkpointing
         for entry in classifier.finish():
             sink.consume(entry)
         sink.finalize()                        # publish outputs atomically
 
+    Entries reach the sink as they settle, so the classifier holds only
+    the redirect sources still waiting for their consequent request, and
+    the sink restores index order: the bytes are
+    :meth:`AdClassificationPipeline.process`'s (DESIGN.md §8).
     Plain (no ``checkpointing``): nothing is written but the sink's
-    output and the sidecar, signals are left alone, and a fix-up can
-    reach back without limit — :meth:`AdClassificationPipeline.process`
-    semantics.  Entries reach the sink as they settle, so the classifier
-    holds only the redirect sources still waiting for their consequent
-    request, and the sink restores index order (DESIGN.md §8).
+    output and the sidecar, and signals are left alone.
     Checkpointed: a checkpoint is cut *between* batches,
     the only points where (input offset, classifier state, sink
     positions) are consistent; SIGINT/SIGTERM cut one more and raise
@@ -748,12 +775,7 @@ def run_serial(
         input_path, on_error=on_error, health=health, quarantine=quarantine
     )
     classifier = StreamingClassifier(
-        pipeline,
-        fixup_window=DURABLE_FIXUP_WINDOW if checkpointing is not None else None,
-        reorder_window=reorder_window,
-        max_users=max_users,
-        health=health,
-        release_settled=checkpointing is None,
+        pipeline, reorder_window=reorder_window, max_users=max_users, health=health
     )
     records_fed = checkpoints_written = 0
     with InterruptFlag() if checkpointing is not None else contextlib.nullcontext() as flag:
@@ -766,8 +788,9 @@ def run_serial(
             records = iter(reader)
             while batch := list(itertools.islice(records, _batch_size(checkpointing, records_fed))):
                 for record in batch:
-                    for entry in classifier.feed(record):
-                        sink.consume(entry)
+                    classifier.feed(record)
+                for entry in classifier.drain():
+                    sink.consume(entry)
                 records_fed += len(batch)
                 if checkpointing is None:
                     continue

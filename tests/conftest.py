@@ -26,13 +26,26 @@ from repro.web import Ecosystem, EcosystemConfig
 
 class RowCollector(RunSink):
     """The sink library-level pool tests hand to ``ParallelRun``: keeps
-    the rendered classification rows in a list instead of a file."""
+    the rendered classification rows by index instead of in a file."""
 
     def __init__(self) -> None:
-        self.rows: list[str] = []
+        self._rows: dict[int, str] = {}
 
-    def consume_row(self, row: str, is_ad: bool, is_whitelisted: bool) -> None:
-        self.rows.append(row)
+    def consume_row(self, index: int, row: str, is_ad: bool, is_whitelisted: bool) -> None:
+        # Late rows arrive after later ones; a replayed row repeats itself.
+        assert self._rows.setdefault(index, row) == row
+
+    def skip_to(self, index: int) -> None:
+        """Gaps need no bookkeeping: :attr:`rows` reads by index."""
+
+    @property
+    def rows(self) -> list[str]:
+        """The rows in index order, up to the first index without one
+        (a degraded pool's late rows from the lost shard never come)."""
+        rows: list[str] = []
+        while len(rows) in self._rows:
+            rows.append(self._rows[len(rows)])
+        return rows
 
 
 def pytest_addoption(parser: pytest.Parser) -> None:

@@ -331,16 +331,18 @@ class TestStreamingClassifierState:
             for record in records
         ]
 
-        whole = StreamingClassifier(pipeline, fixup_window=64, reorder_window=reorder_window)
+        whole = StreamingClassifier(pipeline, reorder_window=reorder_window)
         golden = []
         for record, mine in zip(records, owned):
-            golden.extend(whole.feed(record, mine))
+            whole.feed(record, mine)
+            golden.extend(whole.drain())
         golden.extend(whole.finish())
 
-        first = StreamingClassifier(pipeline, fixup_window=64, reorder_window=reorder_window)
+        first = StreamingClassifier(pipeline, reorder_window=reorder_window)
         out = []
         for record, mine in zip(records[:split], owned):
-            out.extend(first.feed(record, mine))
+            first.feed(record, mine)
+            out.extend(first.drain())
         # Through a checkpoint file, as a resumed run reads it back.
         store = CheckpointStore(tmp_path)
         store.save({"classifier": first.export_state()})
@@ -348,10 +350,11 @@ class TestStreamingClassifierState:
         if shard is not None:
             assert None in [row for _, _, row in state["reorder"]["heap"]]
 
-        second = StreamingClassifier(pipeline, fixup_window=64, reorder_window=reorder_window)
+        second = StreamingClassifier(pipeline, reorder_window=reorder_window)
         second.restore_state(state)
         for record, mine in zip(records[split:], owned[split:]):
-            out.extend(second.feed(record, mine))
+            second.feed(record, mine)
+            out.extend(second.drain())
         out.extend(second.finish())
 
         assert _keys(out) == _keys(golden)
@@ -666,7 +669,7 @@ class TestCrashRecoveryCli:
         manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         proc = _cli(_classify_args(cli_trace, out, ckpt, "--resume"), tmp_path)
         assert proc.returncode == EXIT_MANIFEST_MISMATCH, proc.stdout + proc.stderr
-        assert "manifest version 1 != 4" in proc.stderr
+        assert "manifest version 1 != 5" in proc.stderr
         assert "config changed" not in proc.stderr
         assert "restarting from the beginning" not in proc.stdout
         assert not out.exists()
@@ -705,7 +708,31 @@ class TestCrashRecoveryCli:
         manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         proc = _cli(_classify_args(cli_trace, out, ckpt, *pool, "--resume"), tmp_path)
         assert proc.returncode == EXIT_MANIFEST_MISMATCH, proc.stdout + proc.stderr
-        assert "manifest version 3 != 4" in proc.stderr
+        assert "manifest version 3 != 5" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "restarting from the beginning" not in proc.stdout
+        assert not out.exists()
+
+    def test_resume_of_a_version_4_directory_exits_4(self, tmp_path, cli_trace):
+        """A ``--workers`` directory in the version-4 layout, which is
+        today's: its runs released rows in index order behind a 1,024-row
+        fix-up window, so a tail case resumed under the one release rule
+        would splice two rules' bytes.  Refused up front by the manifest
+        version, never read as "no valid checkpoint" and restarted."""
+        out, ckpt = tmp_path / "out.tsv", tmp_path / "ckpt"
+        pool = ("--workers", "2")
+        crashed = _cli(
+            _classify_args(cli_trace, out, ckpt, *pool, "--crash-after", "5000"), tmp_path
+        )
+        assert crashed.returncode == CRASH_EXIT_CODE, crashed.stderr
+        assert CheckpointStore(ckpt).generations()
+        manifest_path = ckpt / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["version"] = 4
+        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        proc = _cli(_classify_args(cli_trace, out, ckpt, *pool, "--resume"), tmp_path)
+        assert proc.returncode == EXIT_MANIFEST_MISMATCH, proc.stdout + proc.stderr
+        assert "manifest version 4 != 5" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert "restarting from the beginning" not in proc.stdout
         assert not out.exists()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.pipeline import StreamingClassifier
 from repro.http.parser import HttpParseError, parse_response_stream
 
 
@@ -76,10 +77,16 @@ class TestParserFuzz:
 
 
 class TestStreamingPipeline:
-    def test_iter_process_matches_process(self, pipeline, rbn_trace):
+    def test_drained_entries_match_process(self, pipeline, rbn_trace):
         sample = rbn_trace.http[:8000]
         batch = pipeline.process(sample)
-        streamed = list(pipeline.iter_process(sample, fixup_window=256))
+        classifier = StreamingClassifier(pipeline)
+        streamed = []
+        for record in sample:
+            classifier.feed(record)
+            streamed.extend(classifier.drain())
+        streamed.extend(classifier.finish())
+        streamed.sort(key=lambda entry: entry.index)
         assert len(streamed) == len(batch)
         for a, b in zip(batch, streamed):
             assert a.record is b.record
@@ -87,14 +94,24 @@ class TestStreamingPipeline:
             assert a.is_ad == b.is_ad
             assert a.blacklist_name == b.blacklist_name
 
-    def test_iter_process_is_lazy(self, pipeline, rbn_trace):
-        iterator = pipeline.iter_process(iter(rbn_trace.http[:5000]), fixup_window=16)
-        first = next(iterator)
-        assert first.record is rbn_trace.http[0]
+    def test_drain_is_lazy(self, pipeline, rbn_trace):
+        classifier = StreamingClassifier(pipeline)
+        records = iter(rbn_trace.http[:5000])
+        first: list = []
+        while not first:
+            classifier.feed(next(records))
+            first = classifier.drain()
+        assert first[0].record is rbn_trace.http[0]
 
     def test_unbounded_window(self, pipeline, rbn_trace):
+        """A caller that never drains gets the whole run from finish()."""
         sample = rbn_trace.http[:2000]
-        assert len(list(pipeline.iter_process(sample, fixup_window=None))) == len(sample)
+        classifier = StreamingClassifier(pipeline, fixup_window=None)
+        for record in sample:
+            classifier.feed(record)
+        assert len(classifier.finish()) == len(sample)
+        with pytest.raises(TypeError, match="fixup_window"):
+            StreamingClassifier(pipeline, fixup_window=1024)
 
 
 class TestUaCollisions:

@@ -1,18 +1,21 @@
-"""A plain run releases each entry once it settles and still writes the
+"""Every run releases each entry once it settles and still writes the
 bytes of ``process()`` (DESIGN.md §8).
 
 The oracle is ``classification_row`` over ``pipeline.process()`` (or, for
 `usage` and `report`, ``aggregate_users`` / ``TrafficAccumulator`` folded
 over it in order), run on the records read back from the same file.
 Each synthetic case puts a redirect source where its row can only land
-late: a fix-up that reaches back past a durable run's window, a redirect
+late: a fix-up that reaches back 1,524 rows, a redirect
 never resolved, one replaced by a second redirect to the same target,
 one evicted by the pending cap or by ``max_users``.  `repro usage` and
 `repro report` must print what an in-order run of the same loop prints.
+Durable runs — serial, cut while a source waits, crashed and resumed,
+pooled — and plain pool runs must write the same bytes.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 
@@ -26,10 +29,14 @@ from repro.core.pipeline import AdClassificationPipeline, StreamingClassifier
 from repro.filterlist.lists import FilterList
 from repro.http.log import HttpLogRecord, SeekableLogReader, write_log
 from repro.http.url import split_url
+from repro.parallel import ParallelRun
 from repro.robustness import runstate as runstate_module
+from repro.robustness.checkpoint import CheckpointStore
+from repro.robustness.crash import CrashInjector, CrashMode, InjectedCrash
 from repro.robustness.runstate import (
-    DURABLE_FIXUP_WINDOW,
+    Checkpointing,
     ClassifySink,
+    RunManifest,
     TrafficSink,
     UserStatsSink,
     classification_row,
@@ -83,7 +90,7 @@ def _fixup_beyond_the_window():
     trace = _Trace()
     trace.page()
     source = trace.redirect("http://t.example/x.gif")
-    trace.filler(DURABLE_FIXUP_WINDOW + 500)
+    trace.filler(1024 + 500)  # past the window durable runs once had
     trace.target("http://t.example/x.gif")
     return trace.records, {"ad": [source]}
 
@@ -150,27 +157,32 @@ CASES = {
 }
 
 
+def _small_lists():
+    return {"easylist": FilterList.from_text(_LIST, "easylist")}
+
+
 @pytest.fixture()
 def small_pipeline():
-    return AdClassificationPipeline({"easylist": FilterList.from_text(_LIST, "easylist")})
+    return AdClassificationPipeline(_small_lists())
 
 
 @pytest.fixture()
 def watch_held(monkeypatch):
-    """Check after every record that the classifier holds no entry but
-    the pending redirect sources; the fixture's value counts the checks."""
+    """Check after every record the run loop feeds that its classifier
+    holds no entry but the pending redirect sources and what settled
+    since the last drain; the fixture's value counts the sources held."""
     checks = []
-    feed = StreamingClassifier.feed
 
-    def checked_feed(self, record, owned=True):
-        released = feed(self, record, owned)
-        if self.release_settled:  # the plain run's classifier, not the oracle's
+    class Watched(StreamingClassifier):
+        def feed(self, record, owned=True):
+            super().feed(record, owned)
             pending = sum(len(state.pending_type_fixup) for state in self.users.values())
             assert len(self.buffer) <= pending
+            # A batch and a burst of reorder pops, not the run.
+            assert len(self._settled) < 1000
             checks.append(len(self.buffer))
-        return released
 
-    monkeypatch.setattr(StreamingClassifier, "feed", checked_feed)
+    monkeypatch.setattr(runstate_module, "StreamingClassifier", Watched)
     return checks
 
 
@@ -271,9 +283,29 @@ def _traffic_fold(accumulator: TrafficAccumulator) -> str:
     return json.dumps(accumulator.export_state())  # keeps each dict's order
 
 
+def _came_late(indexes) -> bool:
+    """Whether an index arrived after a higher one."""
+    newest = itertools.accumulate(indexes, max)
+    return any(index < high for index, high in zip(indexes[1:], newest))
+
+
+@pytest.fixture()
+def noted(monkeypatch):
+    """The indexes each sink's ``_FoldOrder`` is handed, in arrival order."""
+    noted = {}
+    note = runstate_module._FoldOrder.note
+
+    def watched_note(self, index, keys):
+        noted.setdefault(id(self), []).append(index)
+        note(self, index, keys)
+
+    monkeypatch.setattr(runstate_module._FoldOrder, "note", watched_note)
+    return noted
+
+
 @pytest.mark.parametrize("source", ["rbn", "late-first-touch"])
 def test_usage_and_report_folds_match_the_in_order_fold(source, tmp_path, pipeline,
-                                                        small_pipeline, rbn_trace):
+                                                        small_pipeline, rbn_trace, noted):
     records, chosen = (
         (rbn_trace.http, pipeline) if source == "rbn" else (_late_first_touch(), small_pipeline)
     )
@@ -287,7 +319,8 @@ def test_usage_and_report_folds_match_the_in_order_fold(source, tmp_path, pipeli
     run_serial(trace, chosen, users)
     run_serial(trace, chosen, traffic)
 
-    assert users._order.late and traffic._order.late  # entries did arrive out of order
+    # Entries did arrive out of order.
+    assert _came_late(noted[id(users._order)]) and _came_late(noted[id(traffic._order)])
     assert list(users.stats.items()) == list(aggregate_users(entries).items())
     assert (users.total, users.total_ads) == (len(entries), sum(e.is_ad for e in entries))
     assert _traffic_fold(traffic.accumulator) == _traffic_fold(in_order)
@@ -311,28 +344,152 @@ def cli_trace(tmp_path_factory):
 
 @pytest.mark.parametrize("command", ["usage", "report"])
 def test_usage_and_report_print_what_an_in_order_run_prints(command, cli_trace, capsys,
-                                                            monkeypatch):
+                                                            monkeypatch, noted):
     http_path, tls_path = cli_trace
     argv = [command, *_CLI_ECO, "--trace", str(http_path)]
     if command == "usage":
         argv += ["--tls", str(tls_path), "--min-requests", "50"]
-    late = []
-    note = runstate_module._FoldOrder.note
-
-    def watched_note(self, index, keys):
-        late.append(index < self.next_index)
-        note(self, index, keys)
-
-    monkeypatch.setattr(runstate_module._FoldOrder, "note", watched_note)
     assert main(argv) == 0
     settled = capsys.readouterr().out
-    assert any(late)
+    assert any(_came_late(indexes) for indexes in noted.values())
 
-    init = StreamingClassifier.__init__
-
-    def in_order_init(self, *args, **kwargs):
-        init(self, *args, **{**kwargs, "release_settled": False})
-
-    monkeypatch.setattr(StreamingClassifier, "__init__", in_order_init)
+    # A loop that never drains gets every entry from finish(), in order.
+    monkeypatch.setattr(StreamingClassifier, "drain", lambda self: [])
     assert main(argv) == 0
     assert capsys.readouterr().out == settled
+
+
+# -- durable and pool runs write the same bytes -------------------------------
+
+
+def _first_cut(records, pipeline, every, *, after_a_late_row) -> int:
+    """The first checkpoint cut at which a redirect source still waits
+    and, with ``after_a_late_row``, a late entry was already handed on."""
+    classifier, newest, late = StreamingClassifier(pipeline), -1, False
+    for count, record in enumerate(records, 1):
+        classifier.feed(record)
+        for entry in classifier.drain():
+            late = late or entry.index < newest
+            newest = max(newest, entry.index)
+        if count % every == 0 and classifier.buffer and (late or not after_a_late_row):
+            return count
+    raise AssertionError("no such cut")
+
+
+def _checkpointing(directory, command, lists, trace, out=None, *, every, resume=False,
+                   crash_after=None) -> Checkpointing:
+    manifest = RunManifest.build(command=command, params={}, lists=lists, input_path=trace,
+                                 output_path=out, quarantine_path=None)
+    return Checkpointing(
+        directory=str(directory), manifest=manifest, every=every, resume=resume,
+        crash_injector=CrashInjector(crash_after, mode=CrashMode.RAISE) if crash_after else None,
+    )
+
+
+@pytest.mark.parametrize("source", ["fixup-reaches-1524-rows-back", "rbn-usage-trace"])
+def test_durable_and_pool_runs_write_the_bytes_of_process(source, tmp_path, pipeline, lists,
+                                                          small_pipeline, rbn_trace):
+    # The tail case's only late row comes after the last cut.
+    rbn = source == "rbn-usage-trace"
+    if rbn:
+        records, chosen, chosen_lists, every = rbn_trace.http, pipeline, lists, 1000
+    else:
+        records, chosen, chosen_lists, every = _fixup_beyond_the_window()[0], small_pipeline, \
+            _small_lists(), 500
+    trace = _write_trace(tmp_path, records)
+    read_back = _read_back(trace)
+    expected = _oracle_bytes(chosen.process(read_back))
+    cut = _first_cut(read_back, chosen, every, after_a_late_row=rbn)
+    crash_after = cut + every // 2
+    assert crash_after < len(read_back)
+
+    def classify(name, *, workers=None, durable=True, **kwargs) -> bytes:
+        directory, out = tmp_path / name, str(tmp_path / f"{name}.tsv")
+        checkpointing = part = None
+        if durable:
+            checkpointing = _checkpointing(directory, "classify", chosen_lists, trace, out,
+                                           every=every, **kwargs)
+            part = str(directory / "output.part")
+        sink = ClassifySink(part_path=part, final_path=out)
+        if workers is None:
+            run_serial(trace, chosen, sink, checkpointing=checkpointing)
+        else:
+            ParallelRun(workers=workers, input_path=trace, pipeline=chosen, sink=sink,
+                        checkpointing=checkpointing).run()
+        with open(out, "rb") as stream:
+            return stream.read()
+
+    assert classify("durable") == expected
+    for workers in (None, 2):
+        name = f"crashed-{workers}"
+        with pytest.raises(InjectedCrash):
+            classify(name, workers=workers, crash_after=crash_after)
+        if workers is None:
+            # The cut the run resumes from holds a waiting source, and
+            # the sink a gap where its row goes (and a filled one).
+            payload = CheckpointStore(str(tmp_path / name)).latest().payload
+            assert payload["records_fed"] == cut
+            assert payload["classifier"]["buffer"] and payload["sink"]["gaps"]
+            assert bool(payload["sink"]["late"]) == rbn
+        assert classify(name, workers=workers, resume=True) == expected
+    assert classify("durable-pool-2", workers=2) == expected
+    assert classify("durable-pool-4", workers=4) == expected
+    assert classify("plain-pool-2", workers=2, durable=False) == expected
+
+
+def test_durable_usage_and_report_resume_to_the_in_order_fold(tmp_path, pipeline, lists,
+                                                              rbn_trace):
+    trace = _write_trace(tmp_path, rbn_trace.http)
+    read_back = _read_back(trace)
+    entries = pipeline.process(read_back)
+    in_order = TrafficAccumulator()
+    for entry in entries:
+        in_order.add(entry)
+    every = 1000
+    crash_after = _first_cut(read_back, pipeline, every, after_a_late_row=True) + every // 2
+    assert crash_after < len(read_back)
+
+    def durable(sink, name, **kwargs):
+        checkpointing = _checkpointing(tmp_path / name, name, lists, trace, every=every,
+                                       **kwargs)
+        run_serial(trace, pipeline, sink, checkpointing=checkpointing)
+        return sink
+
+    for name, make in (("usage", UserStatsSink), ("report", TrafficSink)):
+        with pytest.raises(InjectedCrash):
+            durable(make(), name, crash_after=crash_after)
+        payload = CheckpointStore(str(tmp_path / name)).latest().payload
+        assert payload["sink"]["order"]
+        resumed = durable(make(), name, resume=True)
+        if name == "usage":
+            assert list(resumed.stats.items()) == list(aggregate_users(entries).items())
+        else:
+            assert _traffic_fold(resumed.accumulator) == _traffic_fold(in_order)
+
+
+def test_classify_sink_places_late_rows_and_drops_replays(tmp_path):
+    """The pool's index-aware write: a gap handed over below the emit
+    frontier takes its late row, a replayed row that fills no gap is
+    dropped, and a gap that never fills refuses the publish."""
+    out = tmp_path / "out.tsv"
+    sink = ClassifySink(final_path=str(out))
+    sink.begin(fresh=True, state=None)
+    sink.consume_row(0, "r0", True, False)
+    sink.skip_to(3)  # 1 and 2 wait for late rows
+    sink.consume_row(4, "r4", False, True)  # 3 is a gap too
+    for index, row in ((2, "r2"), (0, "r0"), (2, "r2"), (1, "r1"), (3, "r3")):
+        sink.consume_row(index, row, False, False)
+    with pytest.raises(AssertionError, match="two different rows"):
+        sink.consume_row(3, "other", False, False)
+    assert (sink.total, sink.ads, sink.whitelisted) == (5, 1, 1)
+    sink.finalize()
+    assert out.read_text() == ClassifySink.HEADER + "r0\nr1\nr2\nr3\nr4\n"
+
+    sink = ClassifySink(final_path=str(out))
+    sink.begin(fresh=True, state=None)
+    sink.consume_row(0, "r0", False, False)
+    sink.skip_to(2)
+    with pytest.raises(AssertionError, match="never delivered: \\[1\\]"):
+        sink.finalize()
+    sink.close()
+    assert not (tmp_path / "out.tsv.part").exists()

@@ -11,6 +11,7 @@ import pytest
 
 import repro.core.pipeline as pipeline_mod
 from repro.core import AdClassificationPipeline
+from repro.core.pipeline import StreamingClassifier
 from repro.http.log import HttpLogRecord, read_log, records_to_text, write_log
 from repro.robustness import (
     ErrorPolicy,
@@ -282,22 +283,16 @@ class TestReorderBuffer:
         shuffled = sorted(records, key=lambda r: r.ts + rng.uniform(-1.0, 1.0))
         assert [r.ts for r in shuffled] != [r.ts for r in records]
 
-        baseline = list(pipeline.iter_process(records, fixup_window=None))
+        baseline = pipeline.process(records)
         health = PipelineHealth()
-        repaired = list(
-            pipeline.iter_process(
-                shuffled, fixup_window=None, reorder_window=2.0, health=health
-            )
-        )
+        repaired = pipeline.process(shuffled, reorder_window=2.0, health=health)
         assert health.records_reordered > 0
         assert _classification_key(repaired) == _classification_key(baseline)
 
     def test_sorted_stream_passes_through(self, pipeline, rbn_trace):
         records = sorted(rbn_trace.http[:1000], key=lambda r: r.ts)
-        baseline = list(pipeline.iter_process(records, fixup_window=None))
-        repaired = list(
-            pipeline.iter_process(records, fixup_window=None, reorder_window=2.0)
-        )
+        baseline = pipeline.process(records)
+        repaired = pipeline.process(records, reorder_window=2.0)
         assert _classification_key(repaired) == _classification_key(baseline)
 
 
@@ -309,9 +304,12 @@ class TestBoundedUserState:
             for i in range(100_000)
         )
         health = PipelineHealth()
+        classifier = StreamingClassifier(pipeline, max_users=500, health=health)
         count = 0
-        for _ in pipeline.iter_process(records, max_users=500, health=health):
-            count += 1
+        for record in records:
+            classifier.feed(record)
+            count += len(classifier.drain())
+        count += len(classifier.finish())
         assert count == 100_000
         assert health.peak_users <= 500
         assert health.users_evicted == 100_000 - 500
@@ -326,7 +324,7 @@ class TestBoundedUserState:
             records.append(_record(ts=ts + 0.001, client=f"cold-{i}", flow_id=1000 + i))
             ts += 0.01
         health = PipelineHealth()
-        list(pipeline.iter_process(records, max_users=5, health=health))
+        pipeline.process(records, max_users=5, health=health)
         # Only cold users were evicted: 50 cold created, ≤4 still resident.
         assert health.users_evicted >= 46
         assert health.peak_users <= 5
@@ -368,7 +366,7 @@ class TestRedirectFixupLru:
         monkeypatch.setattr(pipeline_mod, "_MAX_PENDING_FIXUPS", 3)
         pipeline = AdClassificationPipeline({})
         records = [self._redirect(i, 1000.0 + i) for i in range(10)]
-        entries = list(pipeline.iter_process(records, fixup_window=None))
+        entries = pipeline.process(records)
         assert len(entries) == 10  # no crash, no wholesale clear
 
 

@@ -182,41 +182,45 @@ def test_health_summary_is_fold_order_insensitive():
 
 
 @pytest.mark.parametrize("workers", [2, 3])
-@pytest.mark.parametrize("fixup_window", [None, 8])
+@pytest.mark.parametrize("drain_every", [None, 8])
 def test_classifier_shard_fold_equals_serial_state(
-    pipeline, rbn_trace, workers, fixup_window
+    pipeline, rbn_trace, workers, drain_every
 ):
     """W classifiers, each fed every record with ``owned`` set for its
     shard's users, release entries that interleave by ``entry.index``
     into exactly the serial classifier's output — with and without the
-    reorder buffer, over a jittered (out-of-order) stream."""
+    reorder buffer, over a jittered (out-of-order) stream, whether the
+    caller drains every ``drain_every`` records or never."""
     rng = random.Random(5)
     records = [
         dataclasses.replace(record, ts=record.ts + rng.uniform(0.0, 3.0))
         for record in rbn_trace.http[:600]
     ]
     owners = [shard_of(record.client, record.user_agent or "", workers) for record in records]
+
+    def run(classifier, owned):
+        released = []
+        for count, (record, mine) in enumerate(zip(records, owned), 1):
+            classifier.feed(record, mine)
+            if drain_every and count % drain_every == 0:
+                released.extend(classifier.drain())
+        released.extend(classifier.finish())
+        return released
+
     for reorder_window in (None, 5.0):
         serial_health = PipelineHealth()
         serial = StreamingClassifier(
-            pipeline, fixup_window=fixup_window, reorder_window=reorder_window,
-            health=serial_health,
+            pipeline, reorder_window=reorder_window, health=serial_health
         )
-        expected = []
-        for record in records:
-            expected.extend(serial.feed(record))
-        expected.extend(serial.finish())
+        expected = sorted(run(serial, [True] * len(records)), key=lambda entry: entry.index)
 
         healths = [PipelineHealth() for _ in range(workers)]
         released = []
         for shard_id, health in enumerate(healths):
             shard = StreamingClassifier(
-                pipeline, fixup_window=fixup_window, reorder_window=reorder_window,
-                health=health,
+                pipeline, reorder_window=reorder_window, health=health
             )
-            for record, owner in zip(records, owners):
-                released.extend(shard.feed(record, owned=owner == shard_id))
-            released.extend(shard.finish())
+            released.extend(run(shard, [owner == shard_id for owner in owners]))
             assert shard.next_index == len(records)
 
         released.sort(key=lambda entry: entry.index)
