@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -188,8 +187,9 @@ class TrafficAccumulator:
     ``traffic_summary``/``content_type_table`` fold a complete entries
     list through this; durable `repro report` runs instead :meth:`add`
     one entry at a time and checkpoint :meth:`export_state` mid-stream
-    (DESIGN.md §8).  Dict insertion order (first-seen MIME among ads /
-    non-ads) is part of the state — it is the Table 4 tie-break order.
+    (DESIGN.md §8).  Every field is a sum, so the fold does not depend
+    on the order entries arrive in: Table 4 breaks equal ad-request
+    counts by MIME name, never by dict insertion order.
     """
 
     total_requests: int = 0
@@ -218,27 +218,6 @@ class TrafficAccumulator:
             self.nonad_requests_by_mime[mime] = self.nonad_requests_by_mime.get(mime, 0) + 1
             self.nonad_bytes_by_mime[mime] = self.nonad_bytes_by_mime.get(mime, 0) + size
 
-    @staticmethod
-    def keys_of(entry: ClassifiedRequest) -> tuple[tuple[str, str], ...]:
-        """The dict keys :meth:`add` touches for ``entry``, tagged by dict."""
-        mime = entry.record.content_type or "-"
-        if entry.is_ad:
-            return (("list", _bucket_of(entry)), ("ad", mime))
-        return (("nonad", mime),)
-
-    def reorder(self, first_index: Callable[[tuple[str, str]], int]) -> None:
-        """Re-insert every dict's keys by ``first_index`` of their
-        :meth:`keys_of` key: the order an in-order fold inserts them in."""
-        for tag, names in (
-            ("list", ("by_list",)),
-            ("ad", ("ad_requests_by_mime", "ad_bytes_by_mime")),
-            ("nonad", ("nonad_requests_by_mime", "nonad_bytes_by_mime")),
-        ):
-            for name in names:
-                counts = getattr(self, name)
-                order = sorted(counts, key=lambda key: first_index((tag, key)))
-                setattr(self, name, {key: counts[key] for key in order})
-
     def summary(self) -> TrafficSummary:
         denominator = self.ad_requests or 1
         return TrafficSummary(
@@ -257,9 +236,7 @@ class TrafficAccumulator:
         total_nonad_requests = sum(self.nonad_requests_by_mime.values()) or 1
         total_nonad_bytes = sum(self.nonad_bytes_by_mime.values()) or 1
         mimes = sorted(
-            self.ad_requests_by_mime,
-            key=lambda mime: self.ad_requests_by_mime[mime],
-            reverse=True,
+            self.ad_requests_by_mime, key=lambda mime: (-self.ad_requests_by_mime[mime], mime)
         )[:top]
         return [
             ContentTypeRow(
@@ -294,11 +271,8 @@ class TrafficAccumulator:
     def merge_state(self, state: dict) -> None:
         """Fold a shard's exported counters into this accumulator.
 
-        Every field is a sum over disjoint entry sets, so the fold is
-        associative and commutative on the *numbers*; only dict
-        insertion order (the Table 4 tie-break) depends on fold order,
-        which is why the parallel runner folds shards in shard-index
-        order (DESIGN.md §10).
+        Every field is a sum over disjoint entry sets, so shards merge
+        in any order (DESIGN.md §10).
         """
         self.total_requests += state["total_requests"]
         self.total_bytes += state["total_bytes"]

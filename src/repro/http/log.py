@@ -423,6 +423,11 @@ class SeekableLogReader:
     def header(self) -> list[str] | None:
         return self._impl.header
 
+    def position(self) -> dict:
+        """The three coordinates as a checkpoint keeps them: the inverse
+        of ``seek(**position)``."""
+        return {"offset": self.offset, "line_no": self.line_no, "header": self.header}
+
     def seek(self, *, offset: int, line_no: int, header: list[str] | None) -> None:
         """Restore a checkpointed position (and the header adopted before it)."""
         self._impl.seek(offset=offset, line_no=line_no, header=header)

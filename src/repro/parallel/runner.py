@@ -4,7 +4,8 @@ The parent never parses or classifies.  It forks one worker per shard,
 each inheriting the parent's pipeline, then folds their message streams
 back into the single serial-order output: rows re-interleave by ingest
 index up to the lowest worker frontier, rejected lines by line number,
-health counters and traffic folds by ``merge_state()`` in shard order.
+health counters and traffic folds by ``merge_state()``: sums, which
+merge in any order.
 
 Durable runs keep the DESIGN.md §8 model unchanged: one checkpoint
 store, written by the parent alone.  Each worker cuts when its
@@ -362,7 +363,7 @@ class ParallelRun:
             merger.finish()
 
         health = PipelineHealth()
-        for _worker_id, message in sorted(done.items()):
+        for message in done.values():
             health.merge_state(message["health"])
             # Cache counters travel outside the (checkpointable) health
             # state; fold them into the parent's transient fields so the

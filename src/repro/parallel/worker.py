@@ -414,11 +414,7 @@ class _ShardWorker:
             MessageKind.CKPT,
             {
                 "arrivals": self._arrivals,
-                "reader": {
-                    "offset": self.reader.offset,
-                    "line_no": self.reader.line_no,
-                    "header": self.reader.header,
-                },
+                "reader": self.reader.position(),
                 "classifier": self.classifier.export_state(),
                 "health": self.health.export_state(),
             },

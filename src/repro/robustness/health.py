@@ -120,18 +120,6 @@ class PipelineHealth:
     def exit_code(self) -> int:
         return EXIT_DEGRADED if self.degraded else EXIT_CLEAN
 
-    def merge(self, other: "PipelineHealth") -> None:
-        self.records_seen += other.records_seen
-        self.records_ok += other.records_ok
-        self.records_dropped += other.records_dropped
-        self.records_quarantined += other.records_quarantined
-        self.records_repaired += other.records_repaired
-        self.records_reordered += other.records_reordered
-        self.users_evicted += other.users_evicted
-        self.peak_users = max(self.peak_users, other.peak_users)
-        for stage, reasons in other.stage_errors.items():
-            self.stage_errors.setdefault(stage, Counter()).update(reasons)
-
     # -- checkpoint wire form (DESIGN.md §8) ---------------------------
 
     def export_state(self) -> dict:
@@ -165,8 +153,7 @@ class PipelineHealth:
         The shard-parallel fold (DESIGN.md §10): every counter is a sum
         over disjoint record sets, *including* ``peak_users`` — each
         worker holds its shard's users simultaneously, so the pool's
-        peak memory is the sum of the per-shard peaks, not their max
-        (contrast :meth:`merge`, which combines alternative runs).
+        peak memory is the sum of the per-shard peaks, not their max.
         """
         self.records_seen += state["records_seen"]
         self.records_ok += state["records_ok"]

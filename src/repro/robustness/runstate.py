@@ -276,9 +276,9 @@ class RunSink:
         """Open output files; start from scratch or from checkpoint state."""
 
     def consume(self, entry: ClassifiedRequest) -> None:
-        """Fold one entry.  Every run hands entries over as they settle,
-        which is index order but for a few late redirect sources (see
-        :class:`_FoldOrder`)."""
+        """Fold one entry.  Every run hands entries over as they settle:
+        index order but for a few late redirect sources, which only
+        :class:`ClassifySink` (whose rows are its output) puts back."""
         raise NotImplementedError
 
     def export_state(self) -> dict:
@@ -446,79 +446,35 @@ class ClassifySink(RunSink):
                 os.unlink(self.part_path)
 
 
-class _FoldOrder:
-    """The dict order an in-order fold has, for a fold fed settled entries.
-
-    Every run hands its sink each entry once it settles
-    (:class:`~repro.core.pipeline.StreamingClassifier`): in index order,
-    but for the few redirect sources that wait for their consequent
-    request.  Sums, minima and maxima do not depend on arrival order;
-    dict insertion order does, and it reaches the output (Table 3 walks
-    users in it, Table 4 breaks ties by it).  An in-order fold inserts
-    a key at the lowest index that touches it, so this keeps that index
-    per key, and a sink re-sorts its dicts by it when it finalizes.  Its
-    state, ``(key, index)`` pairs, is checkpointed with the sink's, and
-    merging pool shards' states gives the serial run's order.
-    """
-
-    def __init__(self, state: list | None = None) -> None:
-        self.first: dict = {}
-        self.merge(state or [])
-
-    def note(self, index: int, keys: tuple) -> None:
-        first = self.first
-        for key in keys:
-            if first.get(key, index + 1) > index:
-                first[key] = index
-
-    def merge(self, state: list) -> None:
-        for key, index in state:
-            self.note(index, (tuple(key),))  # JSON turns the tuple keys into lists
-
-    def export_state(self) -> list:
-        return list(self.first.items())
-
-
 class UserStatsSink(RunSink):
     """`repro usage`: fold entries into per-user statistics (§6)."""
 
     def __init__(self):
         self.stats: dict[UserKey, UserStats] = {}
-        self.total = 0
-        self.total_ads = 0
-        self._order = _FoldOrder()
+
+    @property
+    def total(self) -> int:
+        return sum(stats.requests for stats in self.stats.values())
+
+    @property
+    def total_ads(self) -> int:
+        return sum(stats.ad_requests for stats in self.stats.values())
 
     def begin(self, *, fresh: bool, state: dict | None) -> None:
         if state is not None:
-            self.total = state["total"]
-            self.total_ads = state["total_ads"]
             self.stats = {
                 tuple(row[0]): UserStats(tuple(row[0]), *row[1:]) for row in state["stats"]
             }
-            self._order = _FoldOrder(state["order"])
 
     def consume(self, entry: ClassifiedRequest) -> None:
-        self.total += 1
-        if entry.is_ad:
-            self.total_ads += 1
         stats = self.stats.get(entry.user)
         if stats is None:
             stats = UserStats(user=entry.user)
             self.stats[entry.user] = stats
         stats.add(entry)
-        self._order.note(entry.index, (entry.user,))
-
-    def finalize(self) -> None:
-        order = sorted(self.stats, key=self._order.first.__getitem__)
-        self.stats = {user: self.stats[user] for user in order}
 
     def export_state(self) -> dict:
-        return {
-            "total": self.total,
-            "total_ads": self.total_ads,
-            "stats": [dataclasses.astuple(stats) for stats in self.stats.values()],
-            "order": self._order.export_state(),
-        }
+        return {"stats": [dataclasses.astuple(stats) for stats in self.stats.values()]}
 
 
 class TrafficSink(RunSink):
@@ -528,30 +484,22 @@ class TrafficSink(RunSink):
         from repro.analysis.traffic import TrafficAccumulator
 
         self.accumulator = TrafficAccumulator()
-        self._order = _FoldOrder()
 
     def begin(self, *, fresh: bool, state: dict | None) -> None:
         if state is not None:
             from repro.analysis.traffic import TrafficAccumulator
 
             self.accumulator = TrafficAccumulator.from_state(state["fold"])
-            self._order = _FoldOrder(state["order"])
 
     def consume(self, entry: ClassifiedRequest) -> None:
         self.accumulator.add(entry)
-        self._order.note(entry.index, self.accumulator.keys_of(entry))
 
     def merge_state(self, state: dict) -> None:
-        """Fold in a pool shard's sink state (its :meth:`export_state`);
-        :meth:`finalize` then restores the serial dict order."""
+        """Fold in a pool shard's sink state (its :meth:`export_state`)."""
         self.accumulator.merge_state(state["fold"])
-        self._order.merge(state["order"])
-
-    def finalize(self) -> None:
-        self.accumulator.reorder(self._order.first.__getitem__)
 
     def export_state(self) -> dict:
-        return {"fold": self.accumulator.export_state(), "order": self._order.export_state()}
+        return {"fold": self.accumulator.export_state()}
 
 
 # ---------------------------------------------------------------------------
@@ -799,11 +747,7 @@ def run_serial(
                     store.save(
                         {
                             "records_fed": records_fed,
-                            "reader": {
-                                "offset": reader.offset,
-                                "line_no": reader.line_no,
-                                "header": reader.header,
-                            },
+                            "reader": reader.position(),
                             "classifier": classifier.export_state(),
                             "health": health.export_state(),
                             "sink": sink.export_state(),

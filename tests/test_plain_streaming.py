@@ -16,7 +16,6 @@ pooled — and plain pool runs must write the same bytes.
 from __future__ import annotations
 
 import itertools
-import json
 import random
 
 import pytest
@@ -263,24 +262,19 @@ def test_counters_without_an_output_file(tmp_path, pipeline, rbn_trace):
     assert list(tmp_path.iterdir()) == [tmp_path / "trace.tsv"]
 
 
-# -- usage and report: the fold's dict order is output -----------------------
+# -- usage and report: the folds do not depend on arrival order --------------
 
 
 def _late_first_touch():
     """Index 0 is user A's redirect source and the first ``text/html``
     ad; it settles only at index 2, after user B's ``image/gif`` ad at
-    index 1.  Folded as they arrive, B and ``image/gif`` would come
-    first; Table 4's tie-break and the usage table's user order would
-    change with them."""
+    index 1, so the sinks see B and ``image/gif`` first.  The two MIME
+    types tie in Table 4, which breaks the tie by name."""
     trace = _Trace()
     trace.redirect("http://t.example/x.gif", referrer=None)
     trace.add("http://ads.example/banner.gif", "image/gif", client="10.0.0.2", referrer=None)
     trace.target("http://t.example/x.gif", referrer=None)
     return trace.records
-
-
-def _traffic_fold(accumulator: TrafficAccumulator) -> str:
-    return json.dumps(accumulator.export_state())  # keeps each dict's order
 
 
 def _came_late(indexes) -> bool:
@@ -291,15 +285,15 @@ def _came_late(indexes) -> bool:
 
 @pytest.fixture()
 def noted(monkeypatch):
-    """The indexes each sink's ``_FoldOrder`` is handed, in arrival order."""
+    """The indexes each fold sink is handed, in arrival order."""
     noted = {}
-    note = runstate_module._FoldOrder.note
+    for sink_class in (UserStatsSink, TrafficSink):
 
-    def watched_note(self, index, keys):
-        noted.setdefault(id(self), []).append(index)
-        note(self, index, keys)
+        def watched_consume(self, entry, consume=sink_class.consume):
+            noted.setdefault(id(self), []).append(entry.index)
+            consume(self, entry)
 
-    monkeypatch.setattr(runstate_module._FoldOrder, "note", watched_note)
+        monkeypatch.setattr(sink_class, "consume", watched_consume)
     return noted
 
 
@@ -320,14 +314,14 @@ def test_usage_and_report_folds_match_the_in_order_fold(source, tmp_path, pipeli
     run_serial(trace, chosen, traffic)
 
     # Entries did arrive out of order.
-    assert _came_late(noted[id(users._order)]) and _came_late(noted[id(traffic._order)])
-    assert list(users.stats.items()) == list(aggregate_users(entries).items())
+    assert _came_late(noted[id(users)]) and _came_late(noted[id(traffic)])
+    assert users.stats == aggregate_users(entries)
     assert (users.total, users.total_ads) == (len(entries), sum(e.is_ad for e in entries))
-    assert _traffic_fold(traffic.accumulator) == _traffic_fold(in_order)
+    assert traffic.accumulator.export_state() == in_order.export_state()
     assert traffic.accumulator.content_type_rows() == in_order.content_type_rows()
     if source == "late-first-touch":
-        assert list(users.stats) == [("10.0.0.1", "UA"), ("10.0.0.2", "UA")]
-        assert list(in_order.ad_requests_by_mime) == ["text/html", "image/gif"]
+        rows = traffic.accumulator.content_type_rows()
+        assert [row.content_type for row in rows] == ["image/gif", "text/html"]
 
 
 _CLI_ECO = ["--publishers", "80", "--eco-seed", "99"]
@@ -459,12 +453,12 @@ def test_durable_usage_and_report_resume_to_the_in_order_fold(tmp_path, pipeline
         with pytest.raises(InjectedCrash):
             durable(make(), name, crash_after=crash_after)
         payload = CheckpointStore(str(tmp_path / name)).latest().payload
-        assert payload["sink"]["order"]
+        assert "order" not in payload["sink"]  # counters only: the fold is order-free
         resumed = durable(make(), name, resume=True)
         if name == "usage":
-            assert list(resumed.stats.items()) == list(aggregate_users(entries).items())
+            assert resumed.stats == aggregate_users(entries)
         else:
-            assert _traffic_fold(resumed.accumulator) == _traffic_fold(in_order)
+            assert resumed.accumulator.export_state() == in_order.export_state()
 
 
 def test_classify_sink_places_late_rows_and_drops_replays(tmp_path):

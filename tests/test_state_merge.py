@@ -3,11 +3,13 @@
 The pool's parent folds per-shard health counters and (for ``report``)
 traffic accumulators from their exports, so each ``merge_state`` must
 behave like a commutative, associative monoid action on exported
-snapshots — up to the orderings each class deliberately leaves
-unspecified (dict insertion order), which the ``canon`` helper
-quotients away.  Classifier state is never merged: each shard feeds the
-whole stream to its own classifier, and the last test checks that the
-shards' released entries re-interleave into exactly the serial output.
+snapshots.  Every field is a sum, and no output reads a dict's
+insertion order: the health summary orders reasons by
+``(-count, reason)`` and Table 4 its rows by ``(-ad_requests, mime)``,
+so the same entries folded in any order print the same tables.
+Classifier state is never merged: each shard feeds the whole stream to
+its own classifier, and the last test checks that the shards' released
+entries re-interleave into exactly the serial output.
 """
 
 from __future__ import annotations
@@ -62,17 +64,6 @@ traffic_states = st.fixed_dictionaries(
 )
 
 
-def canon(value):
-    """Order-free view of an exported snapshot: dicts become sorted
-    item tuples, lists are sorted (their order is insertion order,
-    which the fold deliberately leaves shard-dependent)."""
-    if isinstance(value, dict):
-        return tuple(sorted((key, canon(item)) for key, item in value.items()))
-    if isinstance(value, (list, tuple)):
-        return tuple(sorted((canon(item) for item in value), key=repr))
-    return value
-
-
 # ---------------------------------------------------------------------------
 # The generic laws, parameterized over (fresh-instance, export, merge)
 
@@ -110,10 +101,10 @@ class TestMergeLaws:
         @given(state=strategy)
         def law(state):
             merged = _fold(fresh, [state])
-            assert canon(export(merged)) == canon(state)
+            assert export(merged) == state
             # Folding a fresh instance's own export is a no-op.
             merged.merge_state(export(fresh()))
-            assert canon(export(merged)) == canon(state)
+            assert export(merged) == state
 
         law()
 
@@ -123,9 +114,7 @@ class TestMergeLaws:
         @settings(max_examples=50, deadline=None)
         @given(a=strategy, b=strategy)
         def law(a, b):
-            assert canon(export(_fold(fresh, [a, b]))) == canon(
-                export(_fold(fresh, [b, a]))
-            )
+            assert export(_fold(fresh, [a, b])) == export(_fold(fresh, [b, a]))
 
         law()
 
@@ -137,7 +126,7 @@ class TestMergeLaws:
         def law(a, b, c):
             flat = _fold(fresh, [a, b, c])
             nested = _fold(fresh, [export(_fold(fresh, [a, b])), c])
-            assert canon(export(flat)) == canon(export(nested))
+            assert export(flat) == export(nested)
 
         law()
 
@@ -148,15 +137,12 @@ class TestMergeLaws:
 
 def test_health_peak_users_sums_across_shards():
     """Disjoint shards hold their users simultaneously: the pool peak is
-    the *sum* of shard peaks (contrast merge(), which maxes)."""
+    the *sum* of shard peaks."""
     total = PipelineHealth()
     for peak in (3, 5, 2):
         shard = PipelineHealth(peak_users=peak)
         total.merge_state(shard.export_state())
     assert total.peak_users == 10
-    alternative = PipelineHealth(peak_users=3)
-    alternative.merge(PipelineHealth(peak_users=5))
-    assert alternative.peak_users == 5
 
 
 def test_health_summary_is_fold_order_insensitive():
@@ -175,6 +161,49 @@ def test_health_summary_is_fold_order_insensitive():
     assert ab.summary() == ba.summary()
     # Equal counts tie-break by reason name, not insertion order.
     assert ab.summary().index("bad-value") > ab.summary().index("field-count")
+
+
+def _tied_entries(classified, *, mimes=4, per_mime=2):
+    """``per_mime`` ad entries of each of ``mimes`` Content-Types, so
+    every Table 4 row ties, plus as many non-ad entries."""
+    by_mime: dict[str, list] = {}
+    for entry in classified:
+        if entry.is_ad:
+            chosen = by_mime.setdefault(entry.record.content_type or "-", [])
+            if len(chosen) < per_mime:
+                chosen.append(entry)
+    ads = [
+        entry for chosen in by_mime.values() if len(chosen) == per_mime for entry in chosen
+    ][: mimes * per_mime]
+    assert len(ads) == mimes * per_mime
+    return ads + [entry for entry in classified if not entry.is_ad][: len(ads)]
+
+
+def test_table4_is_fold_order_insensitive(classified):
+    entries = _tied_entries(classified)
+    in_order = TrafficAccumulator()
+    for entry in entries:
+        in_order.add(entry)
+    expected = in_order.content_type_rows()
+
+    def fold(part):
+        accumulator = TrafficAccumulator()
+        for entry in part:
+            accumulator.add(entry)
+        return accumulator
+
+    @settings(max_examples=50, deadline=None)
+    @given(shuffled=st.permutations(entries), cut=st.integers(0, len(entries)))
+    def law(shuffled, cut):
+        assert fold(shuffled).content_type_rows() == expected
+        a, b = fold(shuffled[:cut]).export_state(), fold(shuffled[cut:]).export_state()
+        assert _fold(TrafficAccumulator, [a, b]).content_type_rows() == expected
+        assert _fold(TrafficAccumulator, [b, a]).content_type_rows() == expected
+
+    law()
+    # Equal counts tie-break by MIME name, not insertion order.
+    tied = TrafficAccumulator(ad_requests=2, ad_requests_by_mime={"text/html": 1, "image/gif": 1})
+    assert [row.content_type for row in tied.content_type_rows()] == ["image/gif", "text/html"]
 
 
 # ---------------------------------------------------------------------------
