@@ -118,6 +118,8 @@ class BrowserEmulator:
                 engine.add_filters(filter_list.filters, list_name=name)
                 self._hiding_rules.extend(filter_list.hiding_rules)
             self._engine = engine
+        # Page host -> whether an element-hiding rule applies there.
+        self._hides_on_host: dict[str, bool] = {}
 
     def visit(self, page: PageFetch, *, list_update: bool = True) -> BrowserVisit:
         """Load ``page``, returning the issued/blocked request record.
@@ -242,7 +244,10 @@ class BrowserEmulator:
         if not page.text_ads or not self._hiding_rules:
             return 0
         page_host = split_url(page.page_url).host
-        for rule in self._hiding_rules:
-            if not rule.is_exception and rule.applies_to(page_host):
-                return page.text_ads
-        return 0
+        hides = self._hides_on_host.get(page_host)
+        if hides is None:
+            hides = self._hides_on_host[page_host] = any(
+                not rule.is_exception and rule.applies_to(page_host)
+                for rule in self._hiding_rules
+            )
+        return page.text_ads if hides else 0

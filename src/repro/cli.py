@@ -44,7 +44,7 @@ import os
 import sys
 from typing import NoReturn, Sequence, TextIO
 
-from repro.core import AdClassificationPipeline
+from repro.core import AdClassificationPipeline, PipelineConfig
 from repro.exitcodes import (
     EXIT_INTERRUPTED,
     EXIT_MANIFEST_MISMATCH,
@@ -200,8 +200,6 @@ def _resolve_pipeline(
     content is refused — an identity violation (exit 4), never rebuilt
     over silently.
     """
-    from repro.core.pipeline import PipelineConfig
-
     config = PipelineConfig(use_decision_cache=not args.no_decision_cache)
     snapshot_path = getattr(args, "engine_snapshot", None)
     if snapshot_path:
@@ -525,6 +523,12 @@ def _classify_summary(total: int, ads: int, whitelisted: int) -> None:
     print(f"whitelisted: {whitelisted} ({whitelisted / max(1, ads):.1%} of ads)")
 
 
+def _pipeline_params() -> dict:
+    """Manifest params of the pipeline switches no flag sets: pinned so
+    that a checkout with other defaults refuses to resume the run."""
+    return {"referrer_horizon_s": PipelineConfig().referrer_horizon_s}
+
+
 def _classify_params(args: argparse.Namespace) -> dict:
     """Manifest params for `repro classify`; ``workers`` is pinned so a
     serial checkpoint directory cannot be resumed with a different pool
@@ -543,6 +547,7 @@ def _classify_params(args: argparse.Namespace) -> dict:
         # Pinned like the cache: the snapshot fast path is part of the
         # run you started.
         "engine_snapshot": bool(args.engine_snapshot),
+        **_pipeline_params(),
     }
 
 
@@ -588,6 +593,7 @@ def _cmd_usage(args: argparse.Namespace) -> int:
         "publishers": args.publishers,
         "eco_seed": args.eco_seed,
         "on_error": args.on_error,
+        **_pipeline_params(),
     }
     health = _run(args, sink, params).health
 
@@ -661,6 +667,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         "publishers": args.publishers,
         "eco_seed": args.eco_seed,
         "on_error": args.on_error,
+        **_pipeline_params(),
     }
     health = _run(args, sink, params).health
 

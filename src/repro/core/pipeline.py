@@ -55,6 +55,11 @@ class PipelineConfig:
     use_referrer_map: bool = True
     use_location_repair: bool = True
     use_embedded_urls: bool = True
+    # How long, in trace seconds, the referrer map remembers a URL after
+    # its last use: between half of it and all of it (DESIGN.md §5).
+    # None remembers everything; 60 s is the smallest horizon that grades
+    # like None (EXPERIMENTS.md).
+    referrer_horizon_s: float | None = 60.0
     use_normalization: bool = True
     redirect_type_fixup: bool = True
     extension_first: bool = True
@@ -123,15 +128,16 @@ class _UserState:
 
 # Version tag of StreamingClassifier.export_state payloads, so a stale
 # checkpoint from an older layout is rejected instead of misread.
-_STATE_VERSION = 1
+# Version 2 adds the referrer clock and the maps' two generations.
+_STATE_VERSION = 2
 
 
 class StreamingClassifier:
     """The Fig 1 pipeline as an explicit-state push machine.
 
-    Every mutable piece of a run — the reorder min-heap, per-user
-    referrer maps and pending type fix-ups, the held redirect sources —
-    lives on the instance, which buys two things:
+    Every mutable piece of a run — the reorder min-heap, the referrer
+    clock, per-user referrer maps and pending type fix-ups, the held
+    redirect sources — lives on the instance, which buys two things:
 
     * **feed/drain control** for callers that need to act *between*
       records (the run loop hands entries to its sink and cuts
@@ -153,6 +159,13 @@ class StreamingClassifier:
     :meth:`finish` returns every entry not yet drained, in index order.
     A caller that drains holds only the redirect sources still waiting;
     one that never drains gets the whole run from :meth:`finish`.
+
+    The referrer clock reads ``floor(ts / (horizon / 2))`` of each
+    ingested index, starting at 0 and never going back; when it ticks,
+    every user's map advances (DESIGN.md §5), so a run holds about the
+    last ``referrer_horizon_s`` seconds of all users' traffic.
+    Placeholders move it too, so a shard ages its maps at the serial
+    moments.
     """
 
     def __init__(
@@ -168,7 +181,18 @@ class StreamingClassifier:
         # keyword goes when that file is unfrozen (ROADMAP 8-I(d)).
         if fixup_window is not None:
             raise TypeError("fixup_window is gone: entries are released as they settle")
+        horizon = pipeline.config.referrer_horizon_s
+        if horizon is not None and not horizon > 0:
+            raise ValueError(f"referrer_horizon_s must be positive or None, not {horizon!r}")
         self.pipeline = pipeline
+        # Seconds per referrer-clock epoch, None when maps never age.
+        self._epoch_s = None if horizon is None else horizon / 2
+        self._epoch = 0
+        # The maps that may hold entries: used since the last tick, and
+        # used in the epoch before it.  Every other map is empty, so a
+        # tick skips it and its clock catches up when it is next used.
+        self._used: dict[UserKey, ReferrerMap] = {}
+        self._aging: dict[UserKey, ReferrerMap] = {}
         self.reorder_window = reorder_window
         self.max_users = max_users
         self.health = health
@@ -197,7 +221,7 @@ class StreamingClassifier:
         entry's ``index`` is its position in the serial output.
         """
         if self.reorder_window is None:
-            self._ingest(record if owned else None)
+            self._ingest(record.ts, record if owned else None)
             return
         if owned and record.ts < self._max_ts and self.health is not None:
             self.health.records_reordered += 1
@@ -206,7 +230,8 @@ class StreamingClassifier:
         self._seq += 1
         horizon = self._max_ts - self.reorder_window
         while self._heap and self._heap[0][0] <= horizon:
-            self._ingest(heapq.heappop(self._heap)[2])
+            ts, _, popped = heapq.heappop(self._heap)
+            self._ingest(ts, popped)
 
     def drain(self) -> list[ClassifiedRequest]:
         """Take the entries that settled since the last drain."""
@@ -218,18 +243,23 @@ class StreamingClassifier:
         redirect sources, and return every entry not yet drained, in
         index order."""
         while self._heap:
-            self._ingest(heapq.heappop(self._heap)[2])
+            ts, _, popped = heapq.heappop(self._heap)
+            self._ingest(ts, popped)
         entries, self._settled = self._settled, []
         entries.extend(self.buffer.values())
         self.buffer.clear()
         entries.sort(key=attrgetter("index"))
         return entries
 
-    def _ingest(self, record: HttpLogRecord | None) -> None:
-        """Consume the next ingest index; classify ``record`` unless it
-        is another shard's placeholder."""
+    def _ingest(self, ts: float, record: HttpLogRecord | None) -> None:
+        """Consume the next ingest index at time ``ts``; classify
+        ``record`` unless it is another shard's placeholder."""
         index = self.next_index
         self.next_index = index + 1
+        if self._epoch_s is not None:
+            epoch = int(ts // self._epoch_s)
+            if epoch > self._epoch:
+                self._tick(epoch)
         if record is None:
             return
         entry = self._classify_record(record, index)
@@ -237,6 +267,15 @@ class StreamingClassifier:
             self.buffer[index] = entry  # a redirect source: its fix-up may come
         else:
             self._settled.append(entry)
+
+    def _tick(self, epoch: int) -> None:
+        """Move the referrer clock to ``epoch`` and age every map that
+        may hold entries (a map used in both epochs ages once)."""
+        for referrer_map in (*self._aging.values(), *self._used.values()):
+            referrer_map.advance(epoch)
+        self._aging = self._used if epoch == self._epoch + 1 else {}
+        self._used = {}
+        self._epoch = epoch
 
     def _settle(self, index: int) -> ClassifiedRequest:
         """A waiting redirect source can no longer change: hand it on."""
@@ -251,12 +290,17 @@ class StreamingClassifier:
         state = self.users.get(user)
         if state is None:
             state = _UserState(
-                referrer_map=ReferrerMap(track_embedded=config.use_embedded_urls)
+                referrer_map=ReferrerMap(
+                    track_embedded=config.use_embedded_urls, epoch=self._epoch
+                )
             )
             self.users[user] = state
             if self.max_users is not None and len(self.users) > self.max_users:
-                for source in self.users.popitem(last=False)[1].pending_type_fixup.values():
+                evicted, evicted_state = self.users.popitem(last=False)
+                for source in evicted_state.pending_type_fixup.values():
                     self._settle(source)
+                self._used.pop(evicted, None)
+                self._aging.pop(evicted, None)
                 if health is not None:
                     health.users_evicted += 1
             if health is not None:
@@ -274,7 +318,13 @@ class StreamingClassifier:
         looks_like_document = from_mime is ContentType.SUBDOCUMENT
 
         if config.use_referrer_map:
-            attribution = state.referrer_map.observe(
+            referrer_map = state.referrer_map
+            if self._epoch_s is not None and user not in self._used:
+                # First use since the last tick: a map idle for longer
+                # is empty, and only its clock moves.
+                referrer_map.advance(self._epoch)
+                self._used[user] = referrer_map
+            attribution = referrer_map.observe(
                 url,
                 record.referrer,
                 looks_like_document=looks_like_document,
@@ -344,6 +394,7 @@ class StreamingClassifier:
         return {
             "version": _STATE_VERSION,
             "next_index": self.next_index,
+            "epoch": self._epoch,
             "users": [
                 (
                     user,
@@ -380,14 +431,21 @@ class StreamingClassifier:
             raise ValueError(f"unsupported classifier state version {version!r}")
         config = self.pipeline.config
         self.next_index = state["next_index"]
+        self._epoch = state["epoch"]
         self.users = OrderedDict()
+        self._used, self._aging = {}, {}
         for user, referrer_state, pending in state["users"]:
-            self.users[tuple(user)] = _UserState(
-                referrer_map=ReferrerMap.from_state(
-                    referrer_state, track_embedded=config.use_embedded_urls
-                ),
-                pending_type_fixup=OrderedDict(pending),
+            user = tuple(user)
+            referrer_map = ReferrerMap.from_state(
+                referrer_state, track_embedded=config.use_embedded_urls
             )
+            self.users[user] = _UserState(
+                referrer_map=referrer_map, pending_type_fixup=OrderedDict(pending)
+            )
+            if referrer_state["epoch"] == self._epoch:
+                # It may hold entries (a map behind the clock is empty);
+                # aging it at the next tick is right either way.
+                self._used[user] = referrer_map
         self.buffer = {}
         self._settled = []
         for index, row, page_url, content_type, is_page_root, normalized_url in state["buffer"]:

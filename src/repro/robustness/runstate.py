@@ -114,9 +114,10 @@ MANIFEST_NAME = "manifest.json"
 # directories keep the reorder heap outside the shard classifier's
 # state; version 3 pool directories keep one store per shard beside
 # the parent's; version 4 runs released rows in index order behind a
-# fix-up window, so their bytes differ where a fix-up reached past it.
+# fix-up window, so their bytes differ where a fix-up reached past it;
+# version 5 classifier states hold referrer maps without a clock.
 # All are refused up front.
-MANIFEST_VERSION = 5
+MANIFEST_VERSION = 6
 DEFAULT_CHECKPOINT_EVERY = 10_000
 
 _READ_AHEAD = 64  # decode, then classify, in batches: ~10 % faster than per record

@@ -128,6 +128,9 @@ class Ecosystem:
         self._host_ips: dict[str, str] = {}
         self._host_counter: dict[int, int] = {}
         self._assign_ips()
+        # ip_for_host's answers for hosts _host_ips does not hold; that
+        # table is complete once constructed, so an answer never changes.
+        self._fallback_ips: dict[str, str] = {}
 
     # ------------------------------------------------------------------
     # Generation
@@ -399,11 +402,14 @@ class Ecosystem:
 
     def ip_for_host(self, host: str) -> str:
         """Stable DNS-like resolution for any ecosystem host."""
-        ip = self._host_ips.get(host)
-        if ip is not None:
-            return ip
-        # Unknown subdomain: resolve like its registrable parent when
-        # known, else hash into generic hosting space.
+        ip = self._host_ips.get(host) or self._fallback_ips.get(host)
+        if ip is None:
+            ip = self._fallback_ips[host] = self._resolve_unknown(host)
+        return ip
+
+    def _resolve_unknown(self, host: str) -> str:
+        # Unknown subdomain: resolve like the first-inserted known host
+        # it is a subdomain of, else hash into generic hosting space.
         for known, known_ip in self._host_ips.items():
             if host.endswith("." + known):
                 return known_ip

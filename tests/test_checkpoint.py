@@ -24,7 +24,7 @@ import pytest
 
 from repro.core.pipeline import StreamingClassifier
 from repro.exitcodes import EXIT_MANIFEST_MISMATCH
-from repro.http.log import shard_of, write_log
+from repro.http.log import HttpLogRecord, shard_of, write_log
 from repro.robustness import (
     CHECKPOINT_VERSION,
     CRASH_EXIT_CODE,
@@ -360,6 +360,47 @@ class TestStreamingClassifierState:
         assert _keys(out) == _keys(golden)
         assert [entry.index for entry in out] == [entry.index for entry in golden]
 
+    def test_the_state_does_not_grow_with_the_run(self, pipeline):
+        """Steady traffic — eight users, each a request every two seconds
+        and a new page every 80 — gives a state of the same size after 10
+        and after 40 referrer horizons: the maps hold the last horizon
+        only.  A ninth user, seen only at the start, keeps an empty map."""
+        horizon = pipeline.config.referrer_horizon_s
+        classifier = StreamingClassifier(pipeline)
+
+        def feed(ts, client, url, referrer=None, mime="text/html"):
+            classifier.feed(HttpLogRecord(
+                ts=ts, client=client, server="101.0.0.1", method="GET",
+                host=url.split("/")[2], uri="/" + url.split("/", 3)[3],
+                referrer=referrer, user_agent="UA", status=200, content_type=mime,
+                content_length=100, location=None, tcp_handshake_ms=1.0,
+                http_handshake_ms=1.0, flow_id=0,
+            ))
+            classifier.drain()
+
+        def feed_until(end: float, ts: float) -> float:
+            while ts < end:
+                tick = round(ts * 4)
+                page = f"http://news{tick % 8}.example/{tick // 320}.html"
+                if tick // 8 % 40:
+                    feed(ts, f"10.0.0.{tick % 8}", f"http://cdn.example/{tick}.js", page,
+                         "text/javascript")
+                else:
+                    feed(ts, f"10.0.0.{tick % 8}", page)
+                ts += 0.25
+            return ts
+
+        feed(0.0, "10.0.0.99", "http://idle.example/")
+        feed(0.0, "10.0.0.99", "http://idle.example/a.js", "http://idle.example/")
+        ts = feed_until(10 * horizon, 0.0)
+        early = classifier.export_state()
+        feed_until(40 * horizon, ts)
+        late = classifier.export_state()
+        assert len(json.dumps(early)) > 10_000  # the maps hold something
+        assert abs(len(json.dumps(late)) - len(json.dumps(early))) < 0.25 * len(json.dumps(early))
+        (idle,) = [referrers for user, referrers, _ in early["users"] if user[0] == "10.0.0.99"]
+        assert idle["page_root"] == [[], []]
+
     def test_restore_rejects_alien_version(self, pipeline):
         classifier = StreamingClassifier(pipeline)
         with pytest.raises(ValueError, match="state version"):
@@ -669,7 +710,7 @@ class TestCrashRecoveryCli:
         manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         proc = _cli(_classify_args(cli_trace, out, ckpt, "--resume"), tmp_path)
         assert proc.returncode == EXIT_MANIFEST_MISMATCH, proc.stdout + proc.stderr
-        assert "manifest version 1 != 5" in proc.stderr
+        assert "manifest version 1 != 6" in proc.stderr
         assert "config changed" not in proc.stderr
         assert "restarting from the beginning" not in proc.stdout
         assert not out.exists()
@@ -708,7 +749,7 @@ class TestCrashRecoveryCli:
         manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         proc = _cli(_classify_args(cli_trace, out, ckpt, *pool, "--resume"), tmp_path)
         assert proc.returncode == EXIT_MANIFEST_MISMATCH, proc.stdout + proc.stderr
-        assert "manifest version 3 != 5" in proc.stderr
+        assert "manifest version 3 != 6" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert "restarting from the beginning" not in proc.stdout
         assert not out.exists()
@@ -732,7 +773,41 @@ class TestCrashRecoveryCli:
         manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         proc = _cli(_classify_args(cli_trace, out, ckpt, *pool, "--resume"), tmp_path)
         assert proc.returncode == EXIT_MANIFEST_MISMATCH, proc.stdout + proc.stderr
-        assert "manifest version 4 != 5" in proc.stderr
+        assert "manifest version 4 != 6" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "restarting from the beginning" not in proc.stdout
+        assert not out.exists()
+
+    def test_resume_of_a_version_5_directory_exits_4(self, tmp_path, cli_trace):
+        """A directory whose checkpoints hold version-1 classifier states:
+        referrer maps of one generation and no clock.  Refused up front
+        by the manifest version, never restored into the two-generation
+        maps or restarted."""
+        out, ckpt = tmp_path / "out.tsv", tmp_path / "ckpt"
+        crashed = _cli(_classify_args(cli_trace, out, ckpt, "--crash-after", "5000"), tmp_path)
+        assert crashed.returncode == CRASH_EXIT_CODE, crashed.stderr
+        store = CheckpointStore(ckpt)
+        assert store.generations()
+        for generation in store.generations():
+            payload = store.load(generation).payload
+            classifier = payload["classifier"]
+            del classifier["epoch"]
+            classifier["version"] = 1
+            for _user, referrers, _pending in classifier["users"]:
+                del referrers["epoch"]
+                for table in ("page_root", "pending_redirects", "embedded"):
+                    current, previous = referrers[table]
+                    referrers[table] = previous + current
+            store.save(payload, generation=generation)
+        manifest_path = ckpt / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["version"] = 5
+        del manifest["params"]["referrer_horizon_s"]
+        manifest["config_hash"] = fingerprint_params(manifest["params"])
+        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        proc = _cli(_classify_args(cli_trace, out, ckpt, "--resume"), tmp_path)
+        assert proc.returncode == EXIT_MANIFEST_MISMATCH, proc.stdout + proc.stderr
+        assert "manifest version 5 != 6" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert "restarting from the beginning" not in proc.stdout
         assert not out.exists()

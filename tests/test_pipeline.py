@@ -272,15 +272,22 @@ def _reference_fold(pipeline, records):
         host = split_url(entry.normalized_url).host
         return pipeline.engine.classify(entry.normalized_url, context, request_host=host)
 
-    maps, waiting, entries = {}, {}, []
+    maps, waiting, entries, epoch = {}, {}, [], 0
     for index, record in enumerate(records):
+        if config.referrer_horizon_s is not None:
+            # The referrer clock ticks every half horizon and ages every map.
+            epoch = max(epoch, int(record.ts // (config.referrer_horizon_s / 2)))
+            for referrer_map in maps.values():
+                referrer_map.advance(epoch)
         user = (record.client, record.user_agent or "")
         url = record.url
         looks_like_document = type_from_mime(record.content_type) in (
             ContentType.DOCUMENT, ContentType.SUBDOCUMENT,
         )
         if config.use_referrer_map:
-            referrer_map = maps.setdefault(user, ReferrerMap(track_embedded=config.use_embedded_urls))
+            referrer_map = maps.setdefault(
+                user, ReferrerMap(track_embedded=config.use_embedded_urls, epoch=epoch)
+            )
             attribution = referrer_map.observe(
                 url, record.referrer, looks_like_document=looks_like_document,
                 location=record.location if config.use_location_repair else None,
@@ -321,6 +328,10 @@ _ABLATIONS = {
     "header-first": {"extension_first": False},
     "no-redirect-fixup": {"redirect_type_fixup": False},
     "no-decision-cache": {"use_decision_cache": False},
+    # The clock ticks every 2 s, so a drawn trace (one record a second)
+    # forgets its early pages; None never forgets.
+    "short-referrer-horizon": {"referrer_horizon_s": 4.0},
+    "no-referrer-horizon": {"referrer_horizon_s": None},
 }
 
 

@@ -26,7 +26,7 @@ from repro.core import aggregate_users
 from repro.core import pipeline as pipeline_module
 from repro.core.pipeline import AdClassificationPipeline, StreamingClassifier
 from repro.filterlist.lists import FilterList
-from repro.http.log import HttpLogRecord, SeekableLogReader, write_log
+from repro.http.log import HttpLogRecord, SeekableLogReader, shard_of, write_log
 from repro.http.url import split_url
 from repro.parallel import ParallelRun
 from repro.robustness import runstate as runstate_module
@@ -356,6 +356,54 @@ def test_usage_and_report_print_what_an_in_order_run_prints(command, cli_trace, 
 # -- durable and pool runs write the same bytes -------------------------------
 
 
+_IDLE_USER, _FILLER = "10.0.0.2", "10.0.0.3"  # 10.0.0.1 is the default client
+
+
+def _across_horizons():
+    """Five half horizons of traffic, one record a second, the clock
+    ticking every half horizon (DESIGN.md §5).  10.0.0.1 leaves a
+    redirect source waiting past the cut at the first tick, and a script
+    whose URL, after that tick, resolves only from the previous
+    generation; 10.0.0.2 is idle across two ticks, then comes back to a
+    referer the second one forgot, and last sends a record that arrives
+    after a later record from the next epoch; the filler user 10.0.0.3
+    makes every tick, on another shard than 10.0.0.2 under two workers
+    and under four.  Returns the records, the checkpoint interval (the
+    first cut falls right after the first tick) and the record indexes
+    whose page the horizon decides."""
+    tick = int(AdClassificationPipeline(_small_lists()).config.referrer_horizon_s / 2)
+    idle_page, idle_child = "http://idle.example/", "http://idle.example/k.js"
+    script, back = "http://cdn.example/s.js", "http://idle.example/back.js"
+    special = {
+        0: dict(url=_PAGE, mime="text/html", referrer=None),
+        1: dict(url=idle_page, mime="text/html", referrer=None, client=_IDLE_USER),
+        2: dict(url=idle_child, referrer=idle_page, client=_IDLE_USER),
+        3: dict(url="http://r.example/adserver/click?id=1", mime="text/html",
+                location="http://t.example/x.gif"),
+        20: dict(url=script),
+        tick + 5: dict(url="http://ads.example/pixel.gif", mime="image/gif", referrer=script),
+        2 * tick + 2: dict(url=back, referrer=idle_child, client=_IDLE_USER),
+        3 * tick + 10: dict(url="http://t.example/x.gif", mime="image/gif"),
+        4 * tick - 1: dict(url="http://cdn.example/early.js", client=_FILLER, ts=4 * tick),
+        4 * tick: dict(url="http://idle.example/late.js", referrer=back, client=_IDLE_USER,
+                       ts=4 * tick - 0.5),
+    }
+    records = []
+    for second in range(5 * tick):
+        fields = special.get(second, {"client": _FILLER} if second % 10 == 0 else {})
+        records.append(_record(
+            fields.get("url", f"http://cdn.example/f{second}.js"),
+            ts=float(fields.get("ts", second)),
+            mime=fields.get("mime", "application/javascript"),
+            location=fields.get("location"),
+            client=fields.get("client", "10.0.0.1"),
+            referrer=fields.get("referrer", _PAGE),
+        ))
+    decided = {"from-previous": tick + 5, "came-back": 2 * tick + 2,
+               "after-a-later-epoch": 4 * tick}
+    return records, tick + 1, decided
+
+
 def _first_cut(records, pipeline, every, *, after_a_late_row) -> int:
     """The first checkpoint cut at which a redirect source still waits
     and, with ``after_a_late_row``, a late entry was already handed on."""
@@ -380,22 +428,37 @@ def _checkpointing(directory, command, lists, trace, out=None, *, every, resume=
     )
 
 
-@pytest.mark.parametrize("source", ["fixup-reaches-1524-rows-back", "rbn-usage-trace"])
+@pytest.mark.parametrize(
+    "source", ["fixup-reaches-1524-rows-back", "rbn-usage-trace", "across-referrer-horizons"]
+)
 def test_durable_and_pool_runs_write_the_bytes_of_process(source, tmp_path, pipeline, lists,
                                                           small_pipeline, rbn_trace):
     # The tail case's only late row comes after the last cut.
     rbn = source == "rbn-usage-trace"
     if rbn:
         records, chosen, chosen_lists, every = rbn_trace.http, pipeline, lists, 1000
+    elif source == "across-referrer-horizons":
+        records, every, decided = _across_horizons()
+        chosen, chosen_lists = small_pipeline, _small_lists()
     else:
         records, chosen, chosen_lists, every = _fixup_beyond_the_window()[0], small_pipeline, \
             _small_lists(), 500
     trace = _write_trace(tmp_path, records)
     read_back = _read_back(trace)
-    expected = _oracle_bytes(chosen.process(read_back))
+    entries = chosen.process(read_back)
+    expected = _oracle_bytes(entries)
     cut = _first_cut(read_back, chosen, every, after_a_late_row=rbn)
     crash_after = cut + every // 2
     assert crash_after < len(read_back)
+    if source == "across-referrer-horizons":
+        # The case is live: the horizon, not the whole history, decides
+        # these pages (the referer's own page if forgotten).
+        pages = {name: entries[index].page_url for name, index in decided.items()}
+        assert pages == {"from-previous": _PAGE, "came-back": "http://idle.example/k.js",
+                         "after-a-later-epoch": "http://idle.example/back.js"}
+        for workers in (2, 4):
+            idle, filler = (shard_of(client, "UA", workers) for client in (_IDLE_USER, _FILLER))
+            assert idle != filler
 
     def classify(name, *, workers=None, durable=True, **kwargs) -> bytes:
         directory, out = tmp_path / name, str(tmp_path / f"{name}.tsv")
@@ -425,6 +488,15 @@ def test_durable_and_pool_runs_write_the_bytes_of_process(source, tmp_path, pipe
             assert payload["records_fed"] == cut
             assert payload["classifier"]["buffer"] and payload["sink"]["gaps"]
             assert bool(payload["sink"]["late"]) == rbn
+            if source == "across-referrer-horizons":
+                # Cut right after the first tick: the script is only in
+                # the previous generation of 10.0.0.1's map.
+                assert payload["classifier"]["epoch"] == 1
+                (referrers,) = [m for user, m, _ in payload["classifier"]["users"]
+                                if user[0] == "10.0.0.1"]
+                current, previous = referrers["page_root"]
+                script = "http://cdn.example/s.js"
+                assert script in dict(previous) and script not in dict(current)
         assert classify(name, workers=workers, resume=True) == expected
     assert classify("durable-pool-2", workers=2) == expected
     assert classify("durable-pool-4", workers=4) == expected

@@ -81,6 +81,21 @@ class TestEcosystem:
         parent_ip = ecosystem.ip_for_host(publisher.domain)
         assert ecosystem.ip_for_host(f"x.{publisher.domain}") == parent_ip
 
+    def test_unknown_hosts_resolve_like_the_scan(self, ecosystem):
+        """Memoised answers for unknown hosts, asked once and again, are
+        the scan's; ``x.static.<publisher>`` is under both ``static.<publisher>``
+        and ``<publisher>`` and resolves like the one inserted first."""
+        publisher = ecosystem.publishers[0].domain
+        network = ecosystem.ad_networks[0].serving_domains[0]
+        hosts = [f"x.static.{publisher}", f"a.b.{publisher}", f"y.z.{network}",
+                 "w.nowhere.example"]
+        for host in hosts + hosts:
+            assert ecosystem.ip_for_host(host) == ecosystem._resolve_unknown(host)
+        known = list(ecosystem._host_ips)
+        assert known.index(publisher) < known.index(f"static.{publisher}")
+        assert ecosystem.ip_for_host(f"x.static.{publisher}") == ecosystem.ip_for_host(publisher)
+        assert ecosystem.ip_for_host(publisher) != ecosystem.ip_for_host(f"static.{publisher}")
+
     def test_gstatic_hosted_by_dominant(self, ecosystem):
         ip = ecosystem.ip_for_host("fonts.gstatic-like.com")
         assert ecosystem.as_for_ip(ip).name == "Googol"
