@@ -1,11 +1,16 @@
 """Command-line interface.
 
-Composable subcommands over on-disk TSV logs, mirroring how the
-paper's pipeline was operated (Bro logs staged to disk, classification
-and analyses run offline):
+Composable subcommands over on-disk logs (TSV, or the HTTP log as a
+binlog), mirroring how the paper's pipeline was operated (Bro logs
+staged to disk, classification and analyses run offline):
 
 * ``repro ecosystem`` — inspect the synthetic web and its filter lists.
-* ``repro trace`` — generate an RBN capture to TSV (HTTP log + TLS log).
+* ``repro trace`` — generate an RBN capture: the HTTP log as TSV or
+  binlog (``--format``), the TLS log as TSV.
+* ``repro convert`` — transcode an HTTP log between TSV and binlog
+  (DESIGN.md §16).
+* ``repro compile-lists`` — compile filter lists into an engine
+  snapshot that ``--engine-snapshot`` restores (DESIGN.md §15).
 * ``repro classify`` — run the Fig 1 pipeline over a stored HTTP log.
 * ``repro usage`` — the §6 ad-blocker usage study over stored logs.
 * ``repro crawl`` — the §4 active measurement (Table 1).
@@ -147,6 +152,8 @@ def _add_checkpoint_flags(parser: argparse.ArgumentParser) -> None:
 def _check_checkpoint_args(args: argparse.Namespace) -> None:
     if (args.resume or args.crash_after) and not args.checkpoint_dir:
         raise SystemExit("error: --resume/--crash-after require --checkpoint-dir")
+    if args.checkpoint_every < 0:
+        raise SystemExit("error: --checkpoint-every must be >= 0")
 
 
 def _add_parallel_flags(parser: argparse.ArgumentParser) -> None:
@@ -243,9 +250,6 @@ def _check_parallel_args(args: argparse.Namespace) -> None:
     if "fork" not in multiprocessing.get_all_start_methods():
         raise SystemExit("error: --workers needs the 'fork' start method, "
                          "which this platform does not offer")
-    if getattr(args, "max_users", None) is not None:
-        raise SystemExit("error: --workers is incompatible with --max-users "
-                         "(the LRU eviction order is global, not shardable)")
 
 
 def _supervision_kwargs(args: argparse.Namespace) -> dict:
@@ -323,7 +327,6 @@ def _run(
     params: dict,
     *,
     reorder_window: float | None = None,
-    max_users: int | None = None,
 ) -> RunResult:
     """Execute one classify/usage/report: trace → classifier → ``sink``.
 
@@ -365,7 +368,6 @@ def _run(
             on_error=policy,
             quarantine_path=quarantine_path,
             reorder_window=reorder_window,
-            max_users=max_users,
             checkpointing=checkpointing,
             log=print,
         )
@@ -538,7 +540,6 @@ def _classify_params(args: argparse.Namespace) -> dict:
         "publishers": args.publishers,
         "eco_seed": args.eco_seed,
         "on_error": args.on_error,
-        "max_users": args.max_users,
         "reorder_window": args.reorder_window,
         "workers": args.workers,
         # Pinned for hygiene even though cached and uncached runs are
@@ -560,13 +561,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     sink = ClassifySink(
         part_path=part_path, final_path=os.path.abspath(args.out) if args.out else None
     )
-    result = _run(
-        args,
-        sink,
-        _classify_params(args),
-        reorder_window=args.reorder_window,
-        max_users=args.max_users,
-    )
+    result = _run(args, sink, _classify_params(args), reorder_window=args.reorder_window)
     _classify_summary(sink.total, sink.ads, sink.whitelisted)
     if args.out and not result.degraded_shards:
         print(f"wrote classification to {args.out}")
@@ -897,8 +892,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_snapshot_flags(p_classify)
     p_classify.add_argument("--trace", required=True)
     p_classify.add_argument("--out", help="write per-request classification TSV")
-    p_classify.add_argument("--max-users", type=int,
-                            help="LRU-evict idle per-user state beyond this many users")
     p_classify.add_argument("--reorder-window", type=float,
                             help="re-sort out-of-order records within this many seconds")
     p_classify.set_defaults(func=_cmd_classify)

@@ -152,20 +152,23 @@ class StreamingClassifier:
     *settled*, i.e. once nothing can change it.  A record that is not a
     redirect source settles when it is classified; a redirect source
     settles when its fix-up fires, when a later redirect by its user to
-    the same target replaces it, when ``_MAX_PENDING_FIXUPS`` or
-    ``max_users`` evicts it, or at :meth:`finish`.  :meth:`feed`
-    classifies, :meth:`drain` takes what has settled since the last
-    drain (index order but for those late redirect sources), and
-    :meth:`finish` returns every entry not yet drained, in index order.
+    the same target replaces it, when ``_MAX_PENDING_FIXUPS`` evicts it,
+    or at :meth:`finish`.  :meth:`feed` classifies, :meth:`drain` takes
+    what has settled since the last drain (index order but for those
+    late redirect sources), and :meth:`finish` returns every entry not
+    yet drained, in index order.
     A caller that drains holds only the redirect sources still waiting;
     one that never drains gets the whole run from :meth:`finish`.
 
     The referrer clock reads ``floor(ts / (horizon / 2))`` of each
     ingested index, starting at 0 and never going back; when it ticks,
     every user's map advances (DESIGN.md §5), so a run holds about the
-    last ``referrer_horizon_s`` seconds of all users' traffic.
-    Placeholders move it too, so a shard ages its maps at the serial
-    moments.
+    last ``referrer_horizon_s`` seconds of all users' traffic.  A user
+    whose map has aged empty and who has no redirect source waiting is
+    dropped: its next request recreates the same state, so the run
+    holds the users of the last horizon, not every user it has seen.
+    Placeholders move the clock too, so a shard ages its maps and drops
+    its users at the serial moments.
     """
 
     def __init__(
@@ -174,7 +177,6 @@ class StreamingClassifier:
         *,
         fixup_window: None = None,
         reorder_window: float | None = None,
-        max_users: int | None = None,
         health: PipelineHealth | None = None,
     ):
         # Only None, which benchmarks/perf/layers.py still passes; the
@@ -194,9 +196,8 @@ class StreamingClassifier:
         self._used: dict[UserKey, ReferrerMap] = {}
         self._aging: dict[UserKey, ReferrerMap] = {}
         self.reorder_window = reorder_window
-        self.max_users = max_users
         self.health = health
-        self.users: "OrderedDict[UserKey, _UserState]" = OrderedDict()
+        self.users: dict[UserKey, _UserState] = {}
         # Redirect sources waiting for their consequent request.
         self.buffer: dict[int, ClassifiedRequest] = {}
         self._settled: list[ClassifiedRequest] = []
@@ -269,13 +270,21 @@ class StreamingClassifier:
             self._settled.append(entry)
 
     def _tick(self, epoch: int) -> None:
-        """Move the referrer clock to ``epoch`` and age every map that
-        may hold entries (a map used in both epochs ages once)."""
-        for referrer_map in (*self._aging.values(), *self._used.values()):
-            referrer_map.advance(epoch)
+        """Move the referrer clock to ``epoch``, age every map that may
+        hold entries (a map used in both epochs ages once), and drop each
+        user whose map has aged empty and who has no redirect source
+        waiting: the same state as a user never seen."""
+        aged = {**self._aging, **self._used}
         self._aging = self._used if epoch == self._epoch + 1 else {}
         self._used = {}
         self._epoch = epoch
+        for user, referrer_map in aged.items():
+            referrer_map.advance(epoch)
+            if referrer_map.is_empty() and not self.users[user].pending_type_fixup:
+                del self.users[user]
+                # A restored map may have aged once already (see
+                # restore_state), so it can empty on a one-epoch step.
+                self._aging.pop(user, None)
 
     def _settle(self, index: int) -> ClassifiedRequest:
         """A waiting redirect source can no longer change: hand it on."""
@@ -285,7 +294,6 @@ class StreamingClassifier:
 
     def _classify_record(self, record: HttpLogRecord, index: int) -> ClassifiedRequest:
         config = self.pipeline.config
-        health = self.health
         user = (record.client, record.user_agent or "")
         state = self.users.get(user)
         if state is None:
@@ -295,18 +303,6 @@ class StreamingClassifier:
                 )
             )
             self.users[user] = state
-            if self.max_users is not None and len(self.users) > self.max_users:
-                evicted, evicted_state = self.users.popitem(last=False)
-                for source in evicted_state.pending_type_fixup.values():
-                    self._settle(source)
-                self._used.pop(evicted, None)
-                self._aging.pop(evicted, None)
-                if health is not None:
-                    health.users_evicted += 1
-            if health is not None:
-                health.observe_users(len(self.users))
-        else:
-            self.users.move_to_end(user)
 
         # Split the request URL once, unmemoised (most request URLs are
         # one-off), and hand every step the part it reads.
@@ -432,7 +428,7 @@ class StreamingClassifier:
         config = self.pipeline.config
         self.next_index = state["next_index"]
         self._epoch = state["epoch"]
-        self.users = OrderedDict()
+        self.users = {}
         self._used, self._aging = {}, {}
         for user, referrer_state, pending in state["users"]:
             user = tuple(user)
@@ -541,7 +537,6 @@ class AdClassificationPipeline:
         records: Iterable[HttpLogRecord],
         *,
         reorder_window: float | None = None,
-        max_users: int | None = None,
         health: PipelineHealth | None = None,
     ) -> list[ClassifiedRequest]:
         """Classify a time-ordered record stream into a list, in index order.
@@ -550,16 +545,13 @@ class AdClassificationPipeline:
         fine; state is kept per user).  ``reorder_window`` (seconds)
         re-sorts a slightly out-of-order stream through a bounded
         buffer, so streams shuffled within that jitter window classify
-        identically to sorted ones.  ``max_users`` LRU-evicts idle
-        per-user state (an evicted user restarts with an empty referrer
-        map if it reappears).  ``health`` tallies reorderings and
-        evictions.  This holds every entry until the stream ends; a
-        caller that wants bounded memory drives a
+        identically to sorted ones.  ``health`` tallies reorderings.
+        Idle users leave on the referrer clock, as in every run (see
+        :class:`StreamingClassifier`).  This holds every entry until the
+        stream ends; a caller that wants bounded memory drives a
         :class:`StreamingClassifier` and drains it, as the run loop does.
         """
-        classifier = StreamingClassifier(
-            self, reorder_window=reorder_window, max_users=max_users, health=health
-        )
+        classifier = StreamingClassifier(self, reorder_window=reorder_window, health=health)
         for record in records:
             classifier.feed(record)
         return classifier.finish()

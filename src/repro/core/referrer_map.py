@@ -117,6 +117,14 @@ class ReferrerMap:
         for table in (self._page_root, self._pending_redirects, self._embedded):
             table.rotate(steps)
 
+    def is_empty(self) -> bool:
+        """Whether the map remembers nothing: never used, or advanced
+        two epochs past its last use."""
+        return not any(
+            table.current or table.previous
+            for table in (self._page_root, self._pending_redirects, self._embedded)
+        )
+
     def observe(
         self,
         url: str,

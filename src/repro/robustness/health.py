@@ -35,8 +35,6 @@ class PipelineHealth:
     records_quarantined: int = 0
     records_repaired: int = 0
     records_reordered: int = 0
-    users_evicted: int = 0
-    peak_users: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
     cache_evictions: int = 0
@@ -84,10 +82,6 @@ class PipelineHealth:
         self.records_repaired += 1
         self.stage_errors.setdefault(stage, Counter())[f"repaired:{reason}"] += 1
 
-    def observe_users(self, active_users: int) -> None:
-        if active_users > self.peak_users:
-            self.peak_users = active_users
-
     def add_cache_stats(self, hits: int, misses: int, evictions: int) -> None:
         """Fold decision-cache counters (one engine's or one shard's)."""
         self.cache_hits += hits
@@ -131,8 +125,6 @@ class PipelineHealth:
             "records_quarantined": self.records_quarantined,
             "records_repaired": self.records_repaired,
             "records_reordered": self.records_reordered,
-            "users_evicted": self.users_evicted,
-            "peak_users": self.peak_users,
             "stage_errors": {stage: dict(reasons) for stage, reasons in self.stage_errors.items()},
         }
 
@@ -151,9 +143,7 @@ class PipelineHealth:
         """Fold an exported snapshot into this accounting.
 
         The shard-parallel fold (DESIGN.md §10): every counter is a sum
-        over disjoint record sets, *including* ``peak_users`` — each
-        worker holds its shard's users simultaneously, so the pool's
-        peak memory is the sum of the per-shard peaks, not their max.
+        over disjoint record sets.
         """
         self.records_seen += state["records_seen"]
         self.records_ok += state["records_ok"]
@@ -161,8 +151,6 @@ class PipelineHealth:
         self.records_quarantined += state["records_quarantined"]
         self.records_repaired += state["records_repaired"]
         self.records_reordered += state["records_reordered"]
-        self.users_evicted += state["users_evicted"]
-        self.peak_users += state["peak_users"]
         for stage, reasons in state["stage_errors"].items():
             self.stage_errors.setdefault(stage, Counter()).update(reasons)
 
@@ -226,8 +214,6 @@ class PipelineHealth:
             "records_quarantined": self.records_quarantined,
             "records_repaired": self.records_repaired,
             "records_reordered": self.records_reordered,
-            "users_evicted": self.users_evicted,
-            "peak_users": self.peak_users,
             "degraded": self.degraded,
             "stage_errors": {
                 stage: {
@@ -272,10 +258,6 @@ class PipelineHealth:
             lines.append(f"repaired:          {self.records_repaired}")
         if self.records_reordered:
             lines.append(f"out-of-order:      {self.records_reordered}")
-        if self.users_evicted:
-            lines.append(f"users evicted:     {self.users_evicted}")
-        if self.peak_users:
-            lines.append(f"peak users held:   {self.peak_users}")
         # Supervision counters (transient, parent-side): zero — and
         # therefore absent — in any fault-free run, so serial/parallel/
         # resumed summaries stay byte-identical unless faults actually

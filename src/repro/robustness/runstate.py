@@ -20,8 +20,8 @@ at most one checkpoint interval:
 * periodic **checkpoints** (:mod:`repro.robustness.checkpoint`) freeze
   the input byte/line offset, the streaming classifier state (the
   redirect sources still waiting, not the run), the health counters and
-  the sink state: positions, plus the gaps and late rows or the fold
-  order that put late entries back in place;
+  the sink state: positions, plus the gaps and late rows that put late
+  entries back in place;
 * outputs are written to ``*.part`` files (inside the checkpoint
   directory on a durable run) and atomically renamed to their final
   paths only when the run completes, so a failed run never shadows a
@@ -115,9 +115,11 @@ MANIFEST_NAME = "manifest.json"
 # state; version 3 pool directories keep one store per shard beside
 # the parent's; version 4 runs released rows in index order behind a
 # fix-up window, so their bytes differ where a fix-up reached past it;
-# version 5 classifier states hold referrer maps without a clock.
-# All are refused up front.
-MANIFEST_VERSION = 6
+# version 5 classifier states hold referrer maps without a clock;
+# version 6 health states count the users an LRU cap evicted and the
+# most users held, and classify manifests pin that cap.  All are
+# refused up front.
+MANIFEST_VERSION = 7
 DEFAULT_CHECKPOINT_EVERY = 10_000
 
 _READ_AHEAD = 64  # decode, then classify, in batches: ~10 % faster than per record
@@ -679,7 +681,6 @@ def run_serial(
     on_error: ErrorPolicy = ErrorPolicy.STRICT,
     quarantine_path: str | None = None,
     reorder_window: float | None = None,
-    max_users: int | None = None,
     checkpointing: Checkpointing | None = None,
     log: Callable[[str], None] = lambda message: None,
 ) -> RunResult:
@@ -723,9 +724,7 @@ def run_serial(
     reader = SeekableLogReader(
         input_path, on_error=on_error, health=health, quarantine=quarantine
     )
-    classifier = StreamingClassifier(
-        pipeline, reorder_window=reorder_window, max_users=max_users, health=health
-    )
+    classifier = StreamingClassifier(pipeline, reorder_window=reorder_window, health=health)
     records_fed = checkpoints_written = 0
     with InterruptFlag() if checkpointing is not None else contextlib.nullcontext() as flag:
         try:

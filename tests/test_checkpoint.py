@@ -364,19 +364,22 @@ class TestStreamingClassifierState:
         """Steady traffic — eight users, each a request every two seconds
         and a new page every 80 — gives a state of the same size after 10
         and after 40 referrer horizons: the maps hold the last horizon
-        only.  A ninth user, seen only at the start, keeps an empty map."""
+        only.  A ninth user, seen only at the start, is dropped once its
+        map has aged empty.  Churn — 2,000 users, each in one short burst,
+        over 40 horizons — leaves no more users held than were active in
+        the last horizon."""
         horizon = pipeline.config.referrer_horizon_s
         classifier = StreamingClassifier(pipeline)
 
-        def feed(ts, client, url, referrer=None, mime="text/html"):
-            classifier.feed(HttpLogRecord(
+        def feed(ts, client, url, referrer=None, mime="text/html", into=classifier):
+            into.feed(HttpLogRecord(
                 ts=ts, client=client, server="101.0.0.1", method="GET",
                 host=url.split("/")[2], uri="/" + url.split("/", 3)[3],
                 referrer=referrer, user_agent="UA", status=200, content_type=mime,
                 content_length=100, location=None, tcp_handshake_ms=1.0,
                 http_handshake_ms=1.0, flow_id=0,
             ))
-            classifier.drain()
+            into.drain()
 
         def feed_until(end: float, ts: float) -> float:
             while ts < end:
@@ -398,8 +401,21 @@ class TestStreamingClassifierState:
         late = classifier.export_state()
         assert len(json.dumps(early)) > 10_000  # the maps hold something
         assert abs(len(json.dumps(late)) - len(json.dumps(early))) < 0.25 * len(json.dumps(early))
-        (idle,) = [referrers for user, referrers, _ in early["users"] if user[0] == "10.0.0.99"]
-        assert idle["page_root"] == [[], []]
+        assert len(early["users"]) == 8
+        assert not [user for user, _, _ in early["users"] if user[0] == "10.0.0.99"]
+
+        churn = StreamingClassifier(pipeline)
+        users, gap = 2000, 40 * horizon / 2000
+        for n in range(users):
+            client, page = f"10.1.{n // 250}.{n % 250}", f"http://site{n}.example/"
+            feed(n * gap, client, page, into=churn)
+            for k in range(3):
+                feed(n * gap + 0.1 * (k + 1), client, f"{page}{k}.js", page, "text/javascript",
+                     into=churn)
+        last = (users - 1) * gap + 0.3
+        active = sum(1 for n in range(users) if n * gap + 0.3 >= last - horizon)
+        assert active < users // 20
+        assert 0 < len(churn.users) <= active
 
     def test_restore_rejects_alien_version(self, pipeline):
         classifier = StreamingClassifier(pipeline)
@@ -710,7 +726,7 @@ class TestCrashRecoveryCli:
         manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         proc = _cli(_classify_args(cli_trace, out, ckpt, "--resume"), tmp_path)
         assert proc.returncode == EXIT_MANIFEST_MISMATCH, proc.stdout + proc.stderr
-        assert "manifest version 1 != 6" in proc.stderr
+        assert "manifest version 1 != 7" in proc.stderr
         assert "config changed" not in proc.stderr
         assert "restarting from the beginning" not in proc.stdout
         assert not out.exists()
@@ -749,7 +765,7 @@ class TestCrashRecoveryCli:
         manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         proc = _cli(_classify_args(cli_trace, out, ckpt, *pool, "--resume"), tmp_path)
         assert proc.returncode == EXIT_MANIFEST_MISMATCH, proc.stdout + proc.stderr
-        assert "manifest version 3 != 6" in proc.stderr
+        assert "manifest version 3 != 7" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert "restarting from the beginning" not in proc.stdout
         assert not out.exists()
@@ -773,7 +789,7 @@ class TestCrashRecoveryCli:
         manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         proc = _cli(_classify_args(cli_trace, out, ckpt, *pool, "--resume"), tmp_path)
         assert proc.returncode == EXIT_MANIFEST_MISMATCH, proc.stdout + proc.stderr
-        assert "manifest version 4 != 6" in proc.stderr
+        assert "manifest version 4 != 7" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert "restarting from the beginning" not in proc.stdout
         assert not out.exists()
@@ -807,7 +823,34 @@ class TestCrashRecoveryCli:
         manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         proc = _cli(_classify_args(cli_trace, out, ckpt, "--resume"), tmp_path)
         assert proc.returncode == EXIT_MANIFEST_MISMATCH, proc.stdout + proc.stderr
-        assert "manifest version 5 != 6" in proc.stderr
+        assert "manifest version 5 != 7" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "restarting from the beginning" not in proc.stdout
+        assert not out.exists()
+
+    def test_resume_of_a_version_6_directory_exits_4(self, tmp_path, cli_trace):
+        """A directory whose checkpoints hold health states that count
+        evicted users and the peak users held, under a manifest that pins
+        ``max_users``.  Refused up front by the manifest version, never
+        restored into the health counters or restarted."""
+        out, ckpt = tmp_path / "out.tsv", tmp_path / "ckpt"
+        crashed = _cli(_classify_args(cli_trace, out, ckpt, "--crash-after", "5000"), tmp_path)
+        assert crashed.returncode == CRASH_EXIT_CODE, crashed.stderr
+        store = CheckpointStore(ckpt)
+        assert store.generations()
+        for generation in store.generations():
+            payload = store.load(generation).payload
+            payload["health"].update(users_evicted=0, peak_users=37)
+            store.save(payload, generation=generation)
+        manifest_path = ckpt / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["version"] = 6
+        manifest["params"]["max_users"] = None
+        manifest["config_hash"] = fingerprint_params(manifest["params"])
+        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        proc = _cli(_classify_args(cli_trace, out, ckpt, "--resume"), tmp_path)
+        assert proc.returncode == EXIT_MANIFEST_MISMATCH, proc.stdout + proc.stderr
+        assert "manifest version 6 != 7" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert "restarting from the beginning" not in proc.stdout
         assert not out.exists()

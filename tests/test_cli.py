@@ -214,14 +214,6 @@ class TestDegradedOperation:
         assert len(rows) == len(lines) - 3  # the header, and one row per surviving record
         assert sum("/q?next=%0Ahttp://x.example/%09y" in row for row in rows) == 1
 
-    def test_max_users_flag(self, trace_files, capsys):
-        http_path, _ = trace_files
-        code = main(
-            ["classify", *_ECO, "--trace", str(http_path), "--max-users", "3"]
-        )
-        assert code == 0
-        assert "peak users held:   3" in capsys.readouterr().out
-
 
 class TestLintCommand:
     FIXTURE = (

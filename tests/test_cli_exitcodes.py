@@ -105,6 +105,24 @@ def test_resume_without_manifest_exits_4(tmp_path, trace_file):
 
 
 @pytest.mark.slow
+@pytest.mark.parametrize("workers", [None, 2])
+def test_negative_checkpoint_every_is_a_usage_error(tmp_path, trace_file, workers):
+    """Refused before the run makes its checkpoint directory, serial and
+    pooled alike: not a traceback once it has, nor a pool run that
+    silently never checkpoints."""
+    args = ["classify", *_ECO, "--trace", str(trace_file), "--out", str(tmp_path / "out.tsv"),
+            "--checkpoint-dir", str(tmp_path / "ckpt"), "--checkpoint-every", "-3"]
+    if workers is not None:
+        args += ["--workers", str(workers)]
+    proc = _cli(args, tmp_path)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "error: --checkpoint-every must be >= 0" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "ckpt").exists()
+    assert not (tmp_path / "out.tsv").exists()
+
+
+@pytest.mark.slow
 def test_workers_zero_is_a_usage_error(tmp_path, trace_file):
     proc = _cli(
         ["classify", *_ECO, "--trace", str(trace_file),
@@ -112,19 +130,6 @@ def test_workers_zero_is_a_usage_error(tmp_path, trace_file):
         tmp_path,
     )
     assert proc.returncode == 1
-    assert "--workers" in proc.stderr
-
-
-@pytest.mark.slow
-def test_workers_refuses_max_users(tmp_path, trace_file):
-    proc = _cli(
-        ["classify", *_ECO, "--trace", str(trace_file),
-         "--out", str(tmp_path / "out.tsv"),
-         "--workers", "2", "--max-users", "10"],
-        tmp_path,
-    )
-    assert proc.returncode == 1
-    assert "--max-users" in proc.stderr
     assert "--workers" in proc.stderr
 
 

@@ -7,8 +7,10 @@ over it in order), run on the records read back from the same file.
 Each synthetic case puts a redirect source where its row can only land
 late: a fix-up that reaches back 1,524 rows, a redirect
 never resolved, one replaced by a second redirect to the same target,
-one evicted by the pending cap or by ``max_users``.  `repro usage` and
-`repro report` must print what an in-order run of the same loop prints.
+one evicted by the pending cap, one whose user is idle for three
+referrer horizons (an idle user with nothing waiting is dropped and
+comes back).  `repro usage` and `repro report` must print what an
+in-order run of the same loop prints.
 Durable runs — serial, cut while a source waits, crashed and resumed,
 pooled — and plain pool runs must write the same bytes.
 """
@@ -126,15 +128,21 @@ def _pending_cap_eviction():
     return trace.records, {"not_ad": sources[:1], "ad": sources[1:]}
 
 
-def _user_eviction():
+def _idle_user_keeps_its_waiting_source():
+    """10.0.0.1 leaves a redirect source waiting and is silent for three
+    referrer horizons while 10.0.0.2 drives the clock; 10.0.0.3 is as
+    idle with nothing waiting, so it is dropped, and comes back.  The
+    source is an ad only if 10.0.0.1 kept it."""
+    horizon = int(AdClassificationPipeline(_small_lists()).config.referrer_horizon_s)
+    idle_page = "http://idle.example/"
     trace = _Trace()
     trace.page()
     source = trace.redirect("http://t.example/x.gif")
-    trace.filler(3)
-    trace.page("http://other.example/", client="10.0.0.2")  # max_users=1 evicts 10.0.0.1
-    trace.filler(3, client="10.0.0.2")
+    trace.page(idle_page, client="10.0.0.3")
+    trace.filler(3 * horizon, client="10.0.0.2")
+    trace.add(f"{idle_page}back.js", client="10.0.0.3", referrer=idle_page)
     trace.target("http://t.example/x.gif")
-    return trace.records, {"not_ad": [source]}
+    return trace.records, {"ad": [source]}
 
 
 def _field_needs_encoding():
@@ -151,7 +159,7 @@ CASES = {
     "redirect-never-resolved": (_never_resolved, {}),
     "two-redirects-to-one-location": (_same_location_twice, {}),
     "pending-cap-eviction": (_pending_cap_eviction, {}),
-    "max-users-eviction": (_user_eviction, {"max_users": 1}),
+    "idle-user-keeps-its-waiting-source": (_idle_user_keeps_its_waiting_source, {}),
     "row-needs-encode-field": (_field_needs_encoding, {}),
 }
 
@@ -225,6 +233,15 @@ def test_plain_classify_is_byte_identical_to_process(case, tmp_path, monkeypatch
     output, _ = _plain_classify(tmp_path, trace, small_pipeline, **kwargs)
     assert output == _oracle_bytes(entries)
     assert watch_held and max(watch_held) >= 1  # a source was held, and only those
+
+
+def test_an_idle_user_leaves_unless_a_source_waits(small_pipeline):
+    records, _ = _idle_user_keeps_its_waiting_source()
+    classifier = StreamingClassifier(small_pipeline)
+    for record in records[:-2]:  # up to 10.0.0.3's return
+        classifier.feed(record)
+    assert sorted(client for client, _ in classifier.users) == ["10.0.0.1", "10.0.0.2"]
+    assert classifier.users[("10.0.0.1", "UA")].pending_type_fixup
 
 
 def test_the_encoded_row_is_one_of_the_late_ones(tmp_path, small_pipeline):
@@ -429,7 +446,9 @@ def _checkpointing(directory, command, lists, trace, out=None, *, every, resume=
 
 
 @pytest.mark.parametrize(
-    "source", ["fixup-reaches-1524-rows-back", "rbn-usage-trace", "across-referrer-horizons"]
+    "source",
+    ["fixup-reaches-1524-rows-back", "rbn-usage-trace", "across-referrer-horizons",
+     "idle-user-keeps-its-waiting-source"],
 )
 def test_durable_and_pool_runs_write_the_bytes_of_process(source, tmp_path, pipeline, lists,
                                                           small_pipeline, rbn_trace):
@@ -440,6 +459,10 @@ def test_durable_and_pool_runs_write_the_bytes_of_process(source, tmp_path, pipe
     elif source == "across-referrer-horizons":
         records, every, decided = _across_horizons()
         chosen, chosen_lists = small_pipeline, _small_lists()
+    elif source == "idle-user-keeps-its-waiting-source":
+        # The first cut falls between 10.0.0.3's last request and its drop.
+        records, chosen, chosen_lists, every = _idle_user_keeps_its_waiting_source()[0], \
+            small_pipeline, _small_lists(), 50
     else:
         records, chosen, chosen_lists, every = _fixup_beyond_the_window()[0], small_pipeline, \
             _small_lists(), 500

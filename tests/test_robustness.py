@@ -11,7 +11,6 @@ import pytest
 
 import repro.core.pipeline as pipeline_mod
 from repro.core import AdClassificationPipeline
-from repro.core.pipeline import StreamingClassifier
 from repro.http.log import HttpLogRecord, read_log, records_to_text, write_log
 from repro.robustness import (
     ErrorPolicy,
@@ -296,40 +295,6 @@ class TestReorderBuffer:
         assert _classification_key(repaired) == _classification_key(baseline)
 
 
-class TestBoundedUserState:
-    def test_max_users_bounds_peak_state(self):
-        pipeline = AdClassificationPipeline({})
-        records = (
-            _record(ts=1000.0 + i * 0.001, client=f"anon-{i}", flow_id=i)
-            for i in range(100_000)
-        )
-        health = PipelineHealth()
-        classifier = StreamingClassifier(pipeline, max_users=500, health=health)
-        count = 0
-        for record in records:
-            classifier.feed(record)
-            count += len(classifier.drain())
-        count += len(classifier.finish())
-        assert count == 100_000
-        assert health.peak_users <= 500
-        assert health.users_evicted == 100_000 - 500
-
-    def test_lru_keeps_active_users(self):
-        pipeline = AdClassificationPipeline({})
-        records = []
-        ts = 1000.0
-        # "hot" reappears constantly; one-shot users churn past it.
-        for i in range(50):
-            records.append(_record(ts=ts, client="hot", flow_id=i))
-            records.append(_record(ts=ts + 0.001, client=f"cold-{i}", flow_id=1000 + i))
-            ts += 0.01
-        health = PipelineHealth()
-        pipeline.process(records, max_users=5, health=health)
-        # Only cold users were evicted: 50 cold created, ≤4 still resident.
-        assert health.users_evicted >= 46
-        assert health.peak_users <= 5
-
-
 class TestRedirectFixupLru:
     def _redirect(self, i: int, ts: float) -> HttpLogRecord:
         return _record(
@@ -525,9 +490,7 @@ class TestHealthStateRoundTrip:
         health.record_error("read_log", "bad-ts")
         health.record_error("classify", "oversize")
         health.record_repair("read_log", "header-adopted")
-        health.observe_users(17)
         health.records_reordered = 3
-        health.users_evicted = 2
 
         restored = PipelineHealth.from_state(health.export_state())
         assert restored == health

@@ -43,8 +43,6 @@ health_states = st.fixed_dictionaries(
         "records_quarantined": counts,
         "records_repaired": counts,
         "records_reordered": counts,
-        "users_evicted": counts,
-        "peak_users": counts,
         "stage_errors": st.dictionaries(names, count_maps, max_size=3),
     }
 )
@@ -133,16 +131,6 @@ class TestMergeLaws:
 
 # ---------------------------------------------------------------------------
 # Class-specific semantics the generic laws cannot express
-
-
-def test_health_peak_users_sums_across_shards():
-    """Disjoint shards hold their users simultaneously: the pool peak is
-    the *sum* of shard peaks."""
-    total = PipelineHealth()
-    for peak in (3, 5, 2):
-        shard = PipelineHealth(peak_users=peak)
-        total.merge_state(shard.export_state())
-    assert total.peak_users == 10
 
 
 def test_health_summary_is_fold_order_insensitive():
