@@ -1,7 +1,5 @@
 """Evaluation analyses: one module per paper section (§6-§8)."""
 
-from repro.analysis.hidden_ads import HiddenAdReport, hidden_ad_report
-from repro.analysis.longitudinal import TraceComparison, compare_traces
 from repro.analysis.economics import CpmModel, RevenueReport, revenue_of_visit, revenue_report
 from repro.analysis.infrastructure import AsRow, ServerStats, as_table, server_statistics
 from repro.analysis.report import format_pct, render_boxplot_row, render_histogram, render_table
@@ -39,10 +37,6 @@ from repro.analysis.whitelist import (
 )
 
 __all__ = [
-    "HiddenAdReport",
-    "hidden_ad_report",
-    "TraceComparison",
-    "compare_traces",
     "CpmModel",
     "RevenueReport",
     "revenue_of_visit",

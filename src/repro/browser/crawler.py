@@ -2,9 +2,9 @@
 
 Reproduces the Selenium/Chromium experiment: for each URL of the
 "Alexa" top list, start a fresh browser instance under each of the
-seven profiles, load the page, and capture the traffic — both as
-capture-level records and (optionally) as wire-level TCP segments the
-Bro-like analyzer can re-parse.
+seven profiles, load the page, and capture the traffic as the
+header records (:func:`repro.trace.records.render_visit`) that the
+passive pipeline consumes.
 """
 
 from __future__ import annotations

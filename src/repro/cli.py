@@ -106,6 +106,8 @@ __all__ = ["main", "build_parser"]
 
 
 def _ecosystem_from(args: argparse.Namespace) -> Ecosystem:
+    if args.publishers < 1:
+        raise SystemExit("error: --publishers must be >= 1")
     return Ecosystem.generate(
         EcosystemConfig(n_publishers=args.publishers, seed=args.eco_seed)
     )
@@ -464,6 +466,8 @@ def _cmd_ecosystem(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    if args.scale <= 0:
+        raise SystemExit("error: --scale must be > 0")
     ecosystem = _ecosystem_from(args)
     preset = rbn1_config if args.preset == "rbn1" else rbn2_config
     config = preset(scale=args.scale)
@@ -621,6 +625,8 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
     from repro.browser.crawler import Crawler
     from repro.filterlist.lists import EASYLIST, EASYPRIVACY
 
+    if args.sites < 1:
+        raise SystemExit("error: --sites must be >= 1")
     ecosystem = _ecosystem_from(args)
     lists = build_lists(ecosystem.list_spec())
     pipeline = AdClassificationPipeline(lists)

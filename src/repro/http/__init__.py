@@ -1,33 +1,25 @@
-"""Bro-like HTTP analysis substrate: TCP reassembly, HTTP parsing, logs.
+"""HTTP header records: the ``http.log`` rows the pipeline consumes.
 
-Public surface of :mod:`repro.http`:
+The paper's step 1, Bro turning packets into ``http.log`` rows, lies
+outside this system: :func:`repro.trace.records.render_visit` writes the
+rows directly from the browser emulator's visits, for ``repro trace``
+and ``repro crawl`` alike.  Public surface of :mod:`repro.http`:
 
-* :func:`repro.http.analyzer.analyze_segments` — packets to transactions.
-* :class:`repro.http.message.HttpTransaction` and friends.
 * :class:`repro.http.log.HttpLogRecord` — the Bro ``http.log`` analogue
-  the classification pipeline consumes.
+  the classification pipeline consumes, with its TSV and binary
+  (:mod:`repro.http.binlog`) encodings.
+* :mod:`repro.http.url` — URL splitting and registrable domains.
 * :func:`repro.http.useragent.parse_user_agent` — device/browser
   annotation used by the ad-blocker usage study.
 """
 
-from repro.http.analyzer import HttpAnalyzer, analyze_segments
 from repro.http.log import (
     HttpLogRecord,
     read_log,
     records_from_text,
     records_to_text,
-    transaction_to_record,
     write_log,
 )
-from repro.http.message import Headers, HttpRequest, HttpResponse, HttpTransaction
-from repro.http.parser import (
-    HttpParseError,
-    parse_request_stream,
-    parse_response_stream,
-    serialize_request,
-    serialize_response,
-)
-from repro.http.tcp import FlowKey, FlowTable, TcpFlow, TcpSegment, TcpStream
 from repro.http.url import (
     SplitUrl,
     embedded_urls,
@@ -42,28 +34,11 @@ from repro.http.url import (
 from repro.http.useragent import BrowserFamily, DeviceClass, UserAgentInfo, parse_user_agent
 
 __all__ = [
-    "HttpAnalyzer",
-    "analyze_segments",
     "HttpLogRecord",
     "read_log",
     "write_log",
     "records_from_text",
     "records_to_text",
-    "transaction_to_record",
-    "Headers",
-    "HttpRequest",
-    "HttpResponse",
-    "HttpTransaction",
-    "HttpParseError",
-    "parse_request_stream",
-    "parse_response_stream",
-    "serialize_request",
-    "serialize_response",
-    "FlowKey",
-    "FlowTable",
-    "TcpFlow",
-    "TcpSegment",
-    "TcpStream",
     "SplitUrl",
     "split_url",
     "join_url",

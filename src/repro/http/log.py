@@ -1,11 +1,13 @@
 """Bro-style TSV log records for HTTP transactions.
 
 The paper's pipeline runs on logs produced by the Bro HTTP analyzer
-rather than raw packets.  :class:`HttpLogRecord` mirrors the fields the
-paper lists in §3.1 — Host, URI, Referer, Content-Type, Content-Length
-and (their Bro extension) Location — plus the timing fields §8.2 needs.
-Logs round-trip through a plain TSV format so experiments can be staged
-to disk.
+rather than raw packets; here :func:`repro.trace.records.render_visit`
+writes those rows directly from emulated browser visits, and no packets
+exist.  :class:`HttpLogRecord` mirrors the fields the paper lists in
+§3.1 — Host, URI, Referer, Content-Type, Content-Length and (their Bro
+extension) Location — plus the timing fields §8.2 needs.  Logs
+round-trip through a plain TSV format so experiments can be staged to
+disk.
 """
 
 from __future__ import annotations
@@ -17,13 +19,11 @@ from math import isfinite
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, TextIO
 
-from repro.http.message import HttpTransaction
 from repro.http.url import absolute_url
 from repro.robustness import ErrorPolicy, LogParseError, PipelineHealth, QuarantineWriter
 
 __all__ = [
     "HttpLogRecord",
-    "transaction_to_record",
     "write_log",
     "encode_field",
     "read_log",
@@ -37,7 +37,7 @@ _UNSET = "-"
 
 @dataclass(slots=True)
 class HttpLogRecord:
-    """One line of the HTTP log (flattened transaction)."""
+    """One line of the HTTP log: one request and its response."""
 
     ts: float
     client: str
@@ -67,28 +67,6 @@ class HttpLogRecord:
     def from_row(cls, row: tuple) -> "HttpLogRecord":
         """Inverse of :meth:`to_row`."""
         return cls(*row)
-
-
-def transaction_to_record(txn: HttpTransaction) -> HttpLogRecord:
-    """Flatten an :class:`HttpTransaction` into a log record."""
-    response = txn.response
-    return HttpLogRecord(
-        ts=txn.ts_request,
-        client=txn.client,
-        server=txn.server,
-        method=txn.request.method,
-        host=txn.request.host,
-        uri=txn.request.uri,
-        referrer=txn.request.referer,
-        user_agent=txn.request.user_agent,
-        status=response.status if response else None,
-        content_type=response.content_type if response else None,
-        content_length=response.content_length if response else None,
-        location=response.location if response else None,
-        tcp_handshake_ms=txn.tcp_handshake_ms,
-        http_handshake_ms=txn.http_handshake_ms,
-        flow_id=txn.flow_id,
-    )
 
 
 _FIELD_NAMES = [f.name for f in fields(HttpLogRecord)]

@@ -3,16 +3,10 @@
 Population model (households/NAT/devices), diurnal activity, the trace
 generator driving browser emulators over the synthetic web, capture
 semantics (port-based HTTP visibility, TLS connection records, ABP
-server detection) and the paper's privacy measures.
+server detection).
 """
 
 from repro.trace.activity import activity_rate, diurnal_rate, weekly_factor
-from repro.trace.anonymize import (
-    IpAnonymizer,
-    anonymize_records,
-    truncate_records,
-    truncate_to_fqdn,
-)
 from repro.trace.capture import (
     CaptureStats,
     abp_server_ips,
@@ -35,20 +29,11 @@ from repro.trace.records import (
     TraceRecords,
     render_visit,
 )
-from repro.trace.pcap import PcapFormatError, read_segments, write_segments
-from repro.trace.wire import render_visit_segments
 
 __all__ = [
-    "PcapFormatError",
-    "read_segments",
-    "write_segments",
     "activity_rate",
     "diurnal_rate",
     "weekly_factor",
-    "IpAnonymizer",
-    "anonymize_records",
-    "truncate_records",
-    "truncate_to_fqdn",
     "CaptureStats",
     "abp_server_ips",
     "capture_stats",
@@ -70,5 +55,4 @@ __all__ = [
     "TlsConnectionRecord",
     "TraceRecords",
     "render_visit",
-    "render_visit_segments",
 ]

@@ -10,15 +10,10 @@ from repro.web.adtech import AdChainKind, AdChainStep, ServerDelayModel, build_a
 from repro.web.alexa import alexa_top, alexa_urls
 from repro.web.asdb import AsDatabase, AsKind, AutonomousSystem, default_as_database
 from repro.web.categories import PROFILES, CategoryProfile, SiteCategory, profile_for
-from repro.web.dns import AuthoritativeZone, DnsRecord, Resolver, resolve_with_quorum
 from repro.web.ecosystem import AdNetwork, Ecosystem, EcosystemConfig, Publisher, Tracker
 from repro.web.page import ObjectKind, PageFetch, WebObject, build_page
 
 __all__ = [
-    "AuthoritativeZone",
-    "DnsRecord",
-    "Resolver",
-    "resolve_with_quorum",
     "AdChainKind",
     "AdChainStep",
     "ServerDelayModel",

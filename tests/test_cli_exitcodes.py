@@ -133,6 +133,36 @@ def test_workers_zero_is_a_usage_error(tmp_path, trace_file):
     assert "--workers" in proc.stderr
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["trace", "--publishers", "0"], "--publishers must be >= 1"),
+        (["trace", "--publishers", "-3"], "--publishers must be >= 1"),
+        (["trace", "--scale", "0"], "--scale must be > 0"),
+        (["trace", "--scale", "-1"], "--scale must be > 0"),
+        (["crawl", "--publishers", "0"], "--publishers must be >= 1"),
+        (["crawl", "--sites", "0"], "--sites must be >= 1"),
+        (["classify", "--publishers", "0"], "--publishers must be >= 1"),
+    ],
+    ids=["trace-publishers-0", "trace-publishers-negative", "trace-scale-0",
+         "trace-scale-negative", "crawl-publishers-0", "crawl-sites-0", "classify-publishers-0"],
+)
+def test_bad_generator_sizes_are_usage_errors(tmp_path, trace_file, args, message):
+    """Refused before anything is written: not an IndexError traceback,
+    nor a clamped 10-household trace or an all-zero Table 1 with exit 0."""
+    command = args[0]
+    if command == "trace":
+        args = [*args, "--out", str(tmp_path / "t.tsv"), "--tls-out", str(tmp_path / "tls.tsv")]
+    elif command == "classify":
+        args = [*args, "--trace", str(trace_file), "--out", str(tmp_path / "out.tsv"),
+                "--checkpoint-dir", str(tmp_path / "ckpt")]
+    proc = _cli(args, tmp_path)
+    assert proc.returncode == EXIT_STRICT_ABORT, proc.stdout + proc.stderr
+    assert proc.stderr.strip() == f"error: {message}"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_workers_without_fork_is_a_usage_error(monkeypatch, tmp_path):
     """Workers inherit the parent's pipeline through fork; a platform
     without it gets a diagnostic up front, not a failing pool."""

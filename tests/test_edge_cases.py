@@ -117,55 +117,6 @@ class TestReferrerMapMetamorphic:
                 assert attribution.page_url == page
 
 
-class TestAnalyzerEdgeCases:
-    def test_flow_without_response(self):
-        from repro.http.analyzer import analyze_segments
-        from repro.http.tcp import TcpSegment
-
-        segments = [
-            TcpSegment(ts=1, src="c", dst="s", sport=999, dport=80, syn=True),
-            TcpSegment(ts=1.01, src="s", dst="c", sport=80, dport=999, syn=True, ack=True),
-            TcpSegment(
-                ts=1.02, src="c", dst="s", sport=999, dport=80, seq=0,
-                payload=b"GET /x HTTP/1.1\r\nHost: h.example\r\n\r\n",
-            ),
-        ]
-        transactions = analyze_segments(segments)
-        assert len(transactions) == 1
-        assert transactions[0].response is None
-        assert transactions[0].http_handshake_ms is None
-
-    def test_more_responses_than_requests_tolerated(self):
-        from repro.http.analyzer import analyze_segments
-        from repro.http.tcp import TcpSegment
-
-        segments = [
-            TcpSegment(
-                ts=1, src="c", dst="s", sport=999, dport=80, seq=0,
-                payload=b"GET /x HTTP/1.1\r\nHost: h.example\r\n\r\n",
-            ),
-            TcpSegment(
-                ts=2, src="s", dst="c", sport=80, dport=999, seq=0,
-                payload=(
-                    b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n"
-                    b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n"
-                ),
-            ),
-        ]
-        transactions = analyze_segments(segments)
-        assert len(transactions) == 1  # the orphan response is dropped
-
-    def test_rst_only_flow_ignored(self):
-        from repro.http.analyzer import analyze_segments
-        from repro.http.tcp import TcpSegment
-
-        segments = [
-            TcpSegment(ts=1, src="c", dst="s", sport=999, dport=80, syn=True),
-            TcpSegment(ts=1.5, src="s", dst="c", sport=80, dport=999, rst=True),
-        ]
-        assert analyze_segments(segments) == []
-
-
 class TestUrlEdgeCases:
     @pytest.mark.parametrize(
         "url",

@@ -1,14 +1,7 @@
-"""Tests for the extension modules: list evolution, page views,
-longitudinal comparison, hidden-ad accounting."""
+"""Tests for the extension modules: list evolution and page views."""
 
 from __future__ import annotations
 
-import random
-
-import pytest
-
-from repro.analysis.hidden_ads import hidden_ad_report
-from repro.analysis.longitudinal import compare_traces
 from repro.core.pageviews import attribution_accuracy, page_view_stats
 from repro.filterlist.evolution import ChurnRates, evolve, staleness_series
 
@@ -100,50 +93,3 @@ class TestPageViews:
             AdClassificationPipeline(lists).process(sample), truths
         )
         assert accuracy.exact < baseline.exact
-
-
-class TestLongitudinal:
-    def test_same_generator_consistent(self, classified):
-        half = len(classified) // 2
-        comparison = compare_traces(classified[:half], classified[half:])
-        assert comparison.consistent
-        assert comparison.max_relative_delta() < 0.5
-
-    def test_metrics_paired(self, classified):
-        comparison = compare_traces(classified, classified)
-        assert comparison.ad_request_share[0] == comparison.ad_request_share[1]
-        assert comparison.max_relative_delta() == 0.0
-
-
-class TestHiddenAds:
-    @pytest.fixture()
-    def visits(self, ecosystem, lists):
-        from repro.browser.emulator import BrowserEmulator
-        from repro.browser.profiles import profile_by_name
-        from repro.web.page import build_page
-
-        rng = random.Random(6)
-        publishers = [p for p in ecosystem.publishers if p.text_ads and not p.https_landing]
-        assert publishers
-        pages = [build_page(rng.choice(publishers), ecosystem, rng) for _ in range(40)]
-        vanilla = BrowserEmulator(profile_by_name("Vanilla"), lists, rng=rng)
-        abp = BrowserEmulator(profile_by_name("AdBP-Pa"), lists, rng=rng)
-        return (
-            [vanilla.visit(page, list_update=False) for page in pages],
-            [abp.visit(page, list_update=False) for page in pages],
-        )
-
-    def test_vanilla_shows_text_ads(self, visits):
-        vanilla_visits, _ = visits
-        report = hidden_ad_report(vanilla_visits)
-        assert report.text_ad_impressions > 0
-        assert report.text_ads_hidden == 0
-        assert 0.0 < report.invisible_share < 1.0
-
-    def test_abp_hides_text_ads(self, visits):
-        _, abp_visits = visits
-        report = hidden_ad_report(abp_visits)
-        assert report.text_ads_hidden > 0
-        assert report.hiding_rate > 0.5
-        # ABP also blocks request-borne impressions.
-        assert report.request_borne_impressions < hidden_ad_report(visits[0]).request_borne_impressions

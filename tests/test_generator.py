@@ -1,11 +1,17 @@
-"""Unit tests for repro.trace.generator (the RBN simulator)."""
+"""Unit tests for repro.trace.generator (the RBN simulator) and the
+visit rendering it runs (repro.trace.records.render_visit)."""
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 
+from repro.browser.emulator import BrowserEmulator
+from repro.browser.profiles import profile_by_name
 from repro.trace.capture import abp_server_ips
 from repro.trace.generator import rbn1_config, rbn2_config
+from repro.trace.records import RttModel, render_visit
+from repro.web.page import build_page
 
 
 class TestPresets:
@@ -96,3 +102,63 @@ class TestGeneratedTrace:
         ).generate()
         assert len(again.http) == len(rbn_trace.http)
         assert [r.url for r in again.http[:200]] == [r.url for r in rbn_trace.http[:200]]
+
+
+def _visit(ecosystem, lists, seed=21):
+    rng = random.Random(seed)
+    publishers = [
+        p for p in ecosystem.publishers
+        if p.ad_networks and not p.https_landing and not p.ad_free
+    ]
+    page = build_page(rng.choice(publishers), ecosystem, rng)
+    emulator = BrowserEmulator(profile_by_name("Vanilla"), lists, rng=rng)
+    return emulator.visit(page, list_update=False)
+
+
+class TestRenderVisit:
+    def test_one_record_per_request(self, ecosystem, lists):
+        visit = _visit(ecosystem, lists)
+        records = render_visit(
+            visit, client_ip="10.9.9.9", user_agent="UA", base_ts=1000.0,
+            ecosystem=ecosystem, rtt=RttModel(1), rng=random.Random(2),
+        )
+        assert len(records.http) == len(visit.requests)
+        assert len(records.truth) == len(records.http)
+
+    def test_persistent_connections_share_flow(self, ecosystem, lists):
+        visit = _visit(ecosystem, lists)
+        records = render_visit(
+            visit, client_ip="10.9.9.9", user_agent="UA", base_ts=1000.0,
+            ecosystem=ecosystem, rtt=RttModel(1), rng=random.Random(2),
+        )
+        by_host_flow = {}
+        for record in records.http:
+            by_host_flow.setdefault(record.host, set()).add(record.flow_id)
+        for host, flows in by_host_flow.items():
+            assert len(flows) == 1, f"host {host} spread over flows {flows}"
+        # And same flow -> same TCP handshake measurement.
+        by_flow_handshake = {}
+        for record in records.http:
+            by_flow_handshake.setdefault(record.flow_id, set()).add(record.tcp_handshake_ms)
+        assert all(len(values) == 1 for values in by_flow_handshake.values())
+
+    def test_http_handshake_includes_server_delay(self, ecosystem, lists):
+        visit = _visit(ecosystem, lists)
+        records = render_visit(
+            visit, client_ip="10.9.9.9", user_agent="UA", base_ts=1000.0,
+            ecosystem=ecosystem, rtt=RttModel(1), rng=random.Random(2),
+        )
+        for record, request in zip(records.http, visit.requests):
+            gap = record.http_handshake_ms - record.tcp_handshake_ms
+            # The gap is server delay plus RTT jitter of up to ~±5%.
+            assert gap >= request.obj.server_delay_ms - 0.05 * record.tcp_handshake_ms - 1.0
+
+    def test_ground_truth_fields(self, ecosystem, lists):
+        visit = _visit(ecosystem, lists)
+        records = render_visit(
+            visit, client_ip="10.9.9.9", user_agent="UA", base_ts=1000.0,
+            ecosystem=ecosystem, rtt=RttModel(1), rng=random.Random(2),
+            device_id="dev-1",
+        )
+        assert all(truth.device_id == "dev-1" for truth in records.truth)
+        assert all(truth.page_url == visit.page_url for truth in records.truth)

@@ -13,10 +13,8 @@ from repro.http.log import (
     read_log,
     records_from_text,
     records_to_text,
-    transaction_to_record,
     write_log,
 )
-from repro.http.message import Headers, HttpRequest, HttpResponse, HttpTransaction
 from repro.robustness import ErrorPolicy, LogParseError, QuarantineWriter, read_quarantine
 
 
@@ -281,42 +279,3 @@ class TestUrlProperty:
     def test_absolute_uri(self):
         record = _record(uri="http://other.example/z")
         assert record.url == "http://other.example/z"
-
-
-class TestTransactionConversion:
-    def test_flattening(self):
-        request = HttpRequest(
-            "GET",
-            "/a",
-            Headers({"Host": "h.example", "Referer": "http://r.example/", "User-Agent": "UA"}),
-        )
-        response = HttpResponse(
-            302,
-            headers=Headers(
-                {"Content-Type": "text/html; charset=x", "Content-Length": "10",
-                 "Location": "http://t.example/"}
-            ),
-        )
-        txn = HttpTransaction(
-            client="c", server="s", request=request, response=response,
-            ts_request=5.0, ts_response=5.1, tcp_handshake_ms=20.0, flow_id=3,
-        )
-        record = transaction_to_record(txn)
-        assert record.host == "h.example"
-        assert record.referrer == "http://r.example/"
-        assert record.status == 302
-        assert record.content_type == "text/html"
-        assert record.content_length == 10
-        assert record.location == "http://t.example/"
-        assert abs(record.http_handshake_ms - 100.0) < 1e-6
-        assert record.flow_id == 3
-
-    def test_missing_response(self):
-        request = HttpRequest("GET", "/a", Headers({"Host": "h.example"}))
-        txn = HttpTransaction(
-            client="c", server="s", request=request, response=None, ts_request=5.0
-        )
-        record = transaction_to_record(txn)
-        assert record.status is None
-        assert record.content_type is None
-        assert record.http_handshake_ms is None

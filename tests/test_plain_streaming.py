@@ -582,3 +582,41 @@ def test_classify_sink_places_late_rows_and_drops_replays(tmp_path):
         sink.finalize()
     sink.close()
     assert not (tmp_path / "out.tsv.part").exists()
+
+
+class TestStreamingPipeline:
+    def test_drained_entries_match_process(self, pipeline, rbn_trace):
+        sample = rbn_trace.http[:8000]
+        batch = pipeline.process(sample)
+        classifier = StreamingClassifier(pipeline)
+        streamed = []
+        for record in sample:
+            classifier.feed(record)
+            streamed.extend(classifier.drain())
+        streamed.extend(classifier.finish())
+        streamed.sort(key=lambda entry: entry.index)
+        assert len(streamed) == len(batch)
+        for a, b in zip(batch, streamed):
+            assert a.record is b.record
+            assert a.page_url == b.page_url
+            assert a.is_ad == b.is_ad
+            assert a.blacklist_name == b.blacklist_name
+
+    def test_drain_is_lazy(self, pipeline, rbn_trace):
+        classifier = StreamingClassifier(pipeline)
+        records = iter(rbn_trace.http[:5000])
+        first: list = []
+        while not first:
+            classifier.feed(next(records))
+            first = classifier.drain()
+        assert first[0].record is rbn_trace.http[0]
+
+    def test_unbounded_window(self, pipeline, rbn_trace):
+        """A caller that never drains gets the whole run from finish()."""
+        sample = rbn_trace.http[:2000]
+        classifier = StreamingClassifier(pipeline, fixup_window=None)
+        for record in sample:
+            classifier.feed(record)
+        assert len(classifier.finish()) == len(sample)
+        with pytest.raises(TypeError, match="fixup_window"):
+            StreamingClassifier(pipeline, fixup_window=1024)

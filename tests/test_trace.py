@@ -8,7 +8,6 @@ from collections import Counter
 from repro.browser.emulator import ABP_UPDATE_HOSTS
 from repro.http.useragent import BrowserFamily, parse_user_agent
 from repro.trace.activity import activity_rate, diurnal_rate, expected_views, weekly_factor
-from repro.trace.anonymize import IpAnonymizer, truncate_records, truncate_to_fqdn
 from repro.trace.capture import abp_server_ips, capture_stats, easylist_download_clients
 from repro.trace.population import PopulationConfig, generate_population
 from repro.trace.records import RttModel, TlsConnectionRecord
@@ -116,33 +115,6 @@ class TestRttModel:
             assert 0.9 * base < sample < 1.2 * base
 
 
-class TestAnonymize:
-    def test_stable_pseudonyms(self):
-        anonymizer = IpAnonymizer(key=b"k")
-        assert anonymizer.anonymize("10.0.0.1") == anonymizer.anonymize("10.0.0.1")
-        assert anonymizer.anonymize("10.0.0.1") != anonymizer.anonymize("10.0.0.2")
-        assert len(anonymizer) == 2
-
-    def test_key_changes_mapping(self):
-        a = IpAnonymizer(key=b"k1").anonymize("10.0.0.1")
-        b = IpAnonymizer(key=b"k2").anonymize("10.0.0.1")
-        assert a != b
-
-    def test_truncate_to_fqdn(self):
-        assert truncate_to_fqdn("http://site.example/secret/path?q=1") == "http://site.example/"
-
-    def test_truncate_records(self, rbn_trace):
-        sample = rbn_trace.http[:50]
-        reduced = truncate_records(sample)
-        assert len(reduced) == len(sample)
-        for record in reduced:
-            assert record.uri == "/"
-            if record.referrer is not None:
-                assert record.referrer.endswith("/")
-        # Originals untouched.
-        assert any(record.uri != "/" for record in sample)
-
-
 class TestCapture:
     def test_abp_server_ips(self, ecosystem):
         ips = abp_server_ips(ecosystem)
@@ -164,31 +136,40 @@ class TestCapture:
         assert 0 < stats.duration_hours <= 7
 
 
-class TestAnonymizeRecords:
-    def test_pseudonyms_applied_and_stable(self, rbn_trace):
-        from repro.trace.anonymize import IpAnonymizer, anonymize_records
+class TestUaCollisions:
+    def test_collisions_merge_pairs(self):
+        config = PopulationConfig(n_households=300, seed=8, ua_collision_share=0.5)
+        households = generate_population(config)
+        collided = 0
+        for household in households:
+            uas = [d.user_agent for d in household.devices if d.is_browser]
+            collided += len(uas) - len(set(uas))
+        assert collided > 0
 
-        sample = rbn_trace.http[:200]
-        anonymizer = IpAnonymizer(key=b"test")
-        anonymized = anonymize_records(sample, anonymizer)
-        assert len(anonymized) == len(sample)
-        for original, masked in zip(sample, anonymized):
-            assert masked.client.startswith("anon-")
-            assert masked.uri == original.uri  # only the client changes
-        # Same original client -> same pseudonym (aggregation works).
-        mapping = {}
-        for original, masked in zip(sample, anonymized):
-            assert mapping.setdefault(original.client, masked.client) == masked.client
+    def test_collisions_can_mix_profiles(self):
+        """The interesting case: one pair, two devices, only one ABP —
+        the paper's type-B mechanism."""
+        config = PopulationConfig(
+            n_households=600, seed=9, ua_collision_share=0.5, household_abp_rate=0.6
+        )
+        households = generate_population(config)
+        mixed = 0
+        for household in households:
+            by_ua: dict[str, set[bool]] = {}
+            for device in household.devices:
+                if device.is_browser:
+                    by_ua.setdefault(device.user_agent, set()).add(device.profile.has_abp)
+            mixed += sum(1 for values in by_ua.values() if len(values) == 2)
+        assert mixed > 0
 
-    def test_pipeline_runs_on_anonymized_logs(self, rbn_trace, pipeline):
-        from repro.trace.anonymize import IpAnonymizer, anonymize_records
-
-        sample = rbn_trace.http[:2000]
-        anonymized = anonymize_records(sample, IpAnonymizer(key=b"k"))
-        plain_entries = pipeline.process(sample)
-        masked_entries = pipeline.process(anonymized)
-        # Classification is identical: it never looks at the client IP
-        # beyond user grouping, which pseudonyms preserve.
-        for a, b in zip(plain_entries, masked_entries):
-            assert a.is_ad == b.is_ad
-            assert a.page_url == b.page_url
+    def test_zero_collision_share(self):
+        config = PopulationConfig(n_households=200, seed=8, ua_collision_share=0.0)
+        households = generate_population(config)
+        collided = total = 0
+        for household in households:
+            uas = [d.user_agent for d in household.devices if d.is_browser]
+            collided += len(uas) - len(set(uas))
+            total += len(uas)
+        # Accidental same-build collisions exist but must be rare
+        # compared to the engineered share.
+        assert collided / total < 0.03
