@@ -101,6 +101,7 @@ from repro.trace import (
     rbn2_config,
 )
 from repro.web import Ecosystem, EcosystemConfig
+from repro.web.ecosystem import ecosystem_lists
 
 __all__ = ["main", "build_parser"]
 
@@ -277,7 +278,7 @@ def _lists_factory(args: argparse.Namespace):
 
     def get_lists():
         if "lists" not in memo:
-            memo["lists"] = build_lists(_ecosystem_from(args).list_spec())
+            memo["lists"] = ecosystem_lists(args.publishers, args.eco_seed)
         return memo["lists"]
 
     return get_lists

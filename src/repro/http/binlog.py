@@ -28,9 +28,9 @@ records on the ingest hot path, and the protection target is storage or
 truncation damage, not an adversary.  A damaged block routes through
 the same strict/skip/quarantine :class:`~repro.robustness.ErrorPolicy`
 as a malformed TSV line, consuming exactly one record ordinal so
-quarantine claims and strict aborts stay deterministic across shard
-workers (DESIGN.md §10).  A binlog is derived from TSV by
-``repro convert``, so an older version is refused with
+sidecar line numbers and strict aborts agree across shard workers
+(DESIGN.md §10); shard 0 alone reports it.  A binlog is derived from
+TSV by ``repro convert``, so an older version is refused with
 :class:`BinlogVersionError` rather than read.
 """
 
@@ -43,12 +43,7 @@ import zlib
 from itertools import accumulate
 from typing import Any, BinaryIO, Iterable, Iterator
 
-from repro.http.log import (
-    HttpLogRecord,
-    _categorize,
-    claims_line,
-    shard_of,
-)
+from repro.http.log import HttpLogRecord, _categorize, shard_of
 from repro.robustness import ErrorPolicy, LogParseError, PipelineHealth, QuarantineWriter
 
 __all__ = [
@@ -473,10 +468,10 @@ class BinLogReader:
         """Route one damaged frame through the error policy, then resync.
 
         Consumes exactly one record ordinal (``line_no``) so strict
-        aborts and quarantine claims stay deterministic across shard
-        workers.  ``resync_to`` is the next trustworthy byte position;
-        ``None`` means the frame's own length cannot be trusted, so
-        scan forward for the next ``RBLK`` marker.
+        aborts and sidecar line numbers agree across shard workers.
+        ``resync_to`` is the next trustworthy byte position; ``None``
+        means the frame's own length cannot be trusted, so scan forward
+        for the next ``RBLK`` marker.
         """
         if resync_to is None:
             found = self._raw.find(_BLOCK_MAGIC, at + 1)
@@ -486,8 +481,8 @@ class BinLogReader:
         pseudo = f"<binlog frame at byte {at}>"
         if self.on_error is ErrorPolicy.STRICT:
             raise LogParseError(self.line_no, reason, pseudo)
-        if self.shard is not None and not claims_line(self.line_no, *self.shard):
-            return
+        if self.shard is not None and self.shard[0]:
+            return  # shard 0 reports damaged frames
         quarantined = False
         if self.on_error is ErrorPolicy.QUARANTINE and self.quarantine is not None:
             self.quarantine.write(self.line_no, reason, pseudo)

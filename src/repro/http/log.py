@@ -29,7 +29,6 @@ __all__ = [
     "read_log",
     "SeekableLogReader",
     "shard_of",
-    "claims_line",
 ]
 
 _UNSET = "-"
@@ -149,17 +148,6 @@ def shard_of(client: str, user_agent: str, workers: int) -> int:
     return zlib.crc32(key) % workers
 
 
-def claims_line(line_no: int, shard: int, workers: int) -> bool:
-    """Does ``shard`` own malformed line ``line_no``?
-
-    A line that does not parse has no user to shard by, so exactly one
-    worker must claim its error accounting and quarantine write; a
-    stable round-robin on the 1-based line number spreads that work and
-    keeps the claim deterministic for resume.
-    """
-    return line_no % workers == shard
-
-
 class _LineHandler:
     """Shared per-line parse path of :func:`read_log` and
     :class:`SeekableLogReader`: header adoption, decoding, and the
@@ -172,10 +160,10 @@ class _LineHandler:
     With ``shard=(k, W)`` the handler still *parses* every line — all
     workers must agree on global record positions — but accounts for a
     parsed record only if shard ``k`` owns its user, and for a malformed
-    line only if ``k`` claims its line number (DESIGN.md §10).  Strict
-    mode raises in every worker: the abort must not depend on which
-    shard meets the bad line.  After each parsed record, :attr:`owned`
-    says whether this shard owns it.
+    line only if ``k`` is shard 0, which reports every one, in line
+    order (DESIGN.md §10).  Strict mode raises in every worker: the
+    abort must not depend on which shard meets the bad line.  After
+    each parsed record, :attr:`owned` says whether this shard owns it.
     """
 
     __slots__ = ("header", "on_error", "health", "quarantine", "shard", "owned",
@@ -266,8 +254,8 @@ class _LineHandler:
             reason = self._reason(line)
             if self.on_error is ErrorPolicy.STRICT:
                 raise LogParseError(line_no, reason, line) from None
-            if self.shard is not None and not claims_line(line_no, *self.shard):
-                return None
+            if self.shard is not None and self.shard[0]:
+                return None  # shard 0 reports malformed lines
             quarantined = False
             if self.on_error is ErrorPolicy.QUARANTINE and self.quarantine is not None:
                 self.quarantine.write(line_no, reason, line)

@@ -2,10 +2,12 @@
 
 The parent never parses or classifies.  It forks one worker per shard,
 each inheriting the parent's pipeline, then folds their message streams
-back into the single serial-order output: rows re-interleave by ingest
-index up to the lowest worker frontier, rejected lines by line number,
-health counters and traffic folds by ``merge_state()``: sums, which
-merge in any order.
+back into the single serial-order output.  Rows go to the sink as they
+arrive, and the sink's frontier moves to the lowest worker frontier:
+the sink puts them in index order, as it does for a serial run.
+Rejected lines come from shard 0 alone, already in line order, and are
+written as they arrive.  Health counters and traffic folds merge by
+``merge_state()``: sums, which merge in any order.
 
 Durable runs keep the DESIGN.md §8 model unchanged: one checkpoint
 store, written by the parent alone.  Each worker cuts when its
@@ -13,12 +15,13 @@ replicated stream position crosses the ``n * checkpoint_every``-th
 parsed record — a pure function of the input, so all workers cut at the
 same global positions — and sends its shard state to the parent.  Once
 every shard's state for ``n`` has arrived, the parent saves generation
-``n``: its own state (sink positions, emit frontier, sidecar watermark)
+``n``: its own state (sink positions and frontier, sidecar watermark)
 plus the list of shard states.  Resume is the serial path's: the newest
 generation that validates, each worker forked with its shard's state
-from it.  A replayed row below the emit frontier fills a gap in the
-sink or, already written, is dropped, which is lossless because the
-replayed tail regenerates it byte-identically.
+from it.  A replayed row below the sink's frontier fills a gap in the
+sink or, already written, is dropped, and a replayed rejected line at
+or below the sidecar watermark is dropped, which is lossless because
+the replayed tail regenerates both byte-identically.
 
 Worker *supervision* (DESIGN.md §12) rides on the same message stream:
 every message doubles as a heartbeat, a
@@ -38,7 +41,6 @@ from typing import Any, Callable
 
 from repro.core.pipeline import AdClassificationPipeline
 from repro.http.log import SeekableLogReader
-from repro.parallel.sharding import OrderedRowEmitter, QuarantineMerger
 from repro.parallel.supervision import RunInterrupted, WorkerFailure, WorkerSupervisor
 from repro.parallel.worker import MessageKind, WorkerConfig, run_worker
 from repro.robustness.checkpoint import Checkpoint, CheckpointStore
@@ -130,6 +132,8 @@ class ParallelRun:
         )
         self.chaos = chaos if chaos is not None else os.environ.get(CHAOS_ENV) or None
         self._saved_generation = 0
+        self._frontier = 0
+        self._flushed_line = 0
         self.log = log
 
     # -- lifecycle --------------------------------------------------------
@@ -149,9 +153,8 @@ class ParallelRun:
         respawn from the newest generation the parent has saved, whose
         cut is at or behind everything the parent has folded, so the
         replayed tail regenerates whatever died with the old incarnation
-        (re-sent rows the parent already holds are absorbed by the
-        idempotent merge structures).  With nothing saved, the shard
-        replays from the top.
+        (the sink and the sidecar watermark drop what the parent already
+        has).  With nothing saved, the shard replays from the top.
         """
         checkpoint = resumed
         if attempt > 0:
@@ -235,13 +238,14 @@ class ParallelRun:
     ) -> RunResult:
         """Supervise the pool and merge its message streams in order."""
         payload = resumed.payload if resumed is not None else None
-        emitter = OrderedRowEmitter(
-            self.workers, next_emit=payload["next_emit"] if payload else 0
-        )
-        merger = QuarantineMerger(
-            quarantine.write if quarantine is not None else (lambda line_no, reason, raw: None),
-            flushed_line=payload["flushed_line"] if payload else 0,
-        )
+        # The sink's frontier, and each worker's: a respawned incarnation
+        # replays from behind its last one, so a frontier never moves back.
+        self._frontier = payload["sink"]["next_index"] if payload else 0
+        frontiers = [self._frontier] * self.workers
+        # The last rejected line in the sidecar; shard 0 sends them in
+        # line order, so one at or below it is a replay.
+        self._flushed_line = payload["flushed_line"] if payload else 0
+        row_sink = self.sink if self.emit == "rows" else None
 
         context = multiprocessing.get_context("fork")
         out_queue = context.Queue(maxsize=_QUEUE_SLOTS_PER_WORKER * self.workers + 8)
@@ -291,14 +295,16 @@ class ParallelRun:
                         supervisor.poll()
                         continue
                     if kind is MessageKind.BATCH:
-                        late: list[tuple[int, tuple[str, bool, bool]]] = []
-                        for index, row, is_ad, is_whitelisted in message["rows"]:
-                            if not emitter.push(index, (row, is_ad, is_whitelisted)):
-                                late.append((index, (row, is_ad, is_whitelisted)))
-                        emitter.advance(worker_id, message["frontier"])
-                        self._consume_rows(late + emitter.drain(), emitter.next_emit)
+                        if row_sink is not None:
+                            for index, row, is_ad, is_whitelisted in message["rows"]:
+                                row_sink.consume_row(index, row, is_ad, is_whitelisted)
+                        frontiers[worker_id] = max(frontiers[worker_id], message["frontier"])
+                        self._advance(row_sink, min(frontiers))
                         for line_no, reason, raw in message["quarantine"]:
-                            merger.push(line_no, reason, raw)
+                            if line_no > self._flushed_line:
+                                if quarantine is not None:
+                                    quarantine.write(line_no, reason, raw)
+                                self._flushed_line = line_no
                     elif kind is MessageKind.HB:
                         pass  # pure liveness evidence; accept() already credited it
                     elif kind is MessageKind.CKPT:
@@ -310,9 +316,7 @@ class ParallelRun:
                             group[worker_id] = message
                             if len(group) == self.workers:
                                 del cuts[generation]
-                                self._save_checkpoint(
-                                    store, generation, group, emitter, merger, quarantine
-                                )
+                                self._save_checkpoint(store, generation, group, quarantine)
                                 checkpoints_written += 1
                                 self._saved_generation = generation
                     elif kind is MessageKind.DONE:
@@ -344,23 +348,13 @@ class ParallelRun:
         if degraded_shards:
             for worker_id in degraded_shards:
                 self.log(f"shard {worker_id} lost: {supervisor.slots[worker_id].fail_reason}")
-            if emitter.pending:
-                # Rows from surviving shards past the dead shard's
-                # frontier can never be emitted; nothing is published.
-                self.log(
-                    f"discarding {len(emitter.pending)} buffered rows stranded "
-                    "past the missing shard's frontier"
-                )
-                emitter.pending.clear()
             records = next(iter(done.values()))["arrivals"] if done else 0
         else:
             records = done[0]["arrivals"]
             # Each worker's last batch carries frontier == records; the
             # sink's finalize() checks that every gap was filled.
-            if self.emit == "rows" and emitter.next_emit != records:
-                raise WorkerFailure(f"row merge stopped at {emitter.next_emit} of {records}")
-        if not (degraded_shards and self.checkpointing is not None):
-            merger.finish()
+            if self.emit == "rows" and self._frontier != records:
+                raise WorkerFailure(f"row merge stopped at {self._frontier} of {records}")
 
         health = PipelineHealth()
         for message in done.values():
@@ -390,38 +384,31 @@ class ParallelRun:
             worker_restarts=supervisor.restarts,
         )
 
-    def _consume_rows(
-        self, rows: list[tuple[int, tuple[str, bool, bool]]], frontier: int
-    ) -> None:
-        """Hand ``(index, row)`` pairs to the sink, then mark every index
-        below ``frontier`` still without a row as a gap.
+    def _advance(self, sink: RunSink | None, frontier: int) -> None:
+        """Move the sink's frontier up to ``frontier``, the lowest over
+        the workers: below it, every row has arrived or comes late.
 
-        ``--crash-after N`` counts rows here: the run is split where
-        the injector fires, so the crash lands with exactly N rows in
-        the sink.
+        ``--crash-after N`` counts the records the frontier passes, and
+        the move is split where the injector fires, as a serial run
+        splits its batches: the crash lands with the frontier at N.
         """
-        sink = self.sink if self.emit == "rows" else None
         checkpointing = self.checkpointing
         injector = checkpointing.crash_injector if checkpointing is not None else None
-        start = 0
-        while start < len(rows):
-            end = len(rows) if injector is None else min(len(rows), start + injector.remaining)
-            if sink is not None:
-                for index, (row, is_ad, is_whitelisted) in rows[start:end]:
-                    sink.consume_row(index, row, is_ad, is_whitelisted)
+        while self._frontier < frontier:
+            stop = frontier
             if injector is not None:
-                injector.tick(end - start)
-            start = end
-        if sink is not None:
-            sink.skip_to(frontier)
+                stop = min(stop, self._frontier + injector.remaining)
+            if sink is not None:
+                sink.advance(stop)
+            if injector is not None:
+                injector.tick(stop - self._frontier)
+            self._frontier = stop
 
     def _save_checkpoint(
         self,
         store: CheckpointStore,
         generation: int,
         group: dict[int, dict],
-        emitter: OrderedRowEmitter,
-        merger: QuarantineMerger,
         quarantine: QuarantineWriter | None,
     ) -> None:
         """Save generation ``generation``: the parent's state and every
@@ -439,19 +426,14 @@ class ParallelRun:
             raise WorkerFailure(
                 f"shard checkpoints disagree on the generation-{generation} cut: {sorted(cuts)}"
             )
-        cut_line, _cut_index = cuts.pop()
-        if quarantine is not None:
-            # Everything at or below the cut line has arrived (workers
-            # flush before their state), so it is safe — and necessary,
-            # for the recorded position to cover it — to flush now.
-            merger.release(cut_line)
+        # Shard 0 flushes its rejected lines before its state, so the
+        # sidecar already holds every one up to the cut.
         assert self.sink is not None
         state = {
             "records_fed": group[0]["arrivals"],
-            "next_emit": emitter.next_emit,
             "sink": self.sink.export_state(),
             "quarantine": quarantine_state(quarantine),
-            "flushed_line": merger.flushed_line,
+            "flushed_line": self._flushed_line,
             "shards": [group[worker_id] for worker_id in range(self.workers)],
         }
         store.save(state, generation=generation)

@@ -14,9 +14,11 @@ Entries leave the worker as they settle, as pre-rendered output rows
 tagged with their ``index``.  Every batch also carries the worker's
 ingest frontier (``classifier.next_index``): each row of this shard
 below it has been sent, or is a redirect source still waiting.  The
-parent interleaves shards back into index order up to the lowest
-frontier, which is what makes parallel output byte-identical to the
-serial path.
+parent hands every shard's rows to its sink and moves the sink's
+frontier to the lowest worker frontier; the sink puts the rows in
+index order, which is what makes parallel output byte-identical to the
+serial path.  Shard 0 alone reports malformed lines, in line order;
+the other shards parse and skip them.
 
 A worker never writes to disk.  On a durable run it cuts at every
 ``checkpoint_every``-th record, flushes its rows and sends its shard
@@ -66,8 +68,8 @@ from repro.robustness.runstate import TrafficSink, classification_row
 __all__ = ["MessageKind", "WorkerConfig", "run_worker"]
 
 # Records read between "batch" messages: bounds both message size and
-# how far behind the parent's emitter this shard's frontier lags, even
-# across a stretch in which the shard owns nothing.
+# how far behind the sink's frontier in the parent this shard's
+# frontier lags, even across a stretch in which the shard owns nothing.
 _ROW_BATCH = 512
 
 # How long a blocked queue put waits before re-checking that the parent
@@ -121,9 +123,9 @@ class WorkerConfig:
 class _QuarantineBuffer(QuarantineWriter):
     """Captures sidecar writes as tuples for shipment to the parent.
 
-    The parent owns the single on-disk sidecar; a worker only routes
-    the rejected lines its shard claims, so :meth:`write` records the
-    ``(line_no, reason, raw)`` triple instead of emitting bytes.
+    The parent owns the single on-disk sidecar; shard 0 routes every
+    rejected line to it, so :meth:`write` records the ``(line_no,
+    reason, raw)`` triple instead of emitting bytes.
     """
 
     def __init__(self) -> None:

@@ -46,6 +46,16 @@ class PipelineHealth:
     # stage name -> Counter of error reasons
     stage_errors: dict[str, Counter] = field(default_factory=dict)
 
+    # The durable counters: the checkpoint wire form, the shard fold and
+    # the summaries all read this one list (``stage_errors`` rides along).
+    _DURABLE_COUNTERS = (
+        "records_seen",
+        "records_ok",
+        "records_dropped",
+        "records_quarantined",
+        "records_repaired",
+        "records_reordered",
+    )
     # Fields deliberately absent from the checkpoint wire form: pure
     # process-local observability that must never survive a resume or
     # flow through a shard fold.  ``tests/test_state_wire.py`` holds
@@ -99,14 +109,6 @@ class PipelineHealth:
         self.url_cache_hits += hits
         self.url_cache_misses += misses
 
-    def record_worker_restart(self) -> None:
-        """One shard worker was respawned by the supervisor (§12)."""
-        self.worker_restarts += 1
-
-    def record_heartbeat_gap(self) -> None:
-        """One hung worker was detected (no heartbeat within timeout)."""
-        self.heartbeat_gaps += 1
-
     @property
     def degraded(self) -> bool:
         return self.records_dropped > 0 or self.shards_degraded > 0
@@ -118,22 +120,16 @@ class PipelineHealth:
 
     def export_state(self) -> dict:
         """Primitive-only snapshot for the checkpoint payload."""
-        return {
-            "records_seen": self.records_seen,
-            "records_ok": self.records_ok,
-            "records_dropped": self.records_dropped,
-            "records_quarantined": self.records_quarantined,
-            "records_repaired": self.records_repaired,
-            "records_reordered": self.records_reordered,
-            "stage_errors": {stage: dict(reasons) for stage, reasons in self.stage_errors.items()},
+        state: dict = {name: getattr(self, name) for name in self._DURABLE_COUNTERS}
+        state["stage_errors"] = {
+            stage: dict(reasons) for stage, reasons in self.stage_errors.items()
         }
+        return state
 
     @classmethod
     def from_state(cls, state: dict) -> "PipelineHealth":
         """Inverse of :meth:`export_state`."""
-        health = cls(
-            **{key: value for key, value in state.items() if key != "stage_errors"}
-        )
+        health = cls(**{name: state[name] for name in cls._DURABLE_COUNTERS})
         health.stage_errors = {
             stage: Counter(reasons) for stage, reasons in state["stage_errors"].items()
         }
@@ -145,12 +141,8 @@ class PipelineHealth:
         The shard-parallel fold (DESIGN.md §10): every counter is a sum
         over disjoint record sets.
         """
-        self.records_seen += state["records_seen"]
-        self.records_ok += state["records_ok"]
-        self.records_dropped += state["records_dropped"]
-        self.records_quarantined += state["records_quarantined"]
-        self.records_repaired += state["records_repaired"]
-        self.records_reordered += state["records_reordered"]
+        for name in self._DURABLE_COUNTERS:
+            setattr(self, name, getattr(self, name) + state[name])
         for stage, reasons in state["stage_errors"].items():
             self.stage_errors.setdefault(stage, Counter()).update(reasons)
 
@@ -207,23 +199,16 @@ class PipelineHealth:
         ``repro serve``'s ``/metrics`` and ``--health-format=json`` both
         consume this instead of scraping the text block.
         """
-        data: dict = {
-            "records_seen": self.records_seen,
-            "records_ok": self.records_ok,
-            "records_dropped": self.records_dropped,
-            "records_quarantined": self.records_quarantined,
-            "records_repaired": self.records_repaired,
-            "records_reordered": self.records_reordered,
-            "degraded": self.degraded,
-            "stage_errors": {
-                stage: {
-                    reason: count
-                    for reason, count in sorted(
-                        self.stage_errors[stage].items(), key=lambda kv: (-kv[1], kv[0])
-                    )
-                }
-                for stage in sorted(self.stage_errors)
-            },
+        data: dict = {name: getattr(self, name) for name in self._DURABLE_COUNTERS}
+        data["degraded"] = self.degraded
+        data["stage_errors"] = {
+            stage: {
+                reason: count
+                for reason, count in sorted(
+                    self.stage_errors[stage].items(), key=lambda kv: (-kv[1], kv[0])
+                )
+            }
+            for stage in sorted(self.stage_errors)
         }
         if transient:
             lookups = self.cache_hits + self.cache_misses

@@ -5,8 +5,9 @@ reader → :class:`~repro.core.pipeline.StreamingClassifier` → sink:
 :func:`run_serial` is that loop, and the shard pool
 (:mod:`repro.parallel.runner`) is the same fold spread over worker
 processes, handed the same sink.  Every run hands the sink each entry
-once it settles — once no redirect fix-up can change it — and the sink
-puts the few late ones back in index order.  Either loop is *plain* by
+once it settles — once no redirect fix-up can change it — and moves the
+sink's frontier forward; the sink is the one place that puts rows in
+index order.  Either loop is *plain* by
 default; handed a :class:`Checkpointing` it becomes *durable*
 (DESIGN.md §8), so that a crash — OOM kill, deploy, power loss — costs
 at most one checkpoint interval:
@@ -279,10 +280,14 @@ class RunSink:
         """Open output files; start from scratch or from checkpoint state."""
 
     def consume(self, entry: ClassifiedRequest) -> None:
-        """Fold one entry.  Every run hands entries over as they settle:
-        index order but for a few late redirect sources, which only
-        :class:`ClassifySink` (whose rows are its output) puts back."""
+        """Fold one entry.  Every run hands entries over as they settle,
+        in no particular order; only :class:`ClassifySink`, whose rows
+        are its output, puts them in index order."""
         raise NotImplementedError
+
+    def advance(self, frontier: int) -> None:
+        """Every entry below ``frontier`` has been handed over, or is a
+        redirect source still waiting.  The folds are sums: no-op."""
 
     def export_state(self) -> dict:
         """Flush + fsync, then snapshot counters and byte positions."""
@@ -306,15 +311,18 @@ class ClassifySink(RunSink):
     ``<final_path>.part`` and an unfinished run's :meth:`close` removes
     it — nothing could resume it.  No ``final_path``: count only.
 
-    Entries arrive as they settle, so an index can be missing when a
-    later row is written: a redirect source still waiting for its
-    consequent request.  The sink notes the byte offset where each
-    missing row belongs (a *gap*), holds the row in memory when it
-    arrives, and :meth:`finalize` splices those few rows in while it
-    copies the part file to ``final_path`` — the same bytes an in-order
-    run writes.  Gaps and late rows are checkpointed with the counters.
-    A row below the frontier that fills no gap was written before: a
-    resumed or respawned pool shard replays it, and it is dropped.
+    Rows arrive as they settle, in any order.  A row at or above the
+    frontier (:meth:`advance`) is held; advancing writes the held rows
+    below the new frontier in index order.  An index below it without
+    a row is a redirect source still waiting for its consequent
+    request: the sink notes the byte offset where that row belongs (a
+    *gap*), holds the row when it arrives, and :meth:`finalize` splices
+    those few rows in while it copies the part file to ``final_path`` —
+    the same bytes an in-order run writes.  Gaps and late rows are
+    checkpointed with the counters; held rows are not, because the
+    replay after a resume sends them again.  A row below the frontier
+    that fills no gap was written before: a resumed or respawned pool
+    shard replays it, and it is dropped.
     """
 
     HEADER = "#ts\tclient\turl\tpage\tis_ad\tblacklist\twhitelisted\n"
@@ -327,9 +335,10 @@ class ClassifySink(RunSink):
         self.ads = 0
         self.whitelisted = 0
         self._file = None
-        self._next_index = 0  # every lower index is written or in _gaps
+        self._next_index = 0  # the frontier: every lower index is written or in _gaps
         self._gaps: dict[int, int] = {}  # missing index -> offset its row goes at
         self._late: dict[int, str | None] = {}  # index -> row that arrived after its gap
+        self._held: dict[int, tuple[str | None, bool, bool]] = {}  # rows at or above the frontier
 
     def begin(self, *, fresh: bool, state: dict | None) -> None:
         if state is not None:
@@ -359,35 +368,43 @@ class ClassifySink(RunSink):
     def consume_row(
         self, index: int, row: str | None, is_ad: bool, is_whitelisted: bool
     ) -> None:
-        """Place one rendered row at ``index`` and count it (``row`` is
+        """Take one rendered row for ``index``, in any order (``row`` is
         None when there is no output file).  The shard pool's workers
         render rows, so the parent hands them over here."""
         if index >= self._next_index:
-            self.skip_to(index)
-            self._next_index = index + 1
-            if self._file is not None:
-                self._file.write((row + "\n").encode("utf-8"))
-        elif index not in self._gaps:
+            self._held[index] = (row, is_ad, is_whitelisted)
+            return
+        if index not in self._gaps:
             return  # replayed: written before the cut a shard resumed from
-        elif index in self._late:
+        if index in self._late:
             if self._late[index] != row:
                 raise AssertionError(f"two different rows for index {index}")
             return
-        else:
-            self._late[index] = row
+        self._late[index] = row
+        self._count(is_ad, is_whitelisted)
+
+    def _count(self, is_ad: bool, is_whitelisted: bool) -> None:
         self.total += 1
         if is_ad:
             self.ads += 1
         if is_whitelisted:
             self.whitelisted += 1
 
-    def skip_to(self, index: int) -> None:
-        """Every index below ``index`` not yet written is a gap: its row
-        comes late, and goes where the next row is written now."""
-        if index > self._next_index:
-            offset = self._file.tell() if self._file is not None else 0
-            self._gaps.update(dict.fromkeys(range(self._next_index, index), offset))
-            self._next_index = index
+    def advance(self, frontier: int) -> None:
+        """Write the held rows below ``frontier`` in index order; an index
+        without one is a gap, whose row comes late and goes where the
+        next row is written now."""
+        held, file = self._held, self._file
+        for index in range(self._next_index, frontier):
+            entry = held.pop(index, None)
+            if entry is None:
+                self._gaps[index] = file.tell() if file is not None else 0
+                continue
+            row, is_ad, is_whitelisted = entry
+            if file is not None:
+                file.write((row + "\n").encode("utf-8"))
+            self._count(is_ad, is_whitelisted)
+        self._next_index = max(self._next_index, frontier)
 
     def export_state(self) -> dict:
         state = {
@@ -405,6 +422,10 @@ class ClassifySink(RunSink):
         return state
 
     def finalize(self) -> None:
+        if self._held:
+            raise AssertionError(
+                f"rows held above the frontier {self._next_index}: {sorted(self._held)[:5]}"
+            )
         if self._late.keys() != self._gaps.keys():
             raise AssertionError(
                 f"rows never delivered: {sorted(self._gaps.keys() - self._late.keys())[:5]}"
@@ -692,9 +713,11 @@ def run_serial(
             classifier.feed(each record)
             for entry in classifier.drain():   # the entries that settled
                 sink.consume(entry)
+            sink.advance(classifier.next_index)
             every N records: checkpoint        # only if handed checkpointing
         for entry in classifier.finish():
             sink.consume(entry)
+        sink.advance(classifier.next_index)
         sink.finalize()                        # publish outputs atomically
 
     Entries reach the sink as they settle, so the classifier holds only
@@ -739,6 +762,7 @@ def run_serial(
                     classifier.feed(record)
                 for entry in classifier.drain():
                     sink.consume(entry)
+                sink.advance(classifier.next_index)
                 records_fed += len(batch)
                 if checkpointing is None:
                     continue
@@ -764,6 +788,7 @@ def run_serial(
                     checkpointing.crash_injector.tick(len(batch))
             for entry in classifier.finish():
                 sink.consume(entry)
+            sink.advance(classifier.next_index)
             sink.finalize()
             publish_quarantine(quarantine, quarantine_path, checkpointing)
             if store is not None:

@@ -96,13 +96,9 @@ class EngineSource:
 
     def load_lists(self) -> dict[str, FilterList]:
         if not self.list_paths:
-            from repro.filterlist import build_lists
-            from repro.web import Ecosystem, EcosystemConfig
+            from repro.web.ecosystem import ecosystem_lists
 
-            ecosystem = Ecosystem.generate(
-                EcosystemConfig(n_publishers=self.publishers, seed=self.eco_seed)
-            )
-            return build_lists(ecosystem.list_spec())
+            return ecosystem_lists(self.publishers, self.eco_seed)
         lists: dict[str, FilterList] = {}
         for path in self.list_paths:
             name = os.path.splitext(os.path.basename(path))[0]

@@ -24,11 +24,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from repro.filterlist.easylist import ListSynthesisSpec
+from repro.filterlist.easylist import ListSynthesisSpec, build_lists
+from repro.filterlist.lists import FilterList
 from repro.web.asdb import AsDatabase, AsKind, AutonomousSystem, default_as_database
 from repro.web.categories import PROFILES, CategoryProfile, SiteCategory, profile_for
 
-__all__ = ["AdNetwork", "Tracker", "Publisher", "Ecosystem", "EcosystemConfig"]
+__all__ = ["AdNetwork", "Tracker", "Publisher", "Ecosystem", "EcosystemConfig", "ecosystem_lists"]
 
 
 @dataclass(slots=True)
@@ -482,6 +483,17 @@ class Ecosystem:
             else:
                 high = mid
         return self.publishers[low]
+
+
+def ecosystem_lists(publishers: int, seed: int) -> dict[str, FilterList]:
+    """The filter lists of the ecosystem ``--publishers``/``--eco-seed``
+    name: what `classify`, `compile-lists` and `serve` match against
+    when given no list files or snapshot.  Fewer than one publisher is
+    a usage error (exit 1), refused before anything is written."""
+    if publishers < 1:
+        raise SystemExit("error: --publishers must be >= 1")
+    ecosystem = Ecosystem.generate(EcosystemConfig(n_publishers=publishers, seed=seed))
+    return build_lists(ecosystem.list_spec())
 
 
 def _weighted_sample(rng: random.Random, items: list, weights: list[float], k: int) -> list:

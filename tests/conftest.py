@@ -35,9 +35,6 @@ class RowCollector(RunSink):
         # Late rows arrive after later ones; a replayed row repeats itself.
         assert self._rows.setdefault(index, row) == row
 
-    def skip_to(self, index: int) -> None:
-        """Gaps need no bookkeeping: :attr:`rows` reads by index."""
-
     @property
     def rows(self) -> list[str]:
         """The rows in index order, up to the first index without one

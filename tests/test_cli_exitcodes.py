@@ -38,10 +38,10 @@ def _env():
     return env
 
 
-def _cli(args, cwd):
+def _cli(args, cwd, *, timeout=600):
     return subprocess.run(
         [sys.executable, "-m", "repro.cli", *args],
-        cwd=str(cwd), env=_env(), capture_output=True, text=True, timeout=600,
+        cwd=str(cwd), env=_env(), capture_output=True, text=True, timeout=timeout,
     )
 
 
@@ -144,9 +144,14 @@ def test_workers_zero_is_a_usage_error(tmp_path, trace_file):
         (["crawl", "--publishers", "0"], "--publishers must be >= 1"),
         (["crawl", "--sites", "0"], "--sites must be >= 1"),
         (["classify", "--publishers", "0"], "--publishers must be >= 1"),
+        (["compile-lists", "--publishers", "0"], "--publishers must be >= 1"),
+        (["compile-lists", "--publishers", "-3"], "--publishers must be >= 1"),
+        (["serve", "--publishers", "0"], "--publishers must be >= 1"),
     ],
     ids=["trace-publishers-0", "trace-publishers-negative", "trace-scale-0",
-         "trace-scale-negative", "crawl-publishers-0", "crawl-sites-0", "classify-publishers-0"],
+         "trace-scale-negative", "crawl-publishers-0", "crawl-sites-0", "classify-publishers-0",
+         "compile-lists-publishers-0", "compile-lists-publishers-negative",
+         "serve-publishers-0"],
 )
 def test_bad_generator_sizes_are_usage_errors(tmp_path, trace_file, args, message):
     """Refused before anything is written: not an IndexError traceback,
@@ -157,7 +162,11 @@ def test_bad_generator_sizes_are_usage_errors(tmp_path, trace_file, args, messag
     elif command == "classify":
         args = [*args, "--trace", str(trace_file), "--out", str(tmp_path / "out.tsv"),
                 "--checkpoint-dir", str(tmp_path / "ckpt")]
-    proc = _cli(args, tmp_path)
+    elif command == "compile-lists":
+        args = [*args, "--out", str(tmp_path / "x.snap")]
+    elif command == "serve":
+        args = [*args, "--port", "0"]  # a daemon that started would serve until the timeout
+    proc = _cli(args, tmp_path, timeout=120)
     assert proc.returncode == EXIT_STRICT_ABORT, proc.stdout + proc.stderr
     assert proc.stderr.strip() == f"error: {message}"
     assert list(tmp_path.iterdir()) == []

@@ -557,15 +557,16 @@ def test_durable_usage_and_report_resume_to_the_in_order_fold(tmp_path, pipeline
 
 
 def test_classify_sink_places_late_rows_and_drops_replays(tmp_path):
-    """The pool's index-aware write: a gap handed over below the emit
+    """The pool's index-aware write: a gap handed over below the
     frontier takes its late row, a replayed row that fills no gap is
     dropped, and a gap that never fills refuses the publish."""
     out = tmp_path / "out.tsv"
     sink = ClassifySink(final_path=str(out))
     sink.begin(fresh=True, state=None)
     sink.consume_row(0, "r0", True, False)
-    sink.skip_to(3)  # 1 and 2 wait for late rows
-    sink.consume_row(4, "r4", False, True)  # 3 is a gap too
+    sink.advance(3)  # 1 and 2 wait for late rows
+    sink.consume_row(4, "r4", False, True)
+    sink.advance(5)  # 3 is a gap too
     for index, row in ((2, "r2"), (0, "r0"), (2, "r2"), (1, "r1"), (3, "r3")):
         sink.consume_row(index, row, False, False)
     with pytest.raises(AssertionError, match="two different rows"):
@@ -577,11 +578,30 @@ def test_classify_sink_places_late_rows_and_drops_replays(tmp_path):
     sink = ClassifySink(final_path=str(out))
     sink.begin(fresh=True, state=None)
     sink.consume_row(0, "r0", False, False)
-    sink.skip_to(2)
+    sink.advance(2)
     with pytest.raises(AssertionError, match="never delivered: \\[1\\]"):
         sink.finalize()
     sink.close()
     assert not (tmp_path / "out.tsv.part").exists()
+
+
+def test_classify_sink_writes_held_rows_in_index_order(tmp_path):
+    """Rows handed over out of order above the frontier are held, and
+    :meth:`advance` writes them in index order; a publish refuses while
+    a row is still held above the frontier."""
+    out = tmp_path / "out.tsv"
+    sink = ClassifySink(final_path=str(out))
+    sink.begin(fresh=True, state=None)
+    for index in (3, 1, 0, 2, 5, 4):
+        sink.consume_row(index, f"r{index}", index == 1, False)
+    sink.advance(4)
+    assert sink.total == 4 and sink.ads == 1  # 4 and 5 are held, not counted
+    with pytest.raises(AssertionError, match="held above the frontier 4: \\[4, 5\\]"):
+        sink.finalize()
+    sink.advance(6)
+    sink.finalize()
+    assert out.read_text() == ClassifySink.HEADER + "".join(f"r{i}\n" for i in range(6))
+    assert sink.total == 6
 
 
 class TestStreamingPipeline:

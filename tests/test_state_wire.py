@@ -146,6 +146,7 @@ def _classify_sink(env):
     entries.insert(5, entries.pop(0))
     for entry in entries:
         sink.consume(entry)
+        sink.advance(entry.index + 1)
 
     def restore(state):
         restored = make()

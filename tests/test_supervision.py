@@ -649,3 +649,65 @@ class TestSupervisionCli:
         assert resumed.returncode == 0, resumed.stderr
         assert "resuming from checkpoint" in resumed.stdout
         assert out.read_bytes() == cli_golden
+
+
+@pytest.fixture(scope="module")
+def damaged_serial(tmp_path_factory, cli_trace):
+    """A damaged trace and what a plain serial run makes of it under
+    ``--on-error quarantine``: output, sidecar and health summary."""
+    tmp = tmp_path_factory.mktemp("supervisiondamaged")
+    damaged = tmp / "damaged.tsv"
+    proc = _cli(
+        ["corrupt", "--trace", str(cli_trace), "--out", str(damaged),
+         "--rate", "0.05", "--seed", "7"],
+        tmp,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out, sidecar = tmp / "serial.tsv", tmp / "serial.quar"
+    proc = _cli(
+        ["classify", *_ECO, "--trace", str(damaged), "--out", str(out),
+         "--on-error", "quarantine", "--quarantine-out", str(sidecar)],
+        tmp,
+    )
+    assert proc.returncode == 3, proc.stderr
+    return damaged, out.read_bytes(), sidecar.read_bytes(), _health_summary(proc.stdout)
+
+
+def _health_summary(stdout: str) -> str:
+    """The printed health summary without the supervision lines, which
+    only a run with faults prints."""
+    summary = stdout[stdout.index("-- pipeline health --"):]
+    return "".join(
+        line for line in summary.splitlines(keepends=True)
+        if not line.startswith(("worker restarts:", "heartbeat gaps:"))
+    )
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("durable", [False, True], ids=["plain", "durable"])
+@pytest.mark.parametrize(
+    "spec", ["crash-hard:worker=0:after=2500", "hang:worker=0:after=3500"],
+    ids=["crash-hard", "hang"],
+)
+def test_fault_in_the_reporting_shard_on_a_damaged_trace(
+    tmp_path, damaged_serial, spec, durable
+):
+    """Shard 0 reports every rejected line.  Its respawn replays them —
+    from the top, or from the last saved generation — and the parent's
+    sidecar watermark drops the repeats: output, sidecar and health
+    summary are the serial run's."""
+    damaged, serial_out, serial_sidecar, serial_health = damaged_serial
+    out, sidecar = tmp_path / "out.tsv", tmp_path / "out.quar"
+    args = [
+        "classify", *_ECO, "--trace", str(damaged), "--out", str(out),
+        "--on-error", "quarantine", "--quarantine-out", str(sidecar),
+        "--workers", "4", "--worker-timeout", "4",
+    ]
+    if durable:
+        args += ["--checkpoint-dir", str(tmp_path / "ckpt"), "--checkpoint-every", "2000"]
+    proc = _cli(args, tmp_path, env_extra={"REPRO_CHAOS": spec})
+    assert proc.returncode == 3, proc.stdout + proc.stderr
+    assert "worker restarts:   1" in proc.stdout
+    assert out.read_bytes() == serial_out
+    assert sidecar.read_bytes() == serial_sidecar
+    assert _health_summary(proc.stdout) == serial_health
