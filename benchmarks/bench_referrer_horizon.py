@@ -1,11 +1,14 @@
 """Grade the referrer map's horizon (DESIGN.md §5, ``referrer_horizon_s``).
 
 The map forgets a URL between H/2 and H trace seconds after its last
-use.  This bench classifies the RBN-1 and RBN-2 analogues and the
+use, and a redirect source waits at most 1.5 H for its consequent
+request.  This bench classifies the RBN-1 and RBN-2 analogues and the
 Vanilla crawl under H ∈ {60 s, 300 s, 1800 s, ∞} and grades page
 attribution (exact and same-site) and blacklist precision/recall
-against the generator's ground truth.  The default horizon must grade
-like ∞ to four decimals; it is the smallest of the grid that does.
+against the generator's ground truth, and counts the requests whose
+page, or whose whole output row, differs from ∞'s.  The default
+horizon must grade like ∞ to four decimals; it is the smallest of the
+grid that does.
 """
 
 from __future__ import annotations
@@ -20,8 +23,9 @@ from repro.core.validation import grade_classification
 HORIZONS = (60.0, 300.0, 1800.0, None)
 
 
-def _graded(lists, horizon, records, truths) -> tuple[tuple[str, ...], list[str]]:
-    """The four grades to four decimals, and every request's page."""
+def _graded(lists, horizon, records, truths) -> tuple[tuple[str, ...], list[tuple]]:
+    """The four grades to four decimals, and what each request's output
+    row holds beyond the record: page, is_ad, blacklist, whitelisted."""
     pipeline = AdClassificationPipeline(lists, PipelineConfig(referrer_horizon_s=horizon))
     entries = pipeline.process(records)
     attribution = attribution_accuracy(entries, truths)
@@ -30,7 +34,11 @@ def _graded(lists, horizon, records, truths) -> tuple[tuple[str, ...], list[str]
         f"{value:.4f}"
         for value in (attribution.exact, attribution.same_site, matrix.precision, matrix.recall)
     )
-    return grades, [entry.page_url for entry in entries]
+    rows = [
+        (entry.page_url, entry.is_ad, entry.blacklist_name, entry.is_whitelisted)
+        for entry in entries
+    ]
+    return grades, rows
 
 
 def test_referrer_horizon_grid(benchmark, rbn1, rbn2, crawl, lists, results_dir):
@@ -41,9 +49,14 @@ def test_referrer_horizon_grid(benchmark, rbn1, rbn2, crawl, lists, results_dir)
     }
     rows, grades = [], {}
     for name, (records, truths) in traces.items():
-        pages = {}
-        for horizon in HORIZONS:
-            grades[name, horizon], pages[horizon] = _graded(lists, horizon, records, truths)
+        reference, changed = None, {}
+        for horizon in reversed(HORIZONS):  # ∞ first: each row is compared with it
+            grades[name, horizon], outputs = _graded(lists, horizon, records, truths)
+            reference = reference or outputs
+            changed[horizon] = (
+                sum(a[0] != b[0] for a, b in zip(outputs, reference)),
+                sum(a != b for a, b in zip(outputs, reference)),
+            )
         for horizon in HORIZONS:
             exact, same_site, precision, recall = grades[name, horizon]
             rows.append({
@@ -54,7 +67,8 @@ def test_referrer_horizon_grid(benchmark, rbn1, rbn2, crawl, lists, results_dir)
                 "same-site": same_site,
                 "precision": precision,
                 "recall": recall,
-                "pages ≠ ∞": sum(a != b for a, b in zip(pages[horizon], pages[None])),
+                "pages ≠ ∞": changed[horizon][0],
+                "rows ≠ ∞": changed[horizon][1],
             })
     text = render_table(rows, title="Referrer-map horizon grid")
     write_result(results_dir, "referrer_horizon.txt", text)

@@ -385,7 +385,6 @@ def _run(
             on_error=policy,
             quarantine_path=quarantine_path,
             reorder_window=reorder_window,
-            emit="fold" if isinstance(sink, TrafficSink) else "rows",
             sink=sink,
             checkpointing=checkpointing,
             # The pool narrates (resume point, respawns, lost shards) on

@@ -20,7 +20,6 @@ Every step is individually switchable for the ablation benchmarks.
 from __future__ import annotations
 
 import heapq
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterable
@@ -56,8 +55,10 @@ class PipelineConfig:
     use_location_repair: bool = True
     use_embedded_urls: bool = True
     # How long, in trace seconds, the referrer map remembers a URL after
-    # its last use: between half of it and all of it (DESIGN.md §5).
-    # None remembers everything; 60 s is the smallest horizon that grades
+    # its last use (between half of it and all of it), and how long a
+    # redirect source waits for its consequent request (between half of
+    # it and one and a half) (DESIGN.md §5).  None remembers everything
+    # and waits to the end; 60 s is the smallest horizon that grades
     # like None (EXPERIMENTS.md).
     referrer_horizon_s: float | None = 60.0
     use_normalization: bool = True
@@ -69,11 +70,11 @@ class PipelineConfig:
     # FilterEngine, kept as the oracle tests and benchmarks/perf compare
     # against.  Programmatic only — no CLI flag selects it.
     matcher: str = "actrie"
-    # Memoized decision layer (DESIGN.md §11).  Pure memoization: results
-    # are byte-identical either way; the switch exists for benchmarking
-    # and as an escape hatch (`repro classify --no-decision-cache`).
+    # Memoized decision layer (DESIGN.md §11), DEFAULT_CACHE_SIZE
+    # entries.  Pure memoization: results are byte-identical either way;
+    # the switch exists for benchmarking and as an escape hatch
+    # (`repro classify --no-decision-cache`).
     use_decision_cache: bool = True
-    decision_cache_size: int = DEFAULT_CACHE_SIZE
 
 
 @dataclass(slots=True)
@@ -112,32 +113,27 @@ class ClassifiedRequest:
         return self.record.content_length or 0
 
 
-# Cap on pending redirect fix-ups per user; oldest entries are evicted
-# first so recent redirects still get their type fix-up.
-_MAX_PENDING_FIXUPS = 10_000
-
-
 @dataclass(slots=True)
 class _UserState:
     referrer_map: ReferrerMap
-    # Redirect targets awaiting their consequent request, for the
-    # content-type fix-up: target URL -> index into the entries list.
-    # LRU-ordered: oldest pending redirect is evicted when full.
-    pending_type_fixup: OrderedDict[str, int] = field(default_factory=OrderedDict)
+    # Redirect sources waiting for their consequent request, for the
+    # content-type fix-up: target URL -> the source's entry.
+    pending_type_fixup: dict[str, ClassifiedRequest] = field(default_factory=dict)
 
 
 # Version tag of StreamingClassifier.export_state payloads, so a stale
 # checkpoint from an older layout is rejected instead of misread.
-# Version 2 adds the referrer clock and the maps' two generations.
-_STATE_VERSION = 2
+# Version 2 adds the referrer clock and the maps' two generations;
+# version 3 keeps the waiting redirect sources in their users' states.
+_STATE_VERSION = 3
 
 
 class StreamingClassifier:
     """The Fig 1 pipeline as an explicit-state push machine.
 
     Every mutable piece of a run — the reorder min-heap, the referrer
-    clock, per-user referrer maps and pending type fix-ups, the held
-    redirect sources — lives on the instance, which buys two things:
+    clock, per-user referrer maps and waiting redirect sources — lives
+    on the instance, which buys two things:
 
     * **feed/drain control** for callers that need to act *between*
       records (the run loop hands entries to its sink and cuts
@@ -151,24 +147,26 @@ class StreamingClassifier:
     There is one release rule: an entry is handed on once it has
     *settled*, i.e. once nothing can change it.  A record that is not a
     redirect source settles when it is classified; a redirect source
-    settles when its fix-up fires, when a later redirect by its user to
-    the same target replaces it, when ``_MAX_PENDING_FIXUPS`` evicts it,
-    or at :meth:`finish`.  :meth:`feed` classifies, :meth:`drain` takes
-    what has settled since the last drain (index order but for those
-    late redirect sources), and :meth:`finish` returns every entry not
-    yet drained, in index order.
+    waits in its user's state and settles when its fix-up fires, when a
+    later redirect by its user to the same target replaces it, when a
+    referrer-clock tick finds it older than the horizon or drops its
+    user, or at :meth:`finish`.  :meth:`feed` classifies, :meth:`drain`
+    takes what has settled since the last drain (index order but for
+    those late redirect sources), and :meth:`finish` returns every entry
+    not yet drained, in index order.
     A caller that drains holds only the redirect sources still waiting;
     one that never drains gets the whole run from :meth:`finish`.
 
     The referrer clock reads ``floor(ts / (horizon / 2))`` of each
     ingested index, starting at 0 and never going back; when it ticks,
     every user's map advances (DESIGN.md §5), so a run holds about the
-    last ``referrer_horizon_s`` seconds of all users' traffic.  A user
-    whose map has aged empty and who has no redirect source waiting is
-    dropped: its next request recreates the same state, so the run
-    holds the users of the last horizon, not every user it has seen.
-    Placeholders move the clock too, so a shard ages its maps and drops
-    its users at the serial moments.
+    last ``referrer_horizon_s`` seconds of all users' traffic.  The same
+    tick hands on each of those users' sources older than the horizon,
+    and drops a user whose map has aged empty, handing on the rest of
+    its sources: its next request recreates the same state, so the run
+    holds the users and redirects of the last horizon, not every one it
+    has seen.  Placeholders move the clock too, so a shard ages its
+    maps, settles its sources and drops its users at the serial moments.
     """
 
     def __init__(
@@ -198,8 +196,6 @@ class StreamingClassifier:
         self.reorder_window = reorder_window
         self.health = health
         self.users: dict[UserKey, _UserState] = {}
-        # Redirect sources waiting for their consequent request.
-        self.buffer: dict[int, ClassifiedRequest] = {}
         self._settled: list[ClassifiedRequest] = []
         self.next_index = 0
         # Reorder-buffer state (active when reorder_window is not None).
@@ -247,8 +243,9 @@ class StreamingClassifier:
             ts, _, popped = heapq.heappop(self._heap)
             self._ingest(ts, popped)
         entries, self._settled = self._settled, []
-        entries.extend(self.buffer.values())
-        self.buffer.clear()
+        for state in self.users.values():
+            entries.extend(state.pending_type_fixup.values())
+            state.pending_type_fixup.clear()
         entries.sort(key=attrgetter("index"))
         return entries
 
@@ -261,38 +258,36 @@ class StreamingClassifier:
             epoch = int(ts // self._epoch_s)
             if epoch > self._epoch:
                 self._tick(epoch)
-        if record is None:
-            return
-        entry = self._classify_record(record, index)
-        if record.location is not None and self.pipeline.config.redirect_type_fixup:
-            self.buffer[index] = entry  # a redirect source: its fix-up may come
-        else:
-            self._settled.append(entry)
+        if record is not None:
+            self._classify_record(record, index)
 
     def _tick(self, epoch: int) -> None:
-        """Move the referrer clock to ``epoch``, age every map that may
-        hold entries (a map used in both epochs ages once), and drop each
-        user whose map has aged empty and who has no redirect source
-        waiting: the same state as a user never seen."""
+        """Move the referrer clock to ``epoch`` and age every map that
+        may hold entries (a map used in both epochs ages once).  Each of
+        those users hands on its redirect sources older than the horizon
+        (their consequent request did not come); a user whose map has
+        aged empty hands on the rest and is dropped: the same state as a
+        user never seen."""
         aged = {**self._aging, **self._used}
         self._aging = self._used if epoch == self._epoch + 1 else {}
         self._used = {}
         self._epoch = epoch
+        stale = (epoch - 2) * self._epoch_s
         for user, referrer_map in aged.items():
             referrer_map.advance(epoch)
-            if referrer_map.is_empty() and not self.users[user].pending_type_fixup:
+            pending = self.users[user].pending_type_fixup
+            if referrer_map.is_empty():
+                self._settled.extend(pending.values())
                 del self.users[user]
                 # A restored map may have aged once already (see
                 # restore_state), so it can empty on a one-epoch step.
                 self._aging.pop(user, None)
+            elif pending:
+                for target, source in list(pending.items()):
+                    if source.record.ts < stale:
+                        self._settled.append(pending.pop(target))
 
-    def _settle(self, index: int) -> ClassifiedRequest:
-        """A waiting redirect source can no longer change: hand it on."""
-        source = self.buffer.pop(index)
-        self._settled.append(source)
-        return source
-
-    def _classify_record(self, record: HttpLogRecord, index: int) -> ClassifiedRequest:
+    def _classify_record(self, record: HttpLogRecord, index: int) -> None:
         config = self.pipeline.config
         user = (record.client, record.user_agent or "")
         state = self.users.get(user)
@@ -339,22 +334,15 @@ class StreamingClassifier:
             extension_first=config.extension_first,
         )
 
+        pending = state.pending_type_fixup
         if config.redirect_type_fixup:
             # Is this the consequent request of an earlier redirect?
-            fixup_index = state.pending_type_fixup.pop(url, None)
-            if fixup_index is not None:
-                source = self._settle(fixup_index)
+            source = pending.pop(url, None)
+            if source is not None:
+                self._settled.append(source)
                 if source.content_type != content_type:
                     source.content_type = content_type
                     source.classification = self.pipeline._classify(source)
-            if record.location is not None:
-                pending = state.pending_type_fixup
-                replaced = pending.pop(record.location, None)
-                pending[record.location] = index
-                if replaced is not None:
-                    self._settle(replaced)
-                while len(pending) > _MAX_PENDING_FIXUPS:
-                    self._settle(pending.popitem(last=False)[1])
 
         entry = ClassifiedRequest(
             record=record,
@@ -372,7 +360,15 @@ class StreamingClassifier:
         )
         # Normalization rewrites only the query, so the host is the request's.
         entry.classification = self.pipeline._classify(entry, request_host=parts.host)
-        return entry
+        if record.location is None or not config.redirect_type_fixup:
+            self._settled.append(entry)
+            return
+        # A redirect source: it waits for its consequent request, and
+        # replaces (hands on) an earlier source to the same target.
+        replaced = pending.pop(record.location, None)
+        pending[record.location] = entry
+        if replaced is not None:
+            self._settled.append(replaced)
 
     # -- checkpoint wire form (DESIGN.md §8) -------------------------------
 
@@ -395,20 +391,13 @@ class StreamingClassifier:
                 (
                     user,
                     state.referrer_map.export_state(),
-                    list(state.pending_type_fixup.items()),
+                    [
+                        (target, source.index, source.record.to_row(), source.page_url,
+                         int(source.content_type), source.is_page_root, source.normalized_url)
+                        for target, source in state.pending_type_fixup.items()
+                    ],
                 )
                 for user, state in self.users.items()
-            ],
-            "buffer": [
-                (
-                    index,
-                    entry.record.to_row(),
-                    entry.page_url,
-                    int(entry.content_type),
-                    entry.is_page_root,
-                    entry.normalized_url,
-                )
-                for index, entry in self.buffer.items()
             ],
             "reorder": {
                 "heap": [
@@ -430,33 +419,26 @@ class StreamingClassifier:
         self._epoch = state["epoch"]
         self.users = {}
         self._used, self._aging = {}, {}
-        for user, referrer_state, pending in state["users"]:
+        self._settled = []
+        for user, referrer_state, waiting in state["users"]:
             user = tuple(user)
             referrer_map = ReferrerMap.from_state(
                 referrer_state, track_embedded=config.use_embedded_urls
             )
-            self.users[user] = _UserState(
-                referrer_map=referrer_map, pending_type_fixup=OrderedDict(pending)
-            )
-            if referrer_state["epoch"] == self._epoch:
+            pending = {}
+            for target, index, row, page_url, content_type, is_page_root, normalized in waiting:
+                source = ClassifiedRequest(
+                    HttpLogRecord.from_row(row), user, page_url, ContentType(content_type),
+                    is_page_root, normalized, None, index,  # type: ignore[arg-type]
+                )
+                source.classification = self.pipeline._classify(source)
+                pending[target] = source
+            self.users[user] = _UserState(referrer_map=referrer_map, pending_type_fixup=pending)
+            if config.use_referrer_map and referrer_state["epoch"] == self._epoch:
                 # It may hold entries (a map behind the clock is empty);
-                # aging it at the next tick is right either way.
+                # aging it at the next tick is right either way.  A run
+                # without the referrer map uses, and ages, none.
                 self._used[user] = referrer_map
-        self.buffer = {}
-        self._settled = []
-        for index, row, page_url, content_type, is_page_root, normalized_url in state["buffer"]:
-            entry = ClassifiedRequest(
-                record=HttpLogRecord.from_row(row),
-                user=(row[1], row[7] or ""),  # (client, user_agent)
-                page_url=page_url,
-                content_type=ContentType(content_type),
-                is_page_root=is_page_root,
-                normalized_url=normalized_url,
-                classification=None,  # type: ignore[arg-type]
-                index=index,
-            )
-            entry.classification = self.pipeline._classify(entry)
-            self.buffer[index] = entry
         reorder = state["reorder"]
         self._heap = [
             (ts, seq, HttpLogRecord.from_row(row) if row is not None else None)
@@ -493,7 +475,7 @@ class AdClassificationPipeline:
             engine.add_filters(filter_list.filters, list_name=name)
             all_filters.extend(filter_list.filters)
         if self.config.use_decision_cache:
-            engine = CachingEngine(engine, maxsize=self.config.decision_cache_size)
+            engine = CachingEngine(engine, maxsize=DEFAULT_CACHE_SIZE)
         self._engine = engine
         self._protected: ProtectedValues = collect_protected_values(all_filters)
 
@@ -516,7 +498,7 @@ class AdClassificationPipeline:
         all_filters = engine.iter_filters()
         wrapped: FilterEngine | CachingEngine = engine
         if pipeline.config.use_decision_cache:
-            wrapped = CachingEngine(engine, maxsize=pipeline.config.decision_cache_size)
+            wrapped = CachingEngine(engine, maxsize=DEFAULT_CACHE_SIZE)
         pipeline._engine = wrapped
         pipeline._protected = collect_protected_values(all_filters)
         return pipeline

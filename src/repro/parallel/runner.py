@@ -34,6 +34,7 @@ finish the surviving shards and report the gap honestly.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import os
 import queue as queue_module
@@ -54,6 +55,7 @@ from repro.robustness.runstate import (
     InterruptFlag,
     RunResult,
     RunSink,
+    TrafficSink,
     open_quarantine,
     publish_quarantine,
     quarantine_state,
@@ -77,12 +79,13 @@ class ParallelRun:
 
     The pool is :func:`repro.robustness.runstate.run_serial` spread
     over processes and takes the same things: a ``sink`` — a
-    :class:`ClassifySink` (or anything with ``consume_row``) for
-    ``emit="rows"``, a :class:`TrafficSink` whose accumulator the shard
-    folds merge into for ``emit="fold"``, or none to discard — a
-    ``quarantine_path`` for the sidecar, and optionally a
-    :class:`Checkpointing`, which adds the run manifest and the run's
-    checkpoint store under its directory, as it does for a serial run.
+    :class:`TrafficSink`, whose accumulator the shards' folds merge
+    into, a :class:`ClassifySink` (or anything else with
+    ``consume_row``), which the shards send rendered rows, or none to
+    discard — a ``quarantine_path`` for the sidecar, and optionally a
+    :class:`Checkpointing` (rows only), which adds the run manifest and
+    the run's checkpoint store under its directory, as it does for a
+    serial run.
 
     Workers are forked and inherit ``pipeline`` as it stands: the engine
     is built (or restored from a snapshot) once, in the parent.
@@ -97,7 +100,6 @@ class ParallelRun:
         on_error: ErrorPolicy = ErrorPolicy.STRICT,
         quarantine_path: str | None = None,
         reorder_window: float | None = None,
-        emit: str = "rows",
         sink: RunSink | None = None,
         checkpointing: Checkpointing | None = None,
         worker_timeout: float | None = 30.0,
@@ -110,6 +112,7 @@ class ParallelRun:
             raise ValueError("workers must be >= 1")
         if on_worker_failure not in ("abort", "degrade"):
             raise ValueError("on_worker_failure must be 'abort' or 'degrade'")
+        emit = "fold" if isinstance(sink, TrafficSink) else "rows"
         if checkpointing is not None and emit != "rows":
             raise ValueError("durable parallel runs only support classify output")
         self.workers = workers
@@ -132,6 +135,7 @@ class ParallelRun:
         )
         self.chaos = chaos if chaos is not None else os.environ.get(CHAOS_ENV) or None
         self._saved_generation = 0
+        self._checkpoints_written = 0
         self._frontier = 0
         self._flushed_line = 0
         self.log = log
@@ -263,7 +267,6 @@ class ParallelRun:
         done: dict[int, dict] = {}
         # Shard states by generation, until every shard's has arrived.
         cuts: dict[int, dict[int, dict]] = {}
-        checkpoints_written = 0
         # Doubles as the respawn resume point and the guard against
         # replayed cuts (a respawned shard re-walks cuts the parent may
         # already have saved).
@@ -294,31 +297,35 @@ class ParallelRun:
                     if not supervisor.accept(worker_id, attempt, kind):
                         supervisor.poll()
                         continue
-                    if kind is MessageKind.BATCH:
+                    if kind is MessageKind.BATCH or kind is MessageKind.CKPT:
+                        # A cut carries its shard's last batch: the
+                        # generation it completes is saved before the
+                        # injector counts the frontier's move (_advance).
+                        batch = message.pop("batch") if kind is MessageKind.CKPT else message
                         if row_sink is not None:
-                            for index, row, is_ad, is_whitelisted in message["rows"]:
+                            for index, row, is_ad, is_whitelisted in batch["rows"]:
                                 row_sink.consume_row(index, row, is_ad, is_whitelisted)
-                        frontiers[worker_id] = max(frontiers[worker_id], message["frontier"])
-                        self._advance(row_sink, min(frontiers))
-                        for line_no, reason, raw in message["quarantine"]:
+                        frontiers[worker_id] = max(frontiers[worker_id], batch["frontier"])
+                        for line_no, reason, raw in batch["quarantine"]:
                             if line_no > self._flushed_line:
                                 if quarantine is not None:
                                     quarantine.write(line_no, reason, raw)
                                 self._flushed_line = line_no
+                        save: Callable[[], None] | None = None
+                        if kind is MessageKind.CKPT:
+                            assert store is not None and self.checkpointing is not None
+                            generation = message["arrivals"] // self.checkpointing.every
+                            if generation > self._saved_generation:
+                                group = cuts.setdefault(generation, {})
+                                group[worker_id] = message
+                                if len(group) == self.workers:
+                                    save = functools.partial(
+                                        self._save_checkpoint, store, generation,
+                                        cuts.pop(generation), quarantine,
+                                    )
+                        self._advance(row_sink, min(frontiers), save)
                     elif kind is MessageKind.HB:
                         pass  # pure liveness evidence; accept() already credited it
-                    elif kind is MessageKind.CKPT:
-                        assert store is not None and self.checkpointing is not None
-                        assert self.checkpointing.every
-                        generation = message["arrivals"] // self.checkpointing.every
-                        if generation > self._saved_generation:
-                            group = cuts.setdefault(generation, {})
-                            group[worker_id] = message
-                            if len(group) == self.workers:
-                                del cuts[generation]
-                                self._save_checkpoint(store, generation, group, quarantine)
-                                checkpoints_written += 1
-                                self._saved_generation = generation
                     elif kind is MessageKind.DONE:
                         done[worker_id] = message
                         supervisor.mark_done(worker_id)
@@ -378,31 +385,38 @@ class ParallelRun:
             health=health,
             records=records,
             resumed_generation=resumed.generation if resumed is not None else None,
-            checkpoints_written=checkpoints_written,
+            checkpoints_written=self._checkpoints_written,
             quarantine_count=quarantine.count if quarantine is not None else 0,
             degraded_shards=degraded_shards,
             worker_restarts=supervisor.restarts,
         )
 
-    def _advance(self, sink: RunSink | None, frontier: int) -> None:
+    def _advance(
+        self, sink: RunSink | None, frontier: int, save: "Callable[[], None] | None" = None
+    ) -> None:
         """Move the sink's frontier up to ``frontier``, the lowest over
         the workers: below it, every row has arrived or comes late.
+        ``save`` saves the generation whose cut ``frontier`` is.
 
         ``--crash-after N`` counts the records the frontier passes, and
-        the move is split where the injector fires, as a serial run
-        splits its batches: the crash lands with the frontier at N.
+        the move stops where the injector fires, as a serial run splits
+        its batches: the crash lands with the frontier at N.  As a serial
+        run saves a cut before its injector ticks, a generation is saved
+        before the injector counts the move to its cut, so the crash
+        leaves every generation at or below N saved.
         """
         checkpointing = self.checkpointing
         injector = checkpointing.crash_injector if checkpointing is not None else None
-        while self._frontier < frontier:
-            stop = frontier
-            if injector is not None:
-                stop = min(stop, self._frontier + injector.remaining)
-            if sink is not None:
-                sink.advance(stop)
-            if injector is not None:
-                injector.tick(stop - self._frontier)
-            self._frontier = stop
+        stop = frontier
+        if injector is not None:
+            stop = min(stop, self._frontier + injector.remaining)
+        if sink is not None:
+            sink.advance(stop)
+        if save is not None and stop == frontier:
+            save()
+        if injector is not None:
+            injector.tick(stop - self._frontier)  # fires if stop < frontier
+        self._frontier = stop
 
     def _save_checkpoint(
         self,
@@ -426,8 +440,8 @@ class ParallelRun:
             raise WorkerFailure(
                 f"shard checkpoints disagree on the generation-{generation} cut: {sorted(cuts)}"
             )
-        # Shard 0 flushes its rejected lines before its state, so the
-        # sidecar already holds every one up to the cut.
+        # Shard 0's cut carries its last rejected lines, written before
+        # this save, so the sidecar holds every one up to the cut.
         assert self.sink is not None
         state = {
             "records_fed": group[0]["arrivals"],
@@ -437,3 +451,5 @@ class ParallelRun:
             "shards": [group[worker_id] for worker_id in range(self.workers)],
         }
         store.save(state, generation=generation)
+        self._checkpoints_written += 1
+        self._saved_generation = generation

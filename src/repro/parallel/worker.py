@@ -92,7 +92,7 @@ class MessageKind(str, Enum):
 
     BATCH = "batch"  # rendered rows, ingest frontier, quarantined lines
     HB = "hb"  # heartbeat: liveness only
-    CKPT = "ckpt"  # this shard's state at a checkpoint cut
+    CKPT = "ckpt"  # this shard's state at a checkpoint cut, with its last batch
     DONE = "done"  # final health, fold and cache counters
     PARSE_ERROR = "parse_error"  # strict-mode abort
     ERROR = "error"  # unexpected exception, as a traceback
@@ -324,7 +324,7 @@ class _ShardWorker:
             if every and self._arrivals % every == 0:
                 self._checkpoint()
             elif self._arrivals % _ROW_BATCH == 0:
-                self._flush(self.classifier.drain())
+                self._send(MessageKind.BATCH, self._batch(self.classifier.drain()))
             # Supervision duties, after this record's effects (rows,
             # checkpoint) have been applied — so an injected crash at
             # record N dies with exactly N records processed, and a
@@ -353,7 +353,7 @@ class _ShardWorker:
                 if now >= self._next_beat:
                     self._send(MessageKind.HB, {"arrivals": self._arrivals})
                     self._next_beat = now + self._hb_interval
-        self._flush(self.classifier.finish())
+        self._send(MessageKind.BATCH, self._batch(self.classifier.finish()))
         cache_stats = self.pipeline.decision_cache_stats
         url_info = split_url.cache_info()
         done = {
@@ -372,9 +372,9 @@ class _ShardWorker:
         }
         self._send(MessageKind.DONE, done)
 
-    def _flush(self, entries: list[ClassifiedRequest]) -> None:
-        """Send settled entries with this shard's ingest frontier and
-        rejected lines (a ``report`` shard folds the entries instead)."""
+    def _batch(self, entries: list[ClassifiedRequest]) -> dict:
+        """Settled entries with this shard's ingest frontier and rejected
+        lines (a ``report`` shard folds the entries instead)."""
         assert self.classifier is not None
         if self.sink is not None:
             for entry in entries:
@@ -384,14 +384,11 @@ class _ShardWorker:
             (entry.index, classification_row(entry), entry.is_ad, entry.is_whitelisted)
             for entry in entries
         ]
-        self._send(
-            MessageKind.BATCH,
-            {
-                "rows": rows,
-                "frontier": self.classifier.next_index,
-                "quarantine": self.quarantine.drain(),
-            },
-        )
+        return {
+            "rows": rows,
+            "frontier": self.classifier.next_index,
+            "quarantine": self.quarantine.drain(),
+        }
 
     def _send(self, kind: MessageKind, payload: Any) -> None:
         config = self.config
@@ -406,15 +403,17 @@ class _ShardWorker:
         replicated stream — a pure function of the input — so all
         workers cut at the *same* global positions, and the parent saves
         generation ``arrivals // checkpoint_every`` once every shard's
-        state for it has arrived.  Rows are flushed first: by then every
-        settled row below the cut has reached the parent, and the
-        classifier state holds only the redirect sources still waiting.
+        state for it has arrived.  The message carries the cut's batch:
+        with it every settled row below the cut reaches the parent, and
+        the classifier state holds only the redirect sources still
+        waiting.  The parent saves the generation before it counts the
+        batch's frontier towards ``--crash-after``.
         """
         assert self.reader is not None and self.classifier is not None
-        self._flush(self.classifier.drain())
         self._send(
             MessageKind.CKPT,
             {
+                "batch": self._batch(self.classifier.drain()),
                 "arrivals": self._arrivals,
                 "reader": self.reader.position(),
                 "classifier": self.classifier.export_state(),

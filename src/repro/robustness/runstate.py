@@ -118,9 +118,11 @@ MANIFEST_NAME = "manifest.json"
 # fix-up window, so their bytes differ where a fix-up reached past it;
 # version 5 classifier states hold referrer maps without a clock;
 # version 6 health states count the users an LRU cap evicted and the
-# most users held, and classify manifests pin that cap.  All are
-# refused up front.
-MANIFEST_VERSION = 7
+# most users held, and classify manifests pin that cap; version 7
+# classifier states keep the waiting redirect sources in a global
+# buffer, and their runs let a source wait past the referrer horizon.
+# All are refused up front.
+MANIFEST_VERSION = 8
 DEFAULT_CHECKPOINT_EVERY = 10_000
 
 _READ_AHEAD = 64  # decode, then classify, in batches: ~10 % faster than per record

@@ -22,8 +22,9 @@ import sys
 
 import pytest
 
-from repro.core.pipeline import StreamingClassifier
+from repro.core.pipeline import AdClassificationPipeline, PipelineConfig, StreamingClassifier
 from repro.exitcodes import EXIT_MANIFEST_MISMATCH
+from repro.filterlist.options import ContentType
 from repro.http.log import HttpLogRecord, shard_of, write_log
 from repro.robustness import (
     CHECKPOINT_VERSION,
@@ -422,6 +423,29 @@ class TestStreamingClassifierState:
         with pytest.raises(ValueError, match="state version"):
             classifier.restore_state({"version": 999})
 
+    def test_restore_without_the_referrer_map_ages_no_user(self):
+        """Without the referrer map no user's map is used, so the clock
+        drops no user and a redirect source waits for its consequent
+        (DESIGN.md §5); a restored run must not start aging them."""
+        def record(ts, host, uri, mime, location=None):
+            return HttpLogRecord(
+                ts=ts, client="10.0.0.1", server="101.0.0.1", method="GET", host=host,
+                uri=uri, referrer=None, user_agent="UA", status=302 if location else 200,
+                content_type=mime, content_length=100, location=location,
+                tcp_handshake_ms=1.0, http_handshake_ms=1.0, flow_id=0,
+            )
+
+        pipeline = AdClassificationPipeline({}, PipelineConfig(use_referrer_map=False))
+        redirect = record(1.0, "site.example", "/r", "text/html", "http://img.example/a.gif")
+        consequent = record(45.0, "img.example", "/a.gif", "image/gif")
+        first = StreamingClassifier(pipeline)
+        first.feed(redirect)
+        resumed = StreamingClassifier(pipeline)
+        resumed.restore_state(json.loads(json.dumps(first.export_state())))
+        resumed.feed(consequent)  # after a tick: the source still waits
+        (source,) = [entry for entry in resumed.drain() if entry.index == 0]
+        assert source.content_type is ContentType.IMAGE
+
 
 # ---------------------------------------------------------------------------
 # run_serial with Checkpointing, in-process: crash (RAISE mode) + resume equivalence
@@ -726,7 +750,7 @@ class TestCrashRecoveryCli:
         manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         proc = _cli(_classify_args(cli_trace, out, ckpt, "--resume"), tmp_path)
         assert proc.returncode == EXIT_MANIFEST_MISMATCH, proc.stdout + proc.stderr
-        assert "manifest version 1 != 7" in proc.stderr
+        assert "manifest version 1 != 8" in proc.stderr
         assert "config changed" not in proc.stderr
         assert "restarting from the beginning" not in proc.stdout
         assert not out.exists()
@@ -765,7 +789,7 @@ class TestCrashRecoveryCli:
         manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         proc = _cli(_classify_args(cli_trace, out, ckpt, *pool, "--resume"), tmp_path)
         assert proc.returncode == EXIT_MANIFEST_MISMATCH, proc.stdout + proc.stderr
-        assert "manifest version 3 != 7" in proc.stderr
+        assert "manifest version 3 != 8" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert "restarting from the beginning" not in proc.stdout
         assert not out.exists()
@@ -789,7 +813,7 @@ class TestCrashRecoveryCli:
         manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         proc = _cli(_classify_args(cli_trace, out, ckpt, *pool, "--resume"), tmp_path)
         assert proc.returncode == EXIT_MANIFEST_MISMATCH, proc.stdout + proc.stderr
-        assert "manifest version 4 != 7" in proc.stderr
+        assert "manifest version 4 != 8" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert "restarting from the beginning" not in proc.stdout
         assert not out.exists()
@@ -823,7 +847,7 @@ class TestCrashRecoveryCli:
         manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         proc = _cli(_classify_args(cli_trace, out, ckpt, "--resume"), tmp_path)
         assert proc.returncode == EXIT_MANIFEST_MISMATCH, proc.stdout + proc.stderr
-        assert "manifest version 5 != 7" in proc.stderr
+        assert "manifest version 5 != 8" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert "restarting from the beginning" not in proc.stdout
         assert not out.exists()
@@ -850,7 +874,38 @@ class TestCrashRecoveryCli:
         manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         proc = _cli(_classify_args(cli_trace, out, ckpt, "--resume"), tmp_path)
         assert proc.returncode == EXIT_MANIFEST_MISMATCH, proc.stdout + proc.stderr
-        assert "manifest version 6 != 7" in proc.stderr
+        assert "manifest version 6 != 8" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "restarting from the beginning" not in proc.stdout
+        assert not out.exists()
+
+    def test_resume_of_a_version_7_directory_exits_4(self, tmp_path, cli_trace):
+        """A directory whose checkpoints hold version-2 classifier states:
+        the waiting redirect sources in a global ``buffer``, their users
+        holding only indexes, from runs that let a source wait past the
+        referrer horizon.  Refused up front by the manifest version,
+        never restored or restarted."""
+        out, ckpt = tmp_path / "out.tsv", tmp_path / "ckpt"
+        crashed = _cli(_classify_args(cli_trace, out, ckpt, "--crash-after", "5000"), tmp_path)
+        assert crashed.returncode == CRASH_EXIT_CODE, crashed.stderr
+        store = CheckpointStore(ckpt)
+        assert store.generations()
+        for generation in store.generations():
+            payload = store.load(generation).payload
+            classifier = payload["classifier"]
+            classifier["version"] = 2
+            classifier["buffer"] = []
+            for _user, _referrers, waiting in classifier["users"]:
+                classifier["buffer"] += [source[1:] for source in waiting]
+                waiting[:] = [(target, index) for target, index, *_ in waiting]
+            store.save(payload, generation=generation)
+        manifest_path = ckpt / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["version"] = 7
+        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        proc = _cli(_classify_args(cli_trace, out, ckpt, "--resume"), tmp_path)
+        assert proc.returncode == EXIT_MANIFEST_MISMATCH, proc.stdout + proc.stderr
+        assert "manifest version 7 != 8" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert "restarting from the beginning" not in proc.stdout
         assert not out.exists()

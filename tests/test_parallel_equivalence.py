@@ -264,7 +264,9 @@ class TestPoolCrashRecoveryCli:
         assert _health_summary(proc.stdout) == golden[2]
         assert "-- decision cache --" not in proc.stdout
 
-    @pytest.mark.parametrize("crash_after", [3000, 9000])
+    # 4000 is a cut (--checkpoint-every 2000): its generation is saved
+    # before the crash, as a serial run saves it.
+    @pytest.mark.parametrize("crash_after", [3000, 4000, 9000])
     def test_hard_kill_and_resume_with_4_workers(
         self, tmp_path, pool_trace, golden, crash_after
     ):
@@ -283,7 +285,8 @@ class TestPoolCrashRecoveryCli:
             tmp_path,
         )
         assert resumed.returncode in (0, 3), resumed.stderr
-        assert "resuming from checkpoint" in resumed.stdout
+        generation = crash_after // 2000
+        assert f"resuming from checkpoint generation {generation} " in resumed.stdout
         assert out.read_bytes() == golden_out
         assert (tmp_path / "out.tsv.quarantine").read_bytes() == golden_quarantine
         assert _health_summary(resumed.stdout) == golden_health

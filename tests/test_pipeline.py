@@ -275,10 +275,19 @@ def _reference_fold(pipeline, records):
     maps, waiting, entries, epoch = {}, {}, [], 0
     for index, record in enumerate(records):
         if config.referrer_horizon_s is not None:
-            # The referrer clock ticks every half horizon and ages every map.
-            epoch = max(epoch, int(record.ts // (config.referrer_horizon_s / 2)))
-            for referrer_map in maps.values():
-                referrer_map.advance(epoch)
+            # The referrer clock ticks every half horizon and ages every
+            # map; a redirect source stops waiting once it is older than
+            # the horizon at a tick, or its user's map has aged empty.
+            tick = int(record.ts // (config.referrer_horizon_s / 2))
+            if tick > epoch:
+                epoch = tick
+                stale = (epoch - 2) * config.referrer_horizon_s / 2
+                for user, referrer_map in maps.items():
+                    referrer_map.advance(epoch)
+                    pending = waiting.get(user, {})
+                    for target, source_index in list(pending.items()):
+                        if referrer_map.is_empty() or records[source_index].ts < stale:
+                            del pending[target]
         user = (record.client, record.user_agent or "")
         url = record.url
         looks_like_document = type_from_mime(record.content_type) in (

@@ -7,10 +7,10 @@ over it in order), run on the records read back from the same file.
 Each synthetic case puts a redirect source where its row can only land
 late: a fix-up that reaches back 1,524 rows, a redirect
 never resolved, one replaced by a second redirect to the same target,
-one evicted by the pending cap, one whose user is idle for three
-referrer horizons (an idle user with nothing waiting is dropped and
-comes back).  `repro usage` and `repro report` must print what an
-in-order run of the same loop prints.
+one whose consequent comes after the referrer horizon, one whose user
+is idle for three horizons (an idle user hands its sources on and is
+dropped, and comes back).  `repro usage` and `repro report` must print
+what an in-order run of the same loop prints.
 Durable runs — serial, cut while a source waits, crashed and resumed,
 pooled — and plain pool runs must write the same bytes.
 """
@@ -25,7 +25,6 @@ import pytest
 from repro.analysis.traffic import TrafficAccumulator
 from repro.cli import main
 from repro.core import aggregate_users
-from repro.core import pipeline as pipeline_module
 from repro.core.pipeline import AdClassificationPipeline, StreamingClassifier
 from repro.filterlist.lists import FilterList
 from repro.http.log import HttpLogRecord, SeekableLogReader, shard_of, write_log
@@ -63,13 +62,15 @@ def _record(url, *, ts, mime, location=None, client="10.0.0.1", referrer=_PAGE):
 
 
 class _Trace:
-    """Records in time order, one ts step apart."""
+    """Records in time order, ``step`` seconds apart."""
 
-    def __init__(self):
+    def __init__(self, step=1.0):
         self.records: list[HttpLogRecord] = []
+        self.step = step
 
     def add(self, url, mime="application/javascript", **kwargs) -> int:
-        self.records.append(_record(url, ts=float(len(self.records)), mime=mime, **kwargs))
+        ts = len(self.records) * self.step
+        self.records.append(_record(url, ts=ts, mime=mime, **kwargs))
         return len(self.records) - 1
 
     def page(self, url=_PAGE, **kwargs) -> int:
@@ -87,8 +88,12 @@ class _Trace:
             self.add(f"http://cdn.example/f{len(self.records)}.js", **kwargs)
 
 
+def _horizon() -> int:
+    return int(AdClassificationPipeline(_small_lists()).config.referrer_horizon_s)
+
+
 def _fixup_beyond_the_window():
-    trace = _Trace()
+    trace = _Trace(step=0.02)  # 1,526 records within the horizon
     trace.page()
     source = trace.redirect("http://t.example/x.gif")
     trace.filler(1024 + 500)  # past the window durable runs once had
@@ -116,33 +121,36 @@ def _same_location_twice():
     return trace.records, {"not_ad": [first], "ad": [second]}
 
 
-def _pending_cap_eviction():
+def _source_outlives_the_horizon():
+    """An active user's first source waits two horizons for its target
+    and settles by age with the type it had; its second source's target
+    comes within one and repairs it."""
+    horizon = _horizon()
     trace = _Trace()
     trace.page()
-    sources = [trace.redirect(f"http://t.example/{n}.gif", n) for n in range(3)]
-    trace.filler(5)
-    for n in range(3):
-        trace.target(f"http://t.example/{n}.gif")
-        trace.filler(2)
-    # The cap is 2: registering the third redirect evicts the first.
-    return trace.records, {"not_ad": sources[:1], "ad": sources[1:]}
+    stale = trace.redirect("http://t.example/late.gif", 1)
+    trace.filler(2 * horizon)
+    fresh = trace.redirect("http://t.example/soon.gif", 2)
+    trace.target("http://t.example/late.gif")
+    trace.filler(horizon // 2)
+    trace.target("http://t.example/soon.gif")
+    return trace.records, {"not_ad": [stale], "ad": [fresh]}
 
 
-def _idle_user_keeps_its_waiting_source():
+def _idle_user_hands_its_source_on():
     """10.0.0.1 leaves a redirect source waiting and is silent for three
     referrer horizons while 10.0.0.2 drives the clock; 10.0.0.3 is as
-    idle with nothing waiting, so it is dropped, and comes back.  The
-    source is an ad only if 10.0.0.1 kept it."""
-    horizon = int(AdClassificationPipeline(_small_lists()).config.referrer_horizon_s)
+    idle with nothing waiting.  Both are dropped, 10.0.0.1 handing its
+    source on, and both come back: the target no longer repairs it."""
     idle_page = "http://idle.example/"
     trace = _Trace()
     trace.page()
     source = trace.redirect("http://t.example/x.gif")
     trace.page(idle_page, client="10.0.0.3")
-    trace.filler(3 * horizon, client="10.0.0.2")
+    trace.filler(3 * _horizon(), client="10.0.0.2")
     trace.add(f"{idle_page}back.js", client="10.0.0.3", referrer=idle_page)
     trace.target("http://t.example/x.gif")
-    return trace.records, {"ad": [source]}
+    return trace.records, {"not_ad": [source]}
 
 
 def _field_needs_encoding():
@@ -158,8 +166,8 @@ CASES = {
     "fixup-reaches-past-the-durable-window": (_fixup_beyond_the_window, {}),
     "redirect-never-resolved": (_never_resolved, {}),
     "two-redirects-to-one-location": (_same_location_twice, {}),
-    "pending-cap-eviction": (_pending_cap_eviction, {}),
-    "idle-user-keeps-its-waiting-source": (_idle_user_keeps_its_waiting_source, {}),
+    "source-outlives-the-horizon": (_source_outlives_the_horizon, {}),
+    "idle-user-hands-its-source-on": (_idle_user_hands_its_source_on, {}),
     "row-needs-encode-field": (_field_needs_encoding, {}),
 }
 
@@ -173,21 +181,32 @@ def small_pipeline():
     return AdClassificationPipeline(_small_lists())
 
 
+def _waiting(classifier) -> list:
+    """The redirect sources a classifier holds, over all its users."""
+    return [
+        source
+        for state in classifier.users.values()
+        for source in state.pending_type_fixup.values()
+    ]
+
+
 @pytest.fixture()
 def watch_held(monkeypatch):
     """Check after every record the run loop feeds that its classifier
-    holds no entry but the pending redirect sources and what settled
-    since the last drain; the fixture's value counts the sources held."""
+    holds no entry but the waiting redirect sources, none older than the
+    horizon at the clock's last tick, and what settled since the last
+    drain; the fixture's value counts the sources held."""
     checks = []
 
     class Watched(StreamingClassifier):
         def feed(self, record, owned=True):
             super().feed(record, owned)
-            pending = sum(len(state.pending_type_fixup) for state in self.users.values())
-            assert len(self.buffer) <= pending
+            waiting = _waiting(self)
+            oldest_kept = (self._epoch - 2) * self._epoch_s
+            assert all(source.record.ts >= oldest_kept for source in waiting)
             # A batch and a burst of reorder pops, not the run.
             assert len(self._settled) < 1000
-            checks.append(len(self.buffer))
+            checks.append(len(waiting))
 
     monkeypatch.setattr(runstate_module, "StreamingClassifier", Watched)
     return checks
@@ -219,9 +238,8 @@ def _plain_classify(tmp_path, trace, pipeline, **kwargs) -> tuple[bytes, Classif
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_plain_classify_is_byte_identical_to_process(case, tmp_path, monkeypatch,
-                                                     small_pipeline, watch_held):
-    monkeypatch.setattr(pipeline_module, "_MAX_PENDING_FIXUPS", 2)
+def test_plain_classify_is_byte_identical_to_process(case, tmp_path, small_pipeline,
+                                                     watch_held):
     build, kwargs = CASES[case]
     records, expect = build()
     trace = _write_trace(tmp_path, records)
@@ -235,13 +253,16 @@ def test_plain_classify_is_byte_identical_to_process(case, tmp_path, monkeypatch
     assert watch_held and max(watch_held) >= 1  # a source was held, and only those
 
 
-def test_an_idle_user_leaves_unless_a_source_waits(small_pipeline):
-    records, _ = _idle_user_keeps_its_waiting_source()
+def test_an_idle_user_hands_its_sources_on_and_leaves(small_pipeline):
+    records, expect = _idle_user_hands_its_source_on()
+    (source,) = expect["not_ad"]
     classifier = StreamingClassifier(small_pipeline)
+    handed = []
     for record in records[:-2]:  # up to 10.0.0.3's return
         classifier.feed(record)
-    assert sorted(client for client, _ in classifier.users) == ["10.0.0.1", "10.0.0.2"]
-    assert classifier.users[("10.0.0.1", "UA")].pending_type_fixup
+        handed += [entry.index for entry in classifier.drain()]
+    assert sorted(client for client, _ in classifier.users) == ["10.0.0.2"]
+    assert source in handed and not _waiting(classifier)
 
 
 def test_the_encoded_row_is_one_of_the_late_ones(tmp_path, small_pipeline):
@@ -379,7 +400,8 @@ _IDLE_USER, _FILLER = "10.0.0.2", "10.0.0.3"  # 10.0.0.1 is the default client
 def _across_horizons():
     """Five half horizons of traffic, one record a second, the clock
     ticking every half horizon (DESIGN.md §5).  10.0.0.1 leaves a
-    redirect source waiting past the cut at the first tick, and a script
+    redirect source waiting past the cut at the first tick, which settles
+    by age before its target comes, and a script
     whose URL, after that tick, resolves only from the previous
     generation; 10.0.0.2 is idle across two ticks, then comes back to a
     referer the second one forgot, and last sends a record that arrives
@@ -430,7 +452,7 @@ def _first_cut(records, pipeline, every, *, after_a_late_row) -> int:
         for entry in classifier.drain():
             late = late or entry.index < newest
             newest = max(newest, entry.index)
-        if count % every == 0 and classifier.buffer and (late or not after_a_late_row):
+        if count % every == 0 and _waiting(classifier) and (late or not after_a_late_row):
             return count
     raise AssertionError("no such cut")
 
@@ -448,7 +470,7 @@ def _checkpointing(directory, command, lists, trace, out=None, *, every, resume=
 @pytest.mark.parametrize(
     "source",
     ["fixup-reaches-1524-rows-back", "rbn-usage-trace", "across-referrer-horizons",
-     "idle-user-keeps-its-waiting-source"],
+     "idle-user-hands-its-source-on"],
 )
 def test_durable_and_pool_runs_write_the_bytes_of_process(source, tmp_path, pipeline, lists,
                                                           small_pipeline, rbn_trace):
@@ -459,9 +481,10 @@ def test_durable_and_pool_runs_write_the_bytes_of_process(source, tmp_path, pipe
     elif source == "across-referrer-horizons":
         records, every, decided = _across_horizons()
         chosen, chosen_lists = small_pipeline, _small_lists()
-    elif source == "idle-user-keeps-its-waiting-source":
-        # The first cut falls between 10.0.0.3's last request and its drop.
-        records, chosen, chosen_lists, every = _idle_user_keeps_its_waiting_source()[0], \
+    elif source == "idle-user-hands-its-source-on":
+        # The first cut falls between the idle users' last requests and
+        # their drop, which hands 10.0.0.1's source on after the resume.
+        records, chosen, chosen_lists, every = _idle_user_hands_its_source_on()[0], \
             small_pipeline, _small_lists(), 50
     else:
         records, chosen, chosen_lists, every = _fixup_beyond_the_window()[0], small_pipeline, \
@@ -509,7 +532,13 @@ def test_durable_and_pool_runs_write_the_bytes_of_process(source, tmp_path, pipe
             # the sink a gap where its row goes (and a filled one).
             payload = CheckpointStore(str(tmp_path / name)).latest().payload
             assert payload["records_fed"] == cut
-            assert payload["classifier"]["buffer"] and payload["sink"]["gaps"]
+            waiting = [index for _, _, sources in payload["classifier"]["users"]
+                       for _, index, *_ in sources]
+            assert waiting and payload["sink"]["gaps"]
+            if source in ("across-referrer-horizons", "idle-user-hands-its-source-on"):
+                # It settles by age after the cut: its target comes too
+                # late to make it an ad.
+                assert not any(entries[index].is_ad for index in waiting)
             assert bool(payload["sink"]["late"]) == rbn
             if source == "across-referrer-horizons":
                 # Cut right after the first tick: the script is only in

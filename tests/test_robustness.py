@@ -9,8 +9,8 @@ import random
 
 import pytest
 
-import repro.core.pipeline as pipeline_mod
 from repro.core import AdClassificationPipeline
+from repro.core.pipeline import PipelineConfig, StreamingClassifier
 from repro.http.log import HttpLogRecord, read_log, records_to_text, write_log
 from repro.robustness import (
     ErrorPolicy,
@@ -295,7 +295,11 @@ class TestReorderBuffer:
         assert _classification_key(repaired) == _classification_key(baseline)
 
 
-class TestRedirectFixupLru:
+class TestRedirectFixupHorizon:
+    """A redirect source waits for its consequent request at most one
+    and a half referrer horizons (DESIGN.md §5), then settles with the
+    type it has."""
+
     def _redirect(self, i: int, ts: float) -> HttpLogRecord:
         return _record(
             ts=ts,
@@ -316,23 +320,52 @@ class TestRedirectFixupLru:
             flow_id=100 + i,
         )
 
-    def test_recent_redirects_survive_eviction(self, monkeypatch):
-        monkeypatch.setattr(pipeline_mod, "_MAX_PENDING_FIXUPS", 3)
-        pipeline = AdClassificationPipeline({})
-        records = [self._redirect(i, 1000.0 + i) for i in range(5)]
-        records.append(self._consequent(4, 1010.0))  # recent: fix-up applies
-        records.append(self._consequent(0, 1011.0))  # evicted: no fix-up
-        entries = pipeline.process(records)
-        image_type = entries[5].content_type
-        assert entries[4].content_type == image_type  # repaired from redirect
-        assert entries[0].content_type != image_type  # oldest was evicted
+    def _activity(self, start: float, stop: float) -> list[HttpLogRecord]:
+        """The same user's requests every 5 s, which keep its map in use."""
+        return [
+            _record(ts=start + 5.0 * k, uri=f"/page{k}.js", content_type="application/javascript")
+            for k in range(1, int((stop - start) / 5.0))
+        ]
 
-    def test_eviction_is_bounded_not_total(self, monkeypatch):
-        monkeypatch.setattr(pipeline_mod, "_MAX_PENDING_FIXUPS", 3)
+    def test_a_consequent_within_the_horizon_repairs_its_source(self):
         pipeline = AdClassificationPipeline({})
-        records = [self._redirect(i, 1000.0 + i) for i in range(10)]
+        horizon = pipeline.config.referrer_horizon_s
+        records = [self._redirect(0, 1000.0), *self._activity(1000.0, 1000.0 + horizon)]
+        records.append(self._consequent(0, 1000.0 + horizon - 1.0))
         entries = pipeline.process(records)
-        assert len(entries) == 10  # no crash, no wholesale clear
+        assert entries[0].content_type == entries[-1].content_type  # repaired
+
+    def test_a_consequent_after_the_horizon_does_not(self):
+        pipeline = AdClassificationPipeline({})
+        horizon = pipeline.config.referrer_horizon_s
+        for activity in ([], self._activity(1000.0, 1000.0 + 2 * horizon)):
+            records = [self._redirect(0, 1000.0), *activity]
+            records.append(self._consequent(0, 1000.0 + 2 * horizon))
+            entries = pipeline.process(records)
+            assert entries[0].content_type != entries[-1].content_type
+
+    def test_an_active_users_stale_source_is_handed_on(self):
+        pipeline = AdClassificationPipeline({})
+        horizon = pipeline.config.referrer_horizon_s
+        classifier = StreamingClassifier(pipeline)
+        user = ("anon-1", "UA/1.0")
+        classifier.feed(self._redirect(0, 1000.0))
+        assert classifier.drain() == []
+        for record in self._activity(1000.0, 1000.0 + 1.6 * horizon):
+            classifier.feed(record)
+            age = record.ts - 1000.0
+            settled = [entry.index for entry in classifier.drain()]
+            if 0 in settled:
+                break
+            assert classifier.users[user].pending_type_fixup  # still waits
+        assert 0 in settled and horizon <= age <= 1.5 * horizon  # with the type it had
+        assert user in classifier.users and not classifier.users[user].pending_type_fixup
+
+    def test_none_keeps_the_unbounded_wait(self):
+        pipeline = AdClassificationPipeline({}, PipelineConfig(referrer_horizon_s=None))
+        records = [self._redirect(0, 1000.0), self._consequent(0, 1000.0 + 36_000.0)]
+        entries = pipeline.process(records)
+        assert entries[0].content_type == entries[-1].content_type
 
 
 # ---------------------------------------------------------------------------

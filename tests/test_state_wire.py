@@ -67,7 +67,8 @@ def _classifier(env):
 
     classifier = make()
     for count, record in enumerate(env.records):
-        if count >= 600 and classifier.buffer:  # a redirect source waits
+        # A redirect source waits.
+        if count >= 600 and any(state.pending_type_fixup for state in classifier.users.values()):
             break
         classifier.feed(record)
     classifier.drain()  # a checkpoint is cut after a drain
